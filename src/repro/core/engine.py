@@ -253,8 +253,9 @@ class TrainingEngine:
         self.peer_graph = peer_graph
         if peer_graph is not None and peer_graph.n_workers != self.n_workers:
             raise ValueError("peer graph sized for a different cluster")
-        # Sorted-active-members cache: recompute_lbs and active_peers hit
-        # this on every iteration; invalidated on membership churn.
+        # Sorted-active-members cache: recompute_lbs reads it on every
+        # RCP/GBS update; dropped at the one place the active set
+        # changes (_apply_membership_event).
         self._active_members: list[int] | None = None
 
         # Dataset (shared generation, per-worker shards).
@@ -598,17 +599,16 @@ class TrainingEngine:
 
     def broadcast_rcp(self, src: int, rcp: float) -> None:
         """Share a worker's measured RCP with every active peer."""
+        # Handlers only read the message, so every destination shares it.
+        msg = RcpShareMessage(sender=src, rcp=rcp)
         for dst in self.active_peers(src):
-            self.send_control(src, dst, RcpShareMessage(sender=src, rcp=rcp))
+            self.send_control(src, dst, msg)
 
     def broadcast_loss_share(self, src: int, iteration: int, avg_loss: float) -> None:
         """Share a worker's trailing-average loss with every active peer."""
+        msg = LossShareMessage(sender=src, iteration=iteration, avg_loss=avg_loss)
         for dst in self.active_peers(src):
-            self.send_control(
-                src,
-                dst,
-                LossShareMessage(sender=src, iteration=iteration, avg_loss=avg_loss),
-            )
+            self.send_control(src, dst, msg)
 
     # ------------------------------------------------------------------
     # Elastic membership (extension)

@@ -8,7 +8,9 @@ timed probe iterations, then splits the GBS proportionally (Eq. 5):
     LBS_i = GBS * RCP_i / Σ_j RCP_j
 
 ``allocate_lbs`` performs the proportional split with largest-remainder
-rounding so that Σ LBS_i == GBS exactly (the paper's invariant).
+rounding so that Σ LBS_i == GBS exactly (the paper's invariant);
+``lbs_share`` returns one worker's entry of that split, which is all a
+worker's control plane needs.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ import numpy as np
 from repro.core.config import LbsConfig
 from repro.utils.linreg import fit_line
 
-__all__ = ["LbsController", "allocate_lbs"]
+__all__ = ["LbsController", "allocate_lbs", "lbs_share"]
 
 
-def allocate_lbs(
-    gbs: int, rcps: Sequence[float], *, min_lbs: int = 1
-) -> list[int]:
-    """Split ``gbs`` across workers proportionally to their RCPs.
+def _floor_split(
+    gbs: int, rcps: Sequence[float], min_lbs: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The Eq. 5 arithmetic both entry points share.
 
-    Largest-remainder rounding preserves ``sum(result) == gbs``; every
-    worker receives at least ``min_lbs`` (taken from the largest shares
-    if the proportional share rounds to zero).
+    Returns ``(base, frac, remainder)``: the floored proportional
+    shares, their fractional parts, and the ``gbs - base.sum()`` units
+    the largest-remainder rule still has to hand out — one each to the
+    ``remainder`` largest ``frac`` entries, ties broken by worker index.
     """
     n = len(rcps)
     if n == 0:
@@ -48,22 +51,54 @@ def allocate_lbs(
 
     raw = gbs * arr / total
     base = np.floor(raw).astype(int)
-    remainder = gbs - int(base.sum())
-    # Hand out the leftover units to the largest fractional parts
-    # (ties broken by worker index for determinism).
-    frac_order = np.argsort(-(raw - base), kind="stable")
-    base[frac_order[:remainder]] += 1
+    return base, raw - base, gbs - int(base.sum())
 
-    # Enforce the floor, stealing from the largest allocations.
-    for i in range(n):
-        while base[i] < min_lbs:
-            donor = int(np.argmax(base))
-            if base[donor] <= min_lbs:
-                raise ValueError("cannot satisfy min_lbs for all workers")
-            base[donor] -= 1
-            base[i] += 1
+
+def allocate_lbs(
+    gbs: int, rcps: Sequence[float], *, min_lbs: int = 1
+) -> list[int]:
+    """Split ``gbs`` across workers proportionally to their RCPs.
+
+    Largest-remainder rounding preserves ``sum(result) == gbs``; every
+    worker receives at least ``min_lbs`` (taken from the largest shares
+    if the proportional share rounds to zero).
+    """
+    base, frac, remainder = _floor_split(gbs, rcps, min_lbs)
+    base[np.argsort(-frac, kind="stable")[:remainder]] += 1
+
+    if base.min() < min_lbs:
+        # Enforce the floor, stealing from the largest allocations.
+        for i in range(len(base)):
+            while base[i] < min_lbs:
+                donor = int(np.argmax(base))
+                if base[donor] <= min_lbs:
+                    raise ValueError("cannot satisfy min_lbs for all workers")
+                base[donor] -= 1
+                base[i] += 1
     assert int(base.sum()) == gbs
-    return [int(b) for b in base]
+    return base.tolist()
+
+
+def lbs_share(
+    gbs: int, rcps: Sequence[float], i: int, *, min_lbs: int = 1
+) -> int:
+    """Worker ``i``'s entry of :func:`allocate_lbs`, without the vector.
+
+    A worker reacting to an RCP share or a GBS announcement needs only
+    its own share: its floored proportional share plus one unit when its
+    fractional part ranks inside the remainder. The rank is two counting
+    passes — no sort, no list. When some floored share is below
+    ``min_lbs`` the donor loop may move units between workers, so that
+    (rare) case takes the whole-vector path.
+    """
+    base, frac, remainder = _floor_split(gbs, rcps, min_lbs)
+    if not 0 <= i < len(base):
+        raise IndexError(f"worker index {i} out of range for {len(base)} workers")
+    if base.min() < min_lbs:
+        return allocate_lbs(gbs, rcps, min_lbs=min_lbs)[i]
+    f = frac[i]
+    rank = int((frac > f).sum()) + int((frac[:i] == f).sum())
+    return int(base[i]) + (rank < remainder)
 
 
 class LbsController:
@@ -108,7 +143,3 @@ class LbsController:
         # Fallback: samples/sec from the largest probe, scaled to unit time.
         best = max(x / y for x, y in zip(xs, ys) if y > 0)
         return max(1.0, best * unit)
-
-    def probe_cost(self, probe_times: Sequence[float]) -> float:
-        """Total simulated time a profiling pass consumed."""
-        return float(sum(probe_times))

@@ -20,6 +20,7 @@ Module map (paper §4.1 → methods here):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -37,7 +38,7 @@ from repro.cluster.queues import MessageQueues
 from repro.core.api import ExchangeStrategy, PartialGradients
 from repro.core.config import TrainConfig
 from repro.core.dkt import DktState, merge_weights
-from repro.core.lbs_controller import LbsController, allocate_lbs
+from repro.core.lbs_controller import LbsController, lbs_share
 from repro.core.sync import SyncState
 from repro.core.weighted_update import dynamic_batching_weight
 from repro.nn import workspace
@@ -203,17 +204,30 @@ class Worker:
         membership churn automatically redistributes the GBS across the
         survivors.
         """
-        members = self.engine.active_members()
-        if self.worker_id not in members:
+        wid = self.worker_id
+        if wid not in self.engine.active:
             return
+        members = self.engine.active_members()
+        n = len(members)
         if not self.config.lbs.enabled:
             # Dynamic batching disabled: even split of the current GBS.
-            new = max(self.config.lbs.min_lbs, self.gbs // len(members))
+            new = max(self.config.lbs.min_lbs, self.gbs // n)
         else:
-            own = self.rcp_table.get(self.worker_id, 1.0)
-            rcps = [self.rcp_table.get(j, own) for j in members]
-            alloc = allocate_lbs(self.gbs, rcps, min_lbs=self.config.lbs.min_lbs)
-            new = alloc[members.index(self.worker_id)]
+            # Peers this worker has not heard from count at its own RCP,
+            # so the vector over the id space is a constant fill plus one
+            # write per table entry (at most degree + 1 of them under an
+            # overlay); nothing of length N is built in Python.
+            table = self.rcp_table
+            own = table.get(wid, 1.0)
+            rcps = np.full(self.engine.n_workers, own, dtype=float)
+            for j, rcp in table.items():
+                rcps[j] = rcp
+            i = wid
+            if n < len(rcps):
+                # Some ids are inactive: Eq. 5 spans the members only.
+                rcps = rcps[members]
+                i = bisect_left(members, wid)
+            new = lbs_share(self.gbs, rcps, i, min_lbs=self.config.lbs.min_lbs)
         if new != self.lbs:
             self.lbs = new
             self.engine.record_lbs(self.worker_id, new)

@@ -10,8 +10,12 @@ from repro.cluster.messages import (
     RcpShareMessage,
     WeightMessage,
 )
+from repro.cluster.membership import MembershipSchedule
+from repro.cluster.peergraph import PeerGraph
+from repro.cluster.topology import ClusterTopology
 from repro.core.config import LbsConfig
 from repro.core.engine import TrainingEngine
+from repro.core.lbs_controller import allocate_lbs
 
 
 @pytest.fixture
@@ -56,6 +60,84 @@ class TestBatchSizeModules:
         w = engine.workers[0]
         w.set_gbs(90)
         assert w.lbs == 30
+
+
+def reference_lbs(worker):
+    """Eq. 5 the long way: whole-cluster allocation, then one entry."""
+    members = sorted(worker.engine.active)
+    own = worker.rcp_table.get(worker.worker_id, 1.0)
+    rcps = [worker.rcp_table.get(j, own) for j in members]
+    alloc = allocate_lbs(worker.gbs, rcps, min_lbs=worker.config.lbs.min_lbs)
+    return alloc[members.index(worker.worker_id)]
+
+
+class TestRecomputeLbsMatchesReference:
+    N = 24
+
+    def build(self, fast_config, **kwargs):
+        topo = ClusterTopology.build(
+            cores=[1 + (w % 5) for w in range(self.N)],
+            bandwidth=[20.0] * self.N,
+            per_core_rate=16.0, overhead=0.02, jitter=0.0,
+        )
+        return TrainingEngine(fast_config, topo, seed=0, **kwargs)
+
+    def check_all(self, engine):
+        for w in sorted(engine.active):
+            worker = engine.workers[w]
+            worker.lbs = -1  # force a fresh write
+            worker.recompute_lbs()
+            assert worker.lbs == reference_lbs(worker), w
+
+    def test_sparse_table_on_hier_overlay(self, fast_config):
+        engine = self.build(
+            fast_config, peer_graph=PeerGraph.from_spec("hier:8", self.N)
+        )
+        engine.advance_to(6.0)  # profiling done, RCP shares delivered
+        tables = [len(engine.workers[w].rcp_table) for w in range(self.N)]
+        assert 1 < min(tables) and max(tables) < self.N  # sparse: neighbours only
+        self.check_all(engine)
+        lbs = [engine.workers[w].lbs for w in range(self.N)]
+        assert len(set(lbs)) > 1  # heterogeneous cores give distinct shares
+
+    def test_non_contiguous_members_after_leave(self, fast_config):
+        sched = MembershipSchedule([(4.0, 5, "leave")], n_workers=self.N)
+        engine = self.build(
+            fast_config, membership=sched,
+            peer_graph=PeerGraph.from_spec("hier:8", self.N),
+        )
+        engine.advance_to(8.0)
+        assert engine.active_members()[-1] != len(engine.active) - 1
+        self.check_all(engine)
+        # The departed worker is inactive: recompute_lbs leaves it alone.
+        gone = engine.workers[5]
+        gone.lbs = -1
+        gone.recompute_lbs()
+        assert gone.lbs == -1
+
+    def test_late_share_from_departed_top_id_is_ignored(self, fast_config):
+        sched = MembershipSchedule([(4.0, self.N - 1, "leave")], n_workers=self.N)
+        engine = self.build(fast_config, membership=sched)
+        engine.advance_to(8.0)
+        w = engine.workers[0]
+        # Members are still 0..n-1, but the table names an id beyond them.
+        w.on_rcp_share(RcpShareMessage(sender=self.N - 1, rcp=1e9))
+        assert w.lbs == reference_lbs(w)
+
+    def test_freshly_assigned_table(self, fast_config):
+        engine = self.build(fast_config)
+        w = engine.workers[3]
+        w.gbs = 1000
+        w.rcp_table = {3: 7.0, 0: 1.0, 11: 40.0}
+        w.recompute_lbs()
+        assert w.lbs == reference_lbs(w)
+        w.rcp_table = {0: 2.5}  # own entry missing: own RCP defaults to 1.0
+        w.recompute_lbs()
+        assert w.lbs == reference_lbs(w)
+        # An int own RCP must not truncate the peers' float RCPs.
+        w.rcp_table = {3: 1, **{j: 0.5 for j in range(4, 20)}}
+        w.recompute_lbs()
+        assert w.lbs == reference_lbs(w) == 63  # 125 if 0.5 became 0
 
 
 class TestModelUpdateModule:

@@ -1,9 +1,10 @@
 """Property-based tests for LBS allocation (Eq. 5)."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lbs_controller import allocate_lbs
+from repro.core.lbs_controller import allocate_lbs, lbs_share
 
 rcps = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=12)
 
@@ -55,3 +56,58 @@ def test_proportionality_within_rounding(rcps, mult):
 def test_deterministic(rcps, gbs_mult):
     gbs = len(rcps) * gbs_mult
     assert allocate_lbs(gbs, rcps) == allocate_lbs(gbs, rcps)
+
+
+# Small integer-valued RCPs make exact fractional ties and zeros common;
+# the 1e-3 entries force shares below one sample (the ``min_lbs`` floor).
+tie_heavy_rcps = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1e-3, 1.0, 2.0, 3.0, 1000.0]),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+@given(
+    rcps=tie_heavy_rcps,
+    spare=st.integers(0, 200),
+    min_lbs=st.sampled_from([1, 4]),
+)
+@example(rcps=[1000.0, 1e-3, 1e-3], spare=0, min_lbs=4)  # donor loop runs
+@example(rcps=[1.0, 1.0, 1.0], spare=1, min_lbs=1)  # three-way tie, one unit
+@example(rcps=[0.0, 0.0, 5.0], spare=3, min_lbs=1)  # zeros beside a live RCP
+@example(rcps=[0.0] * 7, spare=3, min_lbs=4)  # all zero: the even-split fallback
+@settings(max_examples=300, deadline=None)
+def test_own_share_equals_full_allocation(rcps, spare, min_lbs):
+    """``lbs_share(..., i)`` is ``allocate_lbs(...)[i]`` for every i."""
+    gbs = len(rcps) * min_lbs + spare
+    full = allocate_lbs(gbs, rcps, min_lbs=min_lbs)
+    shares = [lbs_share(gbs, rcps, i, min_lbs=min_lbs) for i in range(len(rcps))]
+    assert shares == full
+    assert sum(shares) == gbs
+    assert min(shares) >= min_lbs
+
+
+@pytest.mark.parametrize(
+    "gbs, rcps",
+    [
+        (4, []),  # no workers
+        (2, [1.0, 1.0, 1.0]),  # GBS below one sample per worker
+        (8, [1.0, -1.0]),  # negative RCP
+    ],
+)
+def test_own_share_rejects_what_allocation_rejects(gbs, rcps):
+    with pytest.raises(ValueError) as full:
+        allocate_lbs(gbs, rcps)
+    with pytest.raises(ValueError) as own:
+        lbs_share(gbs, rcps, 0)
+    assert str(own.value) == str(full.value)
+
+
+def test_own_share_rejects_out_of_range_index():
+    with pytest.raises(IndexError):
+        lbs_share(8, [1.0, 1.0], 2)
+    with pytest.raises(IndexError):
+        lbs_share(8, [1.0, 1.0], -1)
