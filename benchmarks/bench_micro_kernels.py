@@ -5,13 +5,9 @@ classic pytest-benchmark microbenchmarks with many rounds: the NumPy
 kernels the simulator spends its wall-clock time in. Regressions here
 multiply directly into every experiment's runtime.
 
-CI runs this file in smoke mode (``REPRO_BENCH_SMOKE=1`` with
-``--benchmark-disable``): every benchmark executes once for
-correctness, and the wall-clock threshold assertions are skipped.
+CI runs this file with ``--benchmark-disable``: every benchmark
+executes once for correctness.
 """
-
-import os
-import time
 
 import numpy as np
 import pytest
@@ -22,7 +18,6 @@ from repro.core.maxn import select_max_n
 from repro.core.transmission import (
     GradientHistograms,
     TransmissionPlanner,
-    _fit_n_bisect,
     fit_n_to_budget,
 )
 from repro.nn.layers.conv import Conv2D, im2col
@@ -30,8 +25,6 @@ from repro.nn.models import cipher_cnn
 from repro.obs.profile import Profiler, activate
 
 RNG = np.random.default_rng(0)
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -92,38 +85,6 @@ def test_plan_builds_histograms_once(big_grad, many_links):
     # payload sharing: at most one selection per distinct budget
     select_calls, _ = prof.totals()["maxn/select_payload"]
     assert select_calls <= 16
-
-
-@pytest.mark.skipif(SMOKE, reason="wall-clock threshold; skipped in CI smoke")
-def test_batched_plan_speedup(big_grad, many_links):
-    """The batched fit must beat a per-link bisection loop (the
-    pre-batching planner) by >= 3x on a 32-link plan."""
-    grads = {"w": big_grad}
-    planner = TransmissionPlanner(MaxNConfig())
-    budgets = [planner.budget_bytes(bw, 0.001) for bw in many_links.values()]
-
-    def legacy():
-        for b in budgets:
-            _fit_n_bisect(grads, b)
-
-    def batched():
-        GradientHistograms(grads).fit_many(budgets)
-
-    def best_of(fn, reps=5):
-        fn()  # warm-up
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    t_legacy = best_of(legacy)
-    t_batched = best_of(batched)
-    assert t_legacy / t_batched >= 3.0, (
-        f"batched fit only {t_legacy / t_batched:.1f}x faster "
-        f"({t_legacy * 1e3:.2f}ms vs {t_batched * 1e3:.2f}ms)"
-    )
 
 
 def test_im2col_cipher_shape(benchmark, conv_batch):

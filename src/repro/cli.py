@@ -37,51 +37,9 @@ run through pytest instead.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 __all__ = ["main", "build_parser"]
-
-# BLAS pools honour these only if set before numpy's first import, which
-# is why main() pre-scans argv instead of waiting for argparse (argparse
-# itself needs the environment/figure registries, which import numpy).
-_BLAS_ENV_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _prescan_compute_threads(argv: list[str]) -> int | None:
-    """Extract ``--compute-threads N`` from raw argv, tolerating junk.
-
-    Runs before any heavy import; malformed values are left for argparse
-    to reject with a proper message.
-    """
-    value: str | None = None
-    for i, arg in enumerate(argv):
-        if arg == "--compute-threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--compute-threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        return None
-
-
-def _pin_blas_pools() -> None:
-    """Pin BLAS to one thread per call (our pool supplies the parallelism).
-
-    ``setdefault`` so an operator's explicit environment always wins.
-    Without this, N pool threads each fanning out to an OpenBLAS pool of
-    ``cores`` threads would oversubscribe the machine N*cores-fold.
-    """
-    for var in _BLAS_ENV_VARS:
-        os.environ.setdefault(var, "1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the metrics registry as JSON")
     run_p.add_argument("--profile", action="store_true",
                        help="print a wall-clock profile of the simulator itself")
-    run_p.add_argument("--compute-threads", type=int, default=None,
-                       help="threads for the parallel compute stage "
-                       "(sim backend; default min(workers, cores); results "
-                       "are byte-identical for any value; 1 = fully serial)")
 
     cmp_p = sub.add_parser("compare", help="run several systems in one environment")
     cmp_p.add_argument("--environment", "-e", required=True, choices=sorted(ENVIRONMENTS))
@@ -430,21 +384,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"bad --chaos plan: {exc}", file=sys.stderr)
             return 2
     horizon = args.horizon if args.horizon is not None else default_horizon
-    compute_threads = args.compute_threads
-    if compute_threads is None:
-        compute_threads = min(topo.n_workers, os.cpu_count() or 1)
-    if compute_threads < 1:
-        print("--compute-threads must be >= 1", file=sys.stderr)
-        return 2
-    if compute_threads > 1:
-        # The environment was pinned in main() before numpy loaded;
-        # report the effective setting once so runs are auditable.
-        blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-        print(
-            f"compute threads: {compute_threads} "
-            f"(BLAS threads per call: {blas}; results are "
-            "byte-identical to --compute-threads 1)"
-        )
     if args.backend == "proc":
         from repro.core.live_engine import LiveEngine
 
@@ -472,7 +411,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tracer=tracer,
             metrics=metrics,
             profile=args.profile,
-            compute_threads=compute_threads,
             checkpoint=checkpoint,
             ship_interval_s=(
                 args.ship_interval if args.ship_interval is not None else 1.0
@@ -494,8 +432,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 tracer=tracer,
                 metrics=metrics,
                 profiler=profiler,
-                compute_threads=compute_threads,
-                chaos=chaos,
+                    chaos=chaos,
                 peer_graph=peer_graph,
             )
         except ValueError as exc:
@@ -643,10 +580,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    raw = sys.argv[1:] if argv is None else argv
-    threads = _prescan_compute_threads(raw)
-    if threads is not None and threads > 1:
-        _pin_blas_pools()
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()

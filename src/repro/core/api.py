@@ -68,15 +68,6 @@ class WorkerContext(Protocol):
         """Latest estimate of this worker's iteration duration (s)."""
         ...
 
-    def plan_epoch(self) -> object:
-        """Equality-comparable token for the current planning round.
-
-        Changes every iteration; strategies hand it to per-iteration
-        caches (the transmission planner's histogram reuse) so stale
-        state can never be mistaken for fresh.
-        """
-        ...
-
     def bandwidth_to(self, dst: int) -> float:
         """Monitored bandwidth (Mbps) on the link to peer ``dst``."""
         ...

@@ -1,272 +1,24 @@
-"""Speculative parallel gradient computation (the compute pool).
+"""Residual of the removed speculative compute pool.
 
-The simulator is a single-threaded discrete-event loop, but the real
-``loss_and_grads`` work it performs per iteration is data-independent
-across workers *between* model writes: worker ``k``'s gradient at its
-next completion instant depends only on its own model replica, which
-changes exclusively inside event handlers (its own update, a delivered
-peer gradient, a DKT merge). The pool exploits this by **speculating**:
-when an iteration-completion event fires, it scans the pending event
-heap in timestamp order and submits the numeric work for upcoming
-completions to a persistent thread pool, provided no model-writing
-event is scheduled to reach that worker first. NumPy's BLAS kernels
-release the GIL, so the W workers' GEMMs genuinely overlap.
-
-Correctness never depends on the speculation being right:
-
-* every worker carries a ``model_version`` counter bumped *after* each
-  model write; a task records the version at submission and is only
-  **committed** if the version still matches at its completion event
-  (so a write that lands in between — including one scheduled after
-  the scan ran — forces a recompute with the up-to-date model);
-* a speculative step's side effects (BatchNorm running statistics,
-  Dropout RNG position) are snapshotted at submission via
-  ``Model.save_step_state`` and restored before any recompute, and the
-  minibatch drawn at submission is reused, so the miss path replays
-  exactly the serial computation;
-* a torn read (the pool thread racing a concurrent main-thread write)
-  can only produce a result that the version check then discards.
-
-Because each worker has at most one in-flight completion event and all
-sampler draws happen once per iteration in iteration order, the
-per-worker RNG streams advance exactly as in serial execution; epoch
-accounting (``samples_drawn``) is deferred to the completion instant
-via ``MinibatchSampler.commit``. Runs are therefore **byte-identical**
-for any thread count — the determinism suite compares full metric
-dumps and trace files across ``--compute-threads 1`` and ``4``.
-
-Speculation hit/miss counts are exposed as pool attributes only; they
-are deliberately kept out of the MetricsRegistry because they vary
-with thread count while every registered metric must not.
+A worker's forward/backward runs inline, in ``collect``, whose one call
+site is ``Worker._finish_iteration``. This class (and the uncalled
+``prefetch``) survives only because ``benchmarks/e2e/spans.py`` wraps
+both names and the harness may not change with the program; once a
+``benchmark`` issue drops those two rows, fold ``collect`` into the
+worker and delete this file.
 """
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.obs import profile as _profile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import TrainingEngine
-    from repro.core.worker import Worker
-
-__all__ = ["ComputePool", "ComputeTask"]
-
-
-class ComputeTask:
-    """One speculative ``loss_and_grads`` in flight for one worker."""
-
-    __slots__ = (
-        "worker_id", "batch", "version", "xb", "yb",
-        "saved_state", "sampler_state", "future",
-    )
-
-    def __init__(
-        self,
-        worker_id: int,
-        batch: int,
-        version: int,
-        xb: np.ndarray,
-        yb: np.ndarray,
-        saved_state: list,
-        sampler_state: dict,
-        future: Future,
-    ):
-        self.worker_id = worker_id
-        self.batch = batch
-        self.version = version
-        self.xb = xb
-        self.yb = yb
-        self.saved_state = saved_state
-        self.sampler_state = sampler_state
-        self.future = future
+__all__ = ["ComputePool"]
 
 
 class ComputePool:
-    """Runs workers' forward/backward steps on a thread pool, speculatively.
+    """Stateless: draws one minibatch and computes its gradients."""
 
-    With ``threads == 1`` every call degenerates to the historical
-    serial path (no executor is ever created); the engine still routes
-    through :meth:`collect` so there is exactly one code path.
-    """
-
-    def __init__(self, engine: "TrainingEngine", threads: int = 1):
-        if threads < 1:
-            raise ValueError("compute pool needs at least one thread")
-        self.engine = engine
-        self.threads = threads
-        self._executor: ThreadPoolExecutor | None = None
-        self._tasks: dict[int, ComputeTask] = {}
-        # Diagnostics only — never registered as metrics (see module doc).
-        self.hits = 0
-        self.misses = 0
-        self.discards = 0
-        self._classified = False
-
-    def enabled(self) -> bool:
-        """Whether speculation is on (more than one compute thread)."""
-        return self.threads > 1
-
-    # ------------------------------------------------------------------
-    # Event classification (lazy: avoids import cycles at module load)
-    # ------------------------------------------------------------------
-    def _classify(self) -> None:
-        from repro.core.engine import TrainingEngine
-        from repro.core.worker import Worker
-
-        self._fn_finish = Worker._finish_iteration
-        self._fn_deliver = TrainingEngine._deliver_checked
-        self._fn_barrier = {TrainingEngine._apply_membership_event}
-        self._fn_neutral = {
-            Worker.set_gbs,
-            Worker.try_start_iteration,
-            TrainingEngine._gbs_tick,
-        }
-        # Delivery handlers that write the destination model, vs. those
-        # that provably do not touch it (or only read parameters, which
-        # the pool never writes).
-        self._h_writes = {Worker.on_gradient_message, Worker.on_weight_message}
-        self._h_neutral = {
-            Worker.on_loss_share,
-            Worker.on_dkt_request,
-            Worker.on_rcp_share,
-            Worker.on_control_message,
-        }
-        self._classified = True
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-compute"
-            )
-        return self._executor
-
-    def _submit(self, worker: "Worker", batch: int) -> None:
-        model = worker.model
-        sampler = worker.sampler
-        task = ComputeTask(
-            worker_id=worker.worker_id,
-            batch=batch,
-            version=worker.model_version,
-            xb=None,  # filled below (draw may raise; keep task unregistered)
-            yb=None,
-            saved_state=model.save_step_state(),
-            sampler_state=sampler.rng.bit_generator.state,
-            future=None,
-        )
-        task.xb, task.yb = sampler.draw_uncounted(batch)
-        # Propagate the caller's context (active profiler) to the pool
-        # thread so nn/* scopes attribute correctly under --profile.
-        ctx = contextvars.copy_context()
-        task.future = self._ensure_executor().submit(
-            ctx.run, model.loss_and_grads, task.xb, task.yb
-        )
-        self._tasks[worker.worker_id] = task
+    def collect(self, worker, batch: int) -> tuple[float, dict]:
+        """This iteration's ``(loss, grads)`` for ``worker``."""
+        return worker.model.loss_and_grads(*worker.sampler.draw(batch))
 
     def prefetch(self) -> None:
-        """Scan the pending event heap and speculate on safe completions.
-
-        Walks events in firing order. An iteration-completion event for
-        a worker no model-writing delivery reaches first is submitted to
-        the pool; a membership event or any unrecognized event is a
-        conservative barrier (nothing beyond it is speculated). Writes
-        scheduled *after* this scan are caught by the version check at
-        commit time, so the scan only has to be conservative, not
-        clairvoyant.
-        """
-        if not self.enabled():
-            return
-        if not self._classified:
-            self._classify()
-        dirty: set[int] = set()
-        for ev in self.engine.clock.iter_pending():
-            if ev.cancelled:
-                continue
-            func = getattr(ev.fn, "__func__", ev.fn)
-            if func is self._fn_finish:
-                worker = ev.fn.__self__
-                wid = worker.worker_id
-                if wid not in dirty and wid not in self._tasks and worker.active:
-                    self._submit(worker, ev.args[0])
-            elif func is self._fn_deliver:
-                dst, handler, _msg = ev.args
-                hfunc = getattr(handler, "__func__", handler)
-                if hfunc not in self._h_neutral:
-                    dirty.add(dst)
-            elif func in self._fn_neutral:
-                continue
-            elif func in self._fn_barrier:
-                break
-            else:
-                break  # unknown event kind: stop speculating
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-    def collect(self, worker: "Worker", batch: int) -> tuple[float, dict]:
-        """Produce this iteration's (loss, grads) at its completion event.
-
-        Serial path (no task pending) draws and computes inline — the
-        historical behaviour. Otherwise the speculative result is
-        committed if the model is untouched since submission, or the
-        step is replayed from the submission-time snapshot.
-        """
-        task = self._tasks.pop(worker.worker_id, None)
-        if task is None:
-            xb, yb = worker.sampler.draw(batch)
-            return worker.model.loss_and_grads(xb, yb)
-        assert task.batch == batch, "completion event batch drifted from submission"
-        with _profile.scope("engine/compute_pool"):
-            try:
-                result = task.future.result()
-            except Exception:  # torn state mid-speculation; replay below
-                result = None
-        if result is not None and task.version == worker.model_version:
-            self.hits += 1
-            worker.sampler.commit(batch)
-            return result
-        self.misses += 1
-        worker.model.restore_step_state(task.saved_state)
-        worker.sampler.commit(batch)
-        return worker.model.loss_and_grads(task.xb, task.yb)
-
-    def discard(self, worker: "Worker") -> None:
-        """Throw away a pending task as if it was never submitted.
-
-        Used when a worker turns out to be inactive at its completion
-        event: serial execution would not have drawn a batch at all, so
-        both the model side effects and the sampler RNG are rewound.
-        """
-        task = self._tasks.pop(worker.worker_id, None)
-        if task is None:
-            return
-        try:
-            task.future.result()  # join: the thread must stop mutating first
-        except Exception:
-            pass
-        self.discards += 1
-        worker.model.restore_step_state(task.saved_state)
-        worker.sampler.rng.bit_generator.state = task.sampler_state
-
-    def drain(self) -> None:
-        """Discard every in-flight task (finalization / early stop).
-
-        Must run before final evaluations: speculative steps for events
-        past the horizon have already advanced BatchNorm statistics and
-        RNG streams that ``Model.evaluate`` and the books would observe.
-        """
-        for wid in list(self._tasks):
-            self.discard(self.engine.workers[wid])
-
-    def shutdown(self) -> None:
-        """Tear down the executor (idempotent; tasks must be drained)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Nothing to speculate on; kept for the harness (module doc)."""

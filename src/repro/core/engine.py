@@ -29,9 +29,8 @@ from repro.cluster.messages import (
     WeightMessage,
 )
 from repro.cluster.monitor import NetworkResourceMonitor
-from repro.cluster.simclock import make_clock
+from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
-from repro.core.compute_pool import ComputePool
 from repro.core.config import TrainConfig
 from repro.core.gbs_controller import GbsController
 from repro.core.run_metrics import RunMetrics
@@ -179,25 +178,14 @@ class TrainingEngine:
         tracer=None,
         metrics: MetricsRegistry | None = None,
         profiler=None,
-        compute_threads: int = 1,
         chaos: ChaosPlan | None = None,
-        clock=None,
     ):
         self.config = config
         self.topology = topology
         self.n_workers = topology.n_workers
         self.rng_pool = RngPool(seed)
-        # Calendar-queue scheduler by default; REPRO_SIMCLOCK=heap (or an
-        # explicit ``clock``) swaps in the frozen binary-heap reference —
-        # the hook the golden parity suites and bench_dispatch use.
-        self.clock = clock if clock is not None else make_clock()
+        self.clock = SimClock()
         self.stopped = False
-
-        # Parallel compute stage: workers' numeric work runs on a thread
-        # pool, speculatively overlapped with event processing. Results
-        # are byte-identical for any thread count (see core.compute_pool);
-        # 1 keeps everything inline on the event loop.
-        self.compute_pool = ComputePool(self, compute_threads)
 
         # Observability: the tracer defaults to a no-op (hot paths pay
         # one ``tracer.enabled`` check); the metrics registry is always
@@ -768,7 +756,6 @@ class TrainingEngine:
                 self.clock.schedule_in(cost, w.try_start_iteration)
             else:
                 w.try_start_iteration()
-        self.compute_pool.prefetch()
 
     def _profiled(self):
         """Activate this engine's profiler (no-op context when unset)."""
@@ -806,10 +793,6 @@ class TrainingEngine:
     def finalize(self) -> RunResult:
         """Stop the run, take final accuracy samples, and close the books."""
         self.stopped = True
-        # Rewind speculation for events past the horizon *before* any
-        # final evaluation or accounting observes its side effects.
-        self.compute_pool.drain()
-        self.compute_pool.shutdown()
         # Final accuracy sample for every worker at the stop time.
         for w in range(self.n_workers):
             self.evaluate_worker(w)

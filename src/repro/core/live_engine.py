@@ -99,7 +99,6 @@ class LiveEngine:
         metrics: MetricsRegistry | None = None,
         profile: bool = False,
         host: str = "127.0.0.1",
-        compute_threads: int = 1,
         handshake_timeout_s: float = 60.0,
         restart_budget: int = 0,
         restart_backoff_s: float = 0.5,
@@ -119,9 +118,6 @@ class LiveEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profile = profile
         self.host = host
-        if compute_threads < 1:
-            raise ValueError("compute_threads must be >= 1")
-        self.compute_threads = compute_threads
         if handshake_timeout_s <= 0:
             raise ValueError("handshake_timeout_s must be positive")
         self.handshake_timeout_s = float(handshake_timeout_s)
@@ -158,18 +154,15 @@ class LiveEngine:
         horizon: float,
         *,
         chaos: ChaosPlan | None = None,
-        chaos_kill: tuple[float, int] | None = None,
         grace_s: float = 60.0,
     ) -> RunResult:
         """Run every worker process to the modelled ``horizon`` and merge.
 
         ``chaos`` scripts crashes (supervised respawn + rejoin when the
         event carries ``restart_after``) and link faults on the modelled
-        clock. ``chaos_kill=(wall_delay_s, worker_id)`` is the legacy
-        hook: it SIGKILLs one worker that many wall seconds after the go
-        signal with no restart. ``grace_s`` bounds how long past the
-        modelled horizon's wall equivalent the parent waits before
-        declaring a child hung and terminating it.
+        clock. ``grace_s`` bounds how long past the modelled horizon's
+        wall equivalent the parent waits before declaring a child hung
+        and terminating it.
         """
         if chaos is not None:
             chaos.validate(self.n_workers)
@@ -204,7 +197,6 @@ class LiveEngine:
             trace=self.tracer.enabled,
             profile=self.profile,
             host=self.host,
-            compute_threads=self.compute_threads,
             checkpoint=checkpoint,
             chaos=chaos,
             stderr_dir=self._stderr_dir,
@@ -212,18 +204,18 @@ class LiveEngine:
             shm_lanes=self.shm_lanes,
             shm_token=shm_token,
         )
-        if self.compute_threads > 1:
-            # The worker processes are the parallel compute stage here;
-            # pin each child's BLAS pool to one thread so W processes do
-            # not oversubscribe the machine W*cores-fold. Spawned
-            # children inherit the environment before their numpy import.
-            for var in (
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-                "OMP_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS",
-            ):
-                os.environ.setdefault(var, "1")
+        # The worker processes are the parallel compute stage: pin each
+        # child's BLAS pool to one thread so W processes do not
+        # oversubscribe the machine W*cores-fold. Spawned children
+        # inherit the environment before their numpy import; setdefault
+        # so an operator's explicit setting wins.
+        for var in (
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "OMP_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        ):
+            os.environ.setdefault(var, "1")
         ctx = multiprocessing.get_context("spawn")
         children: dict[int, _Child] = {}
         try:
@@ -241,7 +233,7 @@ class LiveEngine:
                 c.conn.send(("go",))
 
             payloads, killed = self._supervise(
-                ctx, spec, children, horizon, chaos, chaos_kill, grace_s
+                ctx, spec, children, horizon, chaos, grace_s
             )
         finally:
             for c in children.values():
@@ -388,7 +380,6 @@ class LiveEngine:
         children: dict[int, _Child],
         horizon: float,
         chaos: ChaosPlan | None,
-        chaos_kill: tuple[float, int] | None,
         grace_s: float,
     ) -> tuple[dict[int, dict], set[int]]:
         """The post-go supervisor loop.
@@ -405,8 +396,7 @@ class LiveEngine:
         pending = set(children)                # workers still owing a result
         restart_uses = 0
 
-        # Scripted crashes on the modelled clock (plus the legacy
-        # wall-scheduled chaos_kill), ordered by due wall time.
+        # Scripted crashes on the modelled clock, ordered by due wall time.
         crash_queue: list[dict] = []
         if chaos is not None:
             for ev in chaos.crashes:
@@ -416,13 +406,6 @@ class LiveEngine:
                     "restart_after": ev.restart_after,
                     "event_time": ev.time,
                 })
-        if chaos_kill is not None:
-            crash_queue.append({
-                "due": go_t0 + float(chaos_kill[0]),
-                "worker": int(chaos_kill[1]),
-                "restart_after": None,
-                "event_time": None,
-            })
         crash_queue.sort(key=lambda e: e["due"])
         # Scheduled respawns: [{at, worker, detected, lost_baseline}].
         respawns: list[dict] = []
@@ -478,8 +461,7 @@ class LiveEngine:
                     crash_queue.pop(0)
                     continue
                 if (
-                    ev["event_time"] is not None
-                    and c.last_iteration <= c.restored_iteration
+                    c.last_iteration <= c.restored_iteration
                     and now < ev["due"] + _PROGRESS_GATE_SLACK_S
                 ):
                     break  # give the victim a moment to make progress

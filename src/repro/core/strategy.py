@@ -34,12 +34,7 @@ class DLionStrategy(ExchangeStrategy):
         self, ctx: WorkerContext, grads: Mapping[str, np.ndarray]
     ) -> dict[int, PartialGradients]:
         bandwidths = {dst: ctx.bandwidth_to(dst) for dst in ctx.peers}
-        plans = self.planner.plan(
-            grads,
-            bandwidths,
-            ctx.iter_time_estimate(),
-            plan_epoch=ctx.plan_epoch(),
-        )
+        plans = self.planner.plan(grads, bandwidths, ctx.iter_time_estimate())
         return {
             dst: PartialGradients(kind="sparse", payload=payload, chosen_n=n)
             for dst, (n, payload) in plans.items()

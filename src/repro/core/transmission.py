@@ -21,9 +21,7 @@ feasible is guaranteed feasible exactly. Every destination budget is
 then answered by one vectorized ``searchsorted`` over that array —
 no per-link re-evaluation, no bisection loop. The planner additionally
 shares one payload per resolved bin index (links whose budgets land in
-the same bin ship the same bytes) and can reuse the histograms across
-``plan`` calls within an iteration via an explicit ``plan_epoch``
-token.
+the same bin ship the same bytes).
 
 In steady state the histogram build itself disappears: for a plan with
 one distinct budget (uniform bandwidths) the planner guesses the edge
@@ -101,7 +99,6 @@ class _Scratch:
     __slots__ = (
         "_size",
         "_dtype",
-        "generation",
         "mags",
         "scale",
         "quant",
@@ -115,17 +112,12 @@ class _Scratch:
     def __init__(self) -> None:
         self._size = -1
         self._dtype: np.dtype | None = None
-        # bumped on every view built from this pool: a histogram view
-        # records the generation it was built at, so a cached view can
-        # tell when another planner has since reused the buffers
-        self.generation = 0
         # cached variable layout (names + sizes -> offsets/bounds): one
         # model per planner, so the layout is identical every iteration
         self.names: list[str] | None = None
         self.sizes: list[int] | None = None
 
     def ensure(self, size: int, dtype: np.dtype) -> "_Scratch":
-        self.generation += 1
         if size > self._size or dtype != self._dtype:
             self._size = size
             self._dtype = dtype
@@ -141,8 +133,7 @@ class _Scratch:
 # same model, and the planners take turns (the simulator is
 # single-threaded), so sharing one pool keeps the working arrays
 # cache-warm across *all* planners instead of letting six cold copies
-# chase each other out of the cache. The generation counter keeps
-# epoch-cached views honest when planners interleave.
+# chase each other out of the cache.
 _SHARED_SCRATCH = _Scratch()
 
 
@@ -176,10 +167,10 @@ class GradientHistograms:
     page-faulted in fresh every time.
 
     Gradient maps with mixed dtypes (or non-float gradients) cannot be
-    concatenated without changing comparison semantics; they fall back
-    to an equivalent per-variable path. All-zero variables carry no
-    information and contribute nothing (matching
-    :func:`repro.core.maxn.select_max_n`).
+    concatenated without changing comparison semantics; construction
+    raises ``ValueError`` for them (no model in ``repro.nn.models``
+    produces one). All-zero variables carry no information and
+    contribute nothing (matching :func:`repro.core.maxn.select_max_n`).
     """
 
     __slots__ = (
@@ -191,14 +182,12 @@ class GradientHistograms:
         "_maxes64",
         "_zero_entries",
         "_nnz",
-        "_legacy_vars",
         "_rev_bytes",
         "_exact_cache",
         "_mask",
         "_mask_n",
         "_scale",
         "_quant",
-        "_gen",
     )
 
     def __init__(
@@ -207,26 +196,15 @@ class GradientHistograms:
         with _profile.scope("maxn/grad_view"):
             self._init_view(grads, scratch)
 
-    def buffers_valid(self, scratch: "_Scratch") -> bool:
-        """Whether this view's buffers are untouched since it was built.
-
-        Views that own their arrays (no scratch, legacy, empty) are
-        always valid; a view built from ``scratch`` is invalidated by
-        any later view built from the same pool.
-        """
-        return self._gen is None or self._gen == scratch.generation
-
     def _init_view(
         self, grads: Mapping[str, np.ndarray], scratch: "_Scratch | None"
     ) -> None:
         self._rev_bytes: np.ndarray | None = None
         self._exact_cache: dict[float, int] = {}
-        self._legacy_vars: dict | None = None
         self._mask: np.ndarray | None = None
         self._mask_n: float | None = None
         self._scale: np.ndarray | None = None
         self._quant: np.ndarray | None = None
-        self._gen: int | None = None
         names: list[str] = []
         flats: list[np.ndarray] = []
         for name, g in grads.items():
@@ -244,8 +222,10 @@ class GradientHistograms:
         if len({f.dtype for f in flats}) > 1 or not np.issubdtype(
             flats[0].dtype, np.floating
         ):
-            self._init_legacy(dict(zip(names, flats)))
-            return
+            raise ValueError(
+                "gradient maps must share one floating dtype, got "
+                f"{sorted({str(f.dtype) for f in flats})}"
+            )
         self._names = names
         self._flats = flats  # per-variable views of the caller's arrays
         sizes = [f.size for f in flats]
@@ -270,7 +250,6 @@ class GradientHistograms:
         total = bounds[-1][1]
         if scratch is not None:
             scratch.ensure(total, flats[0].dtype)
-            self._gen = scratch.generation
             self._mags = scratch.mags[:total]
             self._mask = scratch.mask[:total]
             self._mask_n = None  # buffer contents belong to a prior view
@@ -299,13 +278,6 @@ class GradientHistograms:
                 sum(s for s, nz in zip(sizes, nonzero) if not nz)
             )
 
-    def _init_legacy(self, flats: Mapping[str, np.ndarray]) -> None:
-        """Per-variable fallback (mixed or non-float dtypes)."""
-        self._legacy_vars = {}
-        for name, flat in flats.items():
-            mags = np.abs(flat)
-            self._legacy_vars[name] = (flat, mags, float(mags.max(initial=0.0)))
-
     @property
     def folded(self) -> np.ndarray | None:
         """The folded bytes array, if a fit has forced the fold yet.
@@ -320,7 +292,7 @@ class GradientHistograms:
     @property
     def supports_exact_counts(self) -> bool:
         """Whether the vectorized exact-count primitives are available."""
-        return self._legacy_vars is None and self._flats is not None
+        return self._flats is not None
 
     def _mask_at(self, n_percent: float) -> np.ndarray:
         """Boolean selection mask at ``n_percent`` (view mode).
@@ -360,15 +332,7 @@ class GradientHistograms:
         cached = self._exact_cache.get(n_percent)
         if cached is not None:
             return cached
-        if self._legacy_vars is not None:
-            total = 0
-            for flat, mags, mx in self._legacy_vars.values():
-                if mx == 0.0:
-                    continue
-                cnt = int(np.count_nonzero(mags >= (1.0 - n_percent / 100.0) * mx))
-                if cnt:
-                    total += VARIABLE_HEADER_BYTES + 8 * cnt
-        elif self._flats is None:
+        if self._flats is None:
             total = 0
         else:
             cnt = int(np.count_nonzero(self._mask_at(n_percent)))
@@ -380,49 +344,36 @@ class GradientHistograms:
         if self._rev_bytes is not None:
             return self._rev_bytes
         with _profile.scope("maxn/histograms"):
-            if self._legacy_vars is not None:
-                counts = np.zeros(_BINS, dtype=np.int64)
-                nnz = 0
-                for flat, mags, mx in self._legacy_vars.values():
-                    if mx == 0.0:
-                        continue
-                    nnz += 1
-                    bins = ((mags / mx) * _BINS).astype(np.int32)
-                    hist = np.bincount(bins, minlength=_BINS + 1)
-                    hist[_BINS - 1] += hist[_BINS]
-                    counts += hist[:_BINS]
-            else:
-                nnz = self._nnz
-                # Quantize every entry into the shared scale buffer:
-                # per-variable scalar division (bit-identical to the
-                # historical (mags / mx) * _BINS). Normalizing before
-                # scaling keeps subnormal maxima from overflowing the
-                # scale factor; the integer cast and the overflow-bin
-                # fold (entries at exactly the max land in bin _BINS)
-                # avoid a full-array clip pass.
-                scale = self._scale
-                if scale is None:
-                    scale = np.empty(self._mags.size, dtype=self._mags.dtype)
-                for i, (a, b) in enumerate(self._bounds):
-                    mx = float(self._maxes64[i])
-                    if mx == 0.0:
-                        # zero variables land in bin 0, subtracted
-                        # out again below
-                        scale[a:b] = 0.0
-                    else:
-                        np.divide(self._mags[a:b], mx, out=scale[a:b])
-                quant = self._quant
-                if quant is None:
-                    quant = np.empty(scale.size, dtype=np.intp)
-                # one fused pass: the float multiply (exact — _BINS is
-                # a power of two) C-cast-truncates straight into the
-                # intp buffer bincount ingests copy-free; values are
-                # identical to the historical scale-then-astype chain
-                np.multiply(scale, _BINS, out=quant, casting="unsafe")
-                hist = np.bincount(quant, minlength=_BINS + 1)
-                hist[_BINS - 1] += hist[_BINS]
-                hist[0] -= self._zero_entries
-                counts = hist[:_BINS]
+            # Quantize every entry into the shared scale buffer:
+            # per-variable scalar division (bit-identical to the
+            # historical (mags / mx) * _BINS). Normalizing before
+            # scaling keeps subnormal maxima from overflowing the
+            # scale factor; the integer cast and the overflow-bin
+            # fold (entries at exactly the max land in bin _BINS)
+            # avoid a full-array clip pass.
+            scale = self._scale
+            if scale is None:
+                scale = np.empty(self._mags.size, dtype=self._mags.dtype)
+            for i, (a, b) in enumerate(self._bounds):
+                mx = float(self._maxes64[i])
+                if mx == 0.0:
+                    # zero variables land in bin 0, subtracted
+                    # out again below
+                    scale[a:b] = 0.0
+                else:
+                    np.divide(self._mags[a:b], mx, out=scale[a:b])
+            quant = self._quant
+            if quant is None:
+                quant = np.empty(scale.size, dtype=np.intp)
+            # one fused pass: the float multiply (exact — _BINS is
+            # a power of two) C-cast-truncates straight into the
+            # intp buffer bincount ingests copy-free; values are
+            # identical to the historical scale-then-astype chain
+            np.multiply(scale, _BINS, out=quant, casting="unsafe")
+            hist = np.bincount(quant, minlength=_BINS + 1)
+            hist[_BINS - 1] += hist[_BINS]
+            hist[0] -= self._zero_entries
+            counts = hist[:_BINS]
             # rev[k] = bytes at edge _BINS - k: 8 bytes per entry in a
             # bin >= that edge, plus — at every edge below _BINS — one
             # header per variable with a nonzero max (each keeps at
@@ -434,7 +385,7 @@ class GradientHistograms:
             rev[0] = 0
             np.cumsum(counts[::-1], out=rev[1:])
             np.multiply(rev, 8, out=rev)
-            rev[1:] += VARIABLE_HEADER_BYTES * nnz
+            rev[1:] += VARIABLE_HEADER_BYTES * self._nnz
             self._rev_bytes = rev
         return self._rev_bytes
 
@@ -618,14 +569,6 @@ class GradientHistograms:
         if not 0.0 < n_percent <= 100.0:
             raise ValueError(f"N must be in (0, 100], got {n_percent}")
         payload: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if self._legacy_vars is not None:
-            for name, (flat, mags, mx) in self._legacy_vars.items():
-                if mx == 0.0:
-                    continue
-                idx = np.nonzero(mags >= (1.0 - n_percent / 100.0) * mx)[0]
-                if idx.size:
-                    payload[name] = (idx.astype(np.int64, copy=False), flat[idx])
-            return payload
         if self._flats is None:
             return payload
         mask = self._mask_at(n_percent)
@@ -644,57 +587,18 @@ def fit_n_to_budget(
     *,
     n_min: float = 0.85,
     n_max: float = 100.0,
-    precision: float = 0.01,
 ) -> float:
     """Largest N in ``[n_min, n_max]`` whose payload fits ``budget_bytes``.
 
     If even the ``n_min`` selection exceeds the budget, ``n_min`` is
     returned anyway — the quality floor wins over the speed goal, as in
-    the paper ("the minimum N for max N algorithm [is] 0.85").
-
-    ``precision`` is kept for backward compatibility: the batched
-    resolver answers exactly at histogram-bin granularity (``100/4096``
-    of N), which is also how far this answer can sit from the one the
-    historical bisection (``_fit_n_bisect``) converges to.
+    the paper ("the minimum N for max N algorithm [is] 0.85"). The
+    answer is exact at histogram-bin granularity (``100/4096`` of N).
     """
     if not 0 < n_min <= n_max <= 100.0:
         raise ValueError("need 0 < n_min <= n_max <= 100")
-    del precision  # bin granularity subsumes it; see docstring
     with _profile.scope("maxn/fit_n_to_budget"):
         return GradientHistograms(grads).fit(budget_bytes, n_min=n_min, n_max=n_max)
-
-
-def _fit_n_bisect(
-    grads: Mapping[str, np.ndarray],
-    budget_bytes: float,
-    *,
-    n_min: float = 0.85,
-    n_max: float = 100.0,
-    precision: float = 0.01,
-) -> float:
-    """The pre-batching per-link bisection over the binned upper bound.
-
-    Kept as the reference implementation: the property suite asserts
-    :func:`fit_n_to_budget` agrees with it within one histogram bin
-    plus ``precision``, and the micro-benchmarks measure the batched
-    planner's speedup against a per-link loop of these (which, like the
-    historical code, rebuilds the histograms on every call).
-    """
-    if not 0 < n_min <= n_max <= 100.0:
-        raise ValueError("need 0 < n_min <= n_max <= 100")
-    hist = GradientHistograms(grads)
-    if hist.bytes_at(n_max) <= budget_bytes:
-        return n_max
-    if hist.bytes_at(n_min) > budget_bytes:
-        return n_min
-    lo, hi = n_min, n_max  # feasible at lo, infeasible at hi
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if hist.bytes_at(mid) <= budget_bytes:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def fit_level_to_budget(
@@ -801,13 +705,6 @@ class TransmissionPlanner:
     histogram bin share one payload object — strictly more reuse than
     caching by bandwidth value, since distinct bandwidths frequently
     land in the same bin.
-
-    Histogram reuse: pass ``plan_epoch`` (any equality-comparable
-    token that changes every iteration, e.g. ``(worker_id, iteration)``)
-    to reuse the histograms across ``plan`` calls within one iteration.
-    Reuse requires both the token *and* the gradient-map object to
-    match — a matching token with different gradients raises, so call
-    sites cannot accidentally price stale histograms.
     """
 
     def __init__(self, config: MaxNConfig, *, selector=None):
@@ -819,9 +716,6 @@ class TransmissionPlanner:
                 config.selector, rng=np.random.default_rng(0)
             )
         self.selector = selector  # None = the Max-N fast path
-        self._hist: GradientHistograms | None = None
-        self._hist_epoch: object = None
-        self._hist_grads: Mapping[str, np.ndarray] | None = None
         # most recent bytes-at-edge fold: the warm-start *guess* source
         # for later iterations (guesses need no freshness — every warm
         # answer is verified by exact counts on the current gradients).
@@ -853,8 +747,6 @@ class TransmissionPlanner:
         grads: Mapping[str, np.ndarray],
         bandwidths_mbps: Mapping[int, float],
         iter_time_s: float,
-        *,
-        plan_epoch: object = None,
     ) -> dict[int, tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]]:
         """Per-destination ``(chosen_n, sparse_payload)``.
 
@@ -862,41 +754,13 @@ class TransmissionPlanner:
         (identical bandwidths in particular) reuse one payload object.
         """
         with _profile.scope("maxn/plan"):
-            return self._plan(grads, bandwidths_mbps, iter_time_s, plan_epoch)
-
-    def _histograms(
-        self, grads: Mapping[str, np.ndarray], plan_epoch: object
-    ) -> GradientHistograms:
-        """Build (or reuse, same epoch + same gradient map) histograms."""
-        if (
-            plan_epoch is not None
-            and self._hist is not None
-            and plan_epoch == self._hist_epoch
-        ):
-            if grads is not self._hist_grads:
-                raise ValueError(
-                    f"plan_epoch {plan_epoch!r} was reused with a different "
-                    "gradient map; pass a fresh token (e.g. the iteration "
-                    "number) whenever the gradients change"
-                )
-            # another planner may have recycled the shared buffers in
-            # the meantime; if so, rebuild (reuse is an optimization,
-            # never a correctness requirement)
-            if self._hist.buffers_valid(self._scratch):
-                return self._hist
-        hist = GradientHistograms(grads, scratch=self._scratch)
-        if plan_epoch is not None:
-            self._hist = hist
-            self._hist_epoch = plan_epoch
-            self._hist_grads = grads
-        return hist
+            return self._plan(grads, bandwidths_mbps, iter_time_s)
 
     def _plan(
         self,
         grads: Mapping[str, np.ndarray],
         bandwidths_mbps: Mapping[int, float],
         iter_time_s: float,
-        plan_epoch: object,
     ) -> dict[int, tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]]:
         plans: dict[int, tuple[float, dict]] = {}
         cfg = self.config
@@ -914,7 +778,7 @@ class TransmissionPlanner:
         ]
 
         if self.selector is None:
-            hist = self._histograms(grads, plan_epoch)
+            hist = GradientHistograms(grads, scratch=self._scratch)
             fits = self._fit_budgets(hist, budgets)
             shared: dict[int, dict] = {}
             for dst, (n, edge) in zip(dsts, fits):

@@ -36,12 +36,12 @@ from repro.cluster.messages import (
 from repro.cluster.monitor import NetworkResourceMonitor
 from repro.cluster.queues import MessageQueues
 from repro.core.api import ExchangeStrategy, PartialGradients
+from repro.core.compute_pool import ComputePool
 from repro.core.config import TrainConfig
 from repro.core.dkt import DktState, merge_weights
 from repro.core.lbs_controller import LbsController, lbs_share
 from repro.core.sync import SyncState
 from repro.core.weighted_update import dynamic_batching_weight
-from repro.nn import workspace
 from repro.nn.datasets import MinibatchSampler
 from repro.nn.model import Model
 from repro.obs.trace import TID_CTRL, TID_DKT, TID_ITER, TID_SYNC
@@ -95,10 +95,8 @@ class Worker:
         self.computing = False
         self.waiting = False
         self.iteration = 0
-        # Bumped AFTER every write to the model replica (own update,
-        # peer gradient, DKT merge). The compute pool validates its
-        # speculative results against this counter; the bump-after-write
-        # discipline means a torn concurrent read can never be committed.
+        # Counts writes to the model replica (own update, peer gradient,
+        # DKT merge); checkpoints store it.
         self.model_version = 0
 
         # Iteration-time estimate (EMA over measured durations), seeded
@@ -134,15 +132,6 @@ class Worker:
             return self._iter_time_ema
         # Before any measurement: assume one second (the LBS unit time).
         return self.config.lbs.unit_time_s
-
-    def plan_epoch(self) -> tuple[int, int]:
-        """Token for per-iteration planner caches (WorkerContext API).
-
-        One token per completed iteration: gradients are produced once
-        per iteration, so any plan within the same epoch prices the
-        same gradient map and may reuse its histograms.
-        """
-        return (self.worker_id, self.iteration)
 
     def _group_size(self) -> int:
         """This worker's exchange-group size (itself + current peers)."""
@@ -286,19 +275,16 @@ class Worker:
 
     def _finish_iteration(self, batch: int, duration: float) -> None:
         self.computing = False
-        pool = self.engine.compute_pool
         if not self.active:
-            # The worker left mid-iteration; its result is discarded —
-            # including any speculative compute the pool had in flight.
-            pool.discard(self)
+            # The worker left mid-iteration: no batch is drawn and the
+            # iteration never happened.
             return
         self._recent_iters.append((batch, duration))
         ema = self._iter_time_ema
         self._iter_time_ema = duration if ema is None else 0.8 * ema + 0.2 * duration
 
-        # Real gradient computation over the shard (Eq. 6) — inline in
-        # serial mode, or committed/replayed from the compute pool.
-        loss, grads = pool.collect(self, batch)
+        # Real gradient computation over the shard (Eq. 6).
+        loss, grads = ComputePool().collect(self, batch)
         self.iteration += 1
         self.sync_state.iteration = self.iteration
         self.dkt.record_loss(loss)
@@ -372,10 +358,6 @@ class Worker:
         else:
             self.try_start_iteration()
 
-        # With this worker's next completion now (possibly) scheduled,
-        # let the pool speculate on the upcoming wave of iterations.
-        pool.prefetch()
-
     # ------------------------------------------------------------------
     # Partial gradients generation + send_data
     # ------------------------------------------------------------------
@@ -395,20 +377,15 @@ class Worker:
 
     def _wrap_gradients(self, pg: PartialGradients) -> GradientMessage:
         """Wrap a planned payload in its wire message."""
-        dense = pg.payload if pg.kind == "dense" else None
-        if dense is not None and workspace.enabled():
-            # Dense payloads hold live references to layer gradient
-            # buffers; with the workspace path those buffers are reused
-            # by the sender's next step before the (delayed) delivery
-            # event fires, so the message must carry its own copy.
-            # Sparse payloads already copy via fancy indexing.
-            dense = {name: g.copy() for name, g in dense.items()}
+        # No copy: every step returns gradient arrays it never touches
+        # again (``TestStepsOwnTheirArrays`` pins that), and receivers
+        # only read them.
         return GradientMessage(
             sender=self.worker_id,
             iteration=self.iteration,
             lbs=self.lbs,
             sparse=pg.payload if pg.kind == "sparse" else None,
-            dense=dense,
+            dense=pg.payload if pg.kind == "dense" else None,
         )
 
     def send_data(self, dst: int, pg: PartialGradients) -> None:

@@ -84,14 +84,17 @@ def auc(series: TimeSeries, *, horizon: float | None = None) -> float:
     end = horizon if horizon is not None else times[-1]
     if end <= 0:
         raise ValueError("horizon must be positive")
-    # step integral: each sample holds until the next (or the horizon)
+    # step integral: each sample holds until the next (or the horizon).
+    # Each stretch is weighted by its share of the horizon — dividing
+    # the summed ``value * dt`` instead underflows to 0 when the whole
+    # horizon is subnormal.
     total = 0.0
     for i in range(len(times)):
         t0 = times[i]
         if t0 >= end:
             break
         t1 = min(times[i + 1] if i + 1 < len(times) else end, end)
-        total += values[i] * max(0.0, t1 - t0)
+        total += values[i] * (max(0.0, t1 - t0) / end)
     # the stretch before the first sample counts as the first value
-    total += values[0] * min(times[0], end)
-    return total / end
+    total += values[0] * (min(times[0], end) / end)
+    return total

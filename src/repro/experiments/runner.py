@@ -184,7 +184,7 @@ def stress_workload() -> Workload:
     substrate model is shrunk until per-event Python work is negligible
     and the event loop dominates. The DLion control planes (GBS/LBS,
     Max N, DKT) still run — at this scale their traffic is exactly what
-    the calendar queue and overlay routing must absorb.
+    the event queue and overlay routing must absorb.
     """
     return Workload(
         platform="cpu",
@@ -361,9 +361,6 @@ class RunSpec:
     seed: int = 0
     horizon: float | None = None  # defaults to the workload's scaled horizon
     config_overrides: dict = field(default_factory=dict)
-    # Threads for the engine's parallel compute stage. Results are
-    # byte-identical for any value, so sweeps may raise this freely.
-    compute_threads: int = 1
     # Truncate the environment to its first N workers (None = all).
     n_workers: int | None = None
     # Sparse exchange overlay spec (see PeerGraph.from_spec); None = the
@@ -396,7 +393,6 @@ def run_experiment(
     engine = TrainingEngine(
         config, topo, seed=spec.seed,
         tracer=tracer, metrics=metrics, profiler=profiler,
-        compute_threads=spec.compute_threads,
         peer_graph=peer_graph,
     )
     horizon = spec.horizon if spec.horizon is not None else workload.horizon()

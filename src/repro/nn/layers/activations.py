@@ -18,19 +18,19 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
-            mask = self._buf("mask", x.shape, bool)
+            mask = np.empty(x.shape, bool)
             np.greater(x, 0, out=mask)
             self._mask = mask
         else:
             self._mask = None
-        out = self._buf("out", x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
         np.maximum(x, 0.0, out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
+        dx = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, self._mask, out=dx)
         return dx
 
@@ -46,10 +46,10 @@ class LeakyReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        mask = self._buf("mask", x.shape, bool)
+        mask = np.empty(x.shape, bool)
         np.greater(x, 0, out=mask)
         self._mask = mask if training else None
-        out = self._buf("out", x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
         np.multiply(x, self.alpha, out=out)
         np.copyto(out, x, where=mask)
         return out
@@ -57,7 +57,7 @@ class LeakyReLU(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
+        dx = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, self.alpha, out=dx)
         np.copyto(dx, dout, where=self._mask)
         return dx
@@ -72,21 +72,21 @@ class ReLU6(Layer):
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
-            mask = self._buf("mask", x.shape, bool)
-            lower = self._buf("mask_lo", x.shape, bool)
+            mask = np.empty(x.shape, bool)
+            lower = np.empty(x.shape, bool)
             np.less(x, 6.0, out=mask)
             np.greater(x, 0, out=lower)
             mask &= lower
             self._mask = mask
         else:
             self._mask = None
-        out = self._buf("out", x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
         np.clip(x, 0.0, 6.0, out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
+        dx = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, self._mask, out=dx)
         return dx

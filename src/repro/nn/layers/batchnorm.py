@@ -18,10 +18,7 @@ class BatchNorm(Layer):
     like TensorFlow's non-trainable variables.
 
     The running statistics are updated **in place** during training
-    forward passes so the arrays keep their identity — the compute
-    pool snapshots and restores them around speculative steps (see
-    ``Model.save_step_state``). Large per-step intermediates (``xhat``
-    and the gradient terms) live in cached workspace buffers.
+    forward passes, so the arrays keep their identity.
     """
 
     def __init__(self, dim: int, *, momentum: float = 0.9, eps: float = 1e-5):
@@ -54,7 +51,7 @@ class BatchNorm(Layer):
         bs = self._bshape(x)
         gamma = self.params["gamma"].reshape(bs)
         beta = self.params["beta"].reshape(bs)
-        out = self._buf("out", x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
+        out = np.empty(x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -64,7 +61,7 @@ class BatchNorm(Layer):
             self.running_var *= m
             self.running_var += (1 - m) * var.astype(np.float32)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = self._buf("xhat", x.shape, out.dtype)
+            xhat = np.empty(x.shape, out.dtype)
             np.subtract(x, mean.reshape(bs), out=xhat)
             xhat *= inv_std.reshape(bs)
             self._cache = (xhat, inv_std, axes, bs, x.shape)
@@ -82,22 +79,17 @@ class BatchNorm(Layer):
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         xhat, inv_std, axes, bs, x_shape = self._cache
-        ggamma = self._buf("ggamma", (self.dim,), dout.dtype)
-        scratch = self._buf("prod", dout.shape, dout.dtype)
+        scratch = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, xhat, out=scratch)
-        np.sum(scratch, axis=axes, out=ggamma)
-        self.grads["gamma"] = ggamma
-        gbeta = self._buf("gbeta", (self.dim,), dout.dtype)
-        np.sum(dout, axis=axes, out=gbeta)
-        self.grads["beta"] = gbeta
+        self.grads["gamma"] = np.sum(scratch, axis=axes)
+        self.grads["beta"] = np.sum(dout, axis=axes)
         gamma = self.params["gamma"].reshape(bs)
-        dxhat = self._buf("dxhat", dout.shape, np.result_type(dout.dtype, gamma.dtype))
+        dxhat = np.empty(dout.shape, np.result_type(dout.dtype, gamma.dtype))
         np.multiply(dout, gamma, out=dxhat)
-        # Standard batch-norm backward, fused form. The evaluation
-        # order matches the allocating expression
+        # Standard batch-norm backward, fused form of
         # ``(dxhat - dxhat.mean() - xhat * (dxhat*xhat).mean()) * inv_std``
-        # left to right, so both paths are bitwise identical.
-        term = self._buf("term", dout.shape, dxhat.dtype)
+        # evaluated left to right.
+        term = np.empty(dout.shape, dxhat.dtype)
         np.multiply(dxhat, xhat, out=term)
         mean_dxhat_xhat = term.mean(axis=axes)
         np.subtract(dxhat, dxhat.mean(axis=axes).reshape(bs), out=term)

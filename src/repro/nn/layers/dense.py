@@ -11,12 +11,7 @@ __all__ = ["Dense"]
 
 
 class Dense(Layer):
-    """Affine layer ``y = x @ W + b`` for 2-D inputs ``(batch, in_dim)``.
-
-    On the workspace path the output, the gradient arrays, and the
-    input gradient are written into cached per-layer buffers (GEMMs run
-    with ``out=``), so steady-state steps allocate nothing.
-    """
+    """Affine layer ``y = x @ W + b`` for 2-D inputs ``(batch, in_dim)``."""
 
     def __init__(
         self,
@@ -44,10 +39,7 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"Dense expected (batch,{self.in_dim}), got {x.shape}")
         self._x = x if training else None
-        w = self.params["W"]
-        dtype = np.result_type(x.dtype, w.dtype)
-        out = self._buf("fwd", (x.shape[0], self.out_dim), dtype)
-        np.matmul(x, w, out=out)
+        out = np.matmul(x, self.params["W"])
         out += self.params["b"]
         return out
 
@@ -56,12 +48,6 @@ class Dense(Layer):
             raise RuntimeError("backward called without a training forward pass")
         x = self._x
         w = self.params["W"]
-        gw = self._buf("gW", w.shape, np.result_type(x.dtype, dout.dtype))
-        np.matmul(x.T, dout, out=gw)
-        self.grads["W"] = gw
-        gb = self._buf("gb", (self.out_dim,), dout.dtype)
-        np.sum(dout, axis=0, out=gb)
-        self.grads["b"] = gb
-        dx = self._buf("dx", x.shape, np.result_type(dout.dtype, w.dtype))
-        np.matmul(dout, w.T, out=dx)
-        return dx
+        self.grads["W"] = np.matmul(x.T, dout)
+        self.grads["b"] = np.sum(dout, axis=0)
+        return np.matmul(dout, w.T)

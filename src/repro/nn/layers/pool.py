@@ -14,9 +14,7 @@ class MaxPool2D(Layer):
 
     Input spatial dims must be divisible by ``size`` (the models in this
     repo are constructed so that they are), which lets the forward pass
-    be a pure reshape + reduce — no im2col needed. All intermediates
-    (the pooled output, the argmax router mask, the routed gradient)
-    live in cached per-layer buffers on the workspace path.
+    be a pure reshape + reduce — no im2col needed.
     """
 
     def __init__(self, size: int = 2):
@@ -32,21 +30,20 @@ class MaxPool2D(Layer):
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
         xr = x.reshape(n, c, h // s, s, w // s, s)
-        out = self._buf("out", (n, c, h // s, w // s), x.dtype)
+        out = np.empty((n, c, h // s, w // s), x.dtype)
         xr.max(axis=(3, 5), out=out)
         if training:
             # Route each window's gradient to the (first) argmax. The
             # window axes (3, 5) are brought together before flattening
             # so ties break toward a single element and gradients are
             # never double-counted.
-            flat = self._buf("flat", (n, c, h // s, w // s, s * s), x.dtype)
+            flat = np.empty((n, c, h // s, w // s, s * s), x.dtype)
             np.copyto(
                 flat.reshape(n, c, h // s, w // s, s, s),
                 xr.transpose(0, 1, 2, 4, 3, 5),
             )
             first = flat.argmax(axis=-1)
-            mask = self._buf("mask", flat.shape, bool)
-            mask[...] = False
+            mask = np.zeros(flat.shape, bool)
             np.put_along_axis(mask, first[..., None], True, axis=-1)
             self._cache = (x.shape, mask)
         else:
@@ -59,9 +56,9 @@ class MaxPool2D(Layer):
         x_shape, mask = self._cache
         n, c, h, w = x_shape
         s = self.size
-        routed = self._buf("routed", mask.shape, dout.dtype)
+        routed = np.empty(mask.shape, dout.dtype)
         np.multiply(mask, dout[:, :, :, :, None], out=routed)
-        dx = self._buf("dx", x_shape, dout.dtype)
+        dx = np.empty(x_shape, dout.dtype)
         np.copyto(
             dx.reshape(n, c, h // s, s, w // s, s),
             routed.reshape(n, c, h // s, w // s, s, s).transpose(0, 1, 2, 4, 3, 5),
@@ -86,7 +83,7 @@ class AvgPool2D(Layer):
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
         self._shape = x.shape if training else None
         dtype = x.dtype if x.dtype.kind == "f" else np.float64
-        out = self._buf("out", (n, c, h // s, w // s), dtype)
+        out = np.empty((n, c, h // s, w // s), dtype)
         x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5), out=out)
         return out
 
@@ -95,9 +92,9 @@ class AvgPool2D(Layer):
             raise RuntimeError("backward called without a training forward pass")
         n, c, h, w = self._shape
         s = self.size
-        scaled = self._buf("scaled", dout.shape, dout.dtype)
+        scaled = np.empty(dout.shape, dout.dtype)
         np.divide(dout, s * s, out=scaled)
-        dx = self._buf("dx", (n, c, h, w), dout.dtype)
+        dx = np.empty((n, c, h, w), dout.dtype)
         np.copyto(
             dx.reshape(n, c, h // s, s, w // s, s),
             scaled[:, :, :, None, :, None],
@@ -116,7 +113,7 @@ class GlobalAvgPool2D(Layer):
         if x.ndim != 4:
             raise ValueError(f"GlobalAvgPool2D expected 4-D input, got {x.shape}")
         self._shape = x.shape if training else None
-        out = self._buf("out", x.shape[:2], x.dtype if x.dtype.kind == "f" else np.float64)
+        out = np.empty(x.shape[:2], x.dtype if x.dtype.kind == "f" else np.float64)
         x.mean(axis=(2, 3), out=out)
         return out
 
@@ -124,6 +121,6 @@ class GlobalAvgPool2D(Layer):
         if self._shape is None:
             raise RuntimeError("backward called without a training forward pass")
         n, c, h, w = self._shape
-        dx = self._buf("dx", (n, c, h, w), dout.dtype)
+        dx = np.empty((n, c, h, w), dout.dtype)
         np.divide(dout[:, :, None, None], h * w, out=dx)
         return dx

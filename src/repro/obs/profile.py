@@ -22,12 +22,10 @@ region with::
         engine.run(...)
     print(prof.report())
 
-The active profiler lives in a :class:`contextvars.ContextVar`, so
-scopes entered on the compute pool's worker threads attribute to the
-profiler of the context captured at task-submission time (the pool
-submits tasks through :func:`contextvars.copy_context`) instead of
-racing on a module global. Recording itself takes a lock, since pool
-threads and the event loop record scopes concurrently.
+The active profiler lives in a :class:`contextvars.ContextVar`, so a
+scope entered on another thread attributes to the profiler of the
+context that thread runs in instead of racing on a module global.
+Recording itself takes a lock.
 
 Scope **totals** are inclusive: a scope's total contains any scopes
 entered beneath it on the same thread. Each scope additionally tracks
@@ -35,11 +33,9 @@ its **self** (exclusive) time — total minus the time spent in child
 scopes — so ``simclock/dispatch`` can report pure dispatch overhead
 separate from the nn/ and maxn/ work running inside event callbacks.
 Parent/child nesting is tracked per *thread* (``threading.local``), not
-per context: the compute pool copies the submission context onto its
-threads, and a ContextVar stack would alias one frame list across
-threads. A scope running on a pool thread is a root on that thread, so
-speculated nn/ work does not subtract from the event loop's dispatch
-self time — correct, since dispatch never blocked on it.
+per context: a context copied onto another thread would otherwise alias
+one frame list across threads. A scope running on another thread is a
+root on that thread.
 """
 
 from __future__ import annotations
@@ -68,9 +64,9 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 # The active profiler for the *current context*. A ContextVar (not a
-# module global) so a context copied at compute-pool submission time
-# carries the profiler onto the pool thread, and nested ``activate``
-# blocks restore the previous profiler on exit.
+# module global) so a copied context carries the profiler onto another
+# thread, and nested ``activate`` blocks restore the previous profiler
+# on exit.
 _active: ContextVar["Profiler | None"] = ContextVar("repro_active_profiler", default=None)
 
 # Frame layout (plain list, no attribute lookups on the hot path):
@@ -103,8 +99,8 @@ class Profiler:
     def __init__(self) -> None:
         # name -> [calls, total_seconds, child_seconds]
         self._totals: dict[str, list] = {}
-        # Recording is a read-modify-write; compute-pool threads record
-        # nn/* scopes concurrently with the event loop's scopes.
+        # Recording is a read-modify-write; threads may record
+        # concurrently.
         self._lock = threading.Lock()
         # Per-thread stack of open frames for parent/child attribution.
         self._frames = threading.local()

@@ -29,15 +29,11 @@ The tracer is deterministic: it never reads wall time, and events are
 kept in emission order, so two runs of the same ``(config, topology,
 seed)`` produce byte-identical output.
 
-Concurrency audit (parallel compute stage): unlike the profiler, the
-tracer holds **no** module-global active state — every instrumentation
-site reaches its tracer through an explicit reference (``engine.tracer``
-/ ``worker.tracer``), so there is nothing to leak across threads.
-Emission itself is single-threaded by construction: all trace calls
-happen inside event handlers on the event-loop thread, and the compute
-pool's speculative ``loss_and_grads`` path contains no trace sites.
-This is what keeps trace output byte-identical across
-``--compute-threads`` settings (the determinism suite asserts it).
+Unlike the profiler, the tracer holds **no** module-global active state
+— every instrumentation site reaches its tracer through an explicit
+reference (``engine.tracer`` / ``worker.tracer``) — and emission is
+single-threaded by construction: all trace calls happen inside event
+handlers on the event-loop thread.
 """
 
 from __future__ import annotations

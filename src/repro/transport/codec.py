@@ -27,9 +27,9 @@ SIZE_SLACK_PER_VAR`` (and control-type frames match exactly). The
 tier-1 property tests enforce the bound, so Max-N link budgets computed
 from the estimates stay honest on real sockets.
 
-Allocation discipline (mirrors the workspace buffers PR 5 brought to
-``nn/``): :func:`encode_into` computes the exact frame size first, then
-writes header, prefixes, names, and ndarray payloads straight into a
+Allocation discipline: :func:`encode_into` computes the exact frame
+size first, then writes header, prefixes, names, and ndarray payloads
+straight into a
 reusable :class:`FrameBuffer` with ``struct.pack_into`` and
 ``np.copyto`` into ``np.frombuffer`` views — no ``tobytes()`` copies,
 no ``b"".join``, zero steady-state allocations per frame. The wire

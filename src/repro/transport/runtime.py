@@ -61,7 +61,6 @@ from repro.cluster.messages import (
 )
 from repro.cluster.monitor import NetworkResourceMonitor
 from repro.cluster.topology import ClusterTopology
-from repro.core.compute_pool import ComputePool
 from repro.core.config import TrainConfig
 from repro.core.gbs_controller import GbsController
 from repro.core.run_metrics import RunMetrics
@@ -157,11 +156,6 @@ class LiveRunSpec:
     trace: bool = False
     profile: bool = False
     host: str = "127.0.0.1"
-    # Recorded for provenance: the parent pins the children's BLAS pools
-    # via environment before spawn (see LiveEngine.run). A live worker
-    # process always computes its own iterations serially — cross-worker
-    # parallelism is the processes themselves.
-    compute_threads: int = 1
     # Crash recovery: periodic checkpoints (None disables), the fault
     # plan driving link blackout/drop/delay injection, and where each
     # child redirects its stderr (tailed into supervisor error reports).
@@ -214,9 +208,6 @@ class LiveWorkerRuntime:
         self.active: set[int] = set(range(self.n_workers))
         self.peer_graph = None
         self._failure: BaseException | None = None
-        # Engine protocol: one worker per process computes serially; the
-        # serial pool routes Worker._finish_iteration straight inline.
-        self.compute_pool = ComputePool(self, 1)
 
         self.metrics = MetricsRegistry()
         rm = RunMetrics(self.metrics)

@@ -35,9 +35,6 @@ class StubCtx:
     def iter_time_estimate(self):
         return self._iter_time
 
-    def plan_epoch(self):
-        return None  # no per-iteration cache reuse in unit tests
-
     def bandwidth_to(self, dst):
         return self._bw
 

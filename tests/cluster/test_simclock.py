@@ -122,13 +122,11 @@ class TestRunControl:
 
 
 class TestPendingCounter:
-    """The O(1) live-event counter must stay exact through every path."""
+    """The live-event count must stay exact through every path."""
 
-    @pytest.fixture(params=["calendar", "heap"])
-    def clk(self, request):
-        from repro.cluster.simclock import make_clock
-
-        return make_clock(request.param)
+    @pytest.fixture
+    def clk(self):
+        return SimClock()
 
     def test_cancel_then_pending(self, clk):
         evs = [clk.schedule(float(i), lambda: None) for i in range(5)]
@@ -178,42 +176,3 @@ class TestPendingCounter:
         clk.run_until(1.0)
         assert fired == ["killer", "bystander"]
         assert clk.pending() == 0
-
-    def test_occupancy_reports_peaks(self, clk):
-        for i in range(8):
-            clk.schedule(float(i), lambda: None)
-        occ = clk.occupancy()
-        assert occ["pending"] == 8
-        assert occ["peak_pending"] >= 8
-        clk.run()
-        assert clk.occupancy()["pending"] == 0
-        assert clk.occupancy()["peak_pending"] >= 8
-
-    def test_iter_pending_firing_order(self, clk):
-        clk.schedule(3.0, lambda: None)
-        a = clk.schedule(1.0, lambda: None)
-        clk.schedule(1.0, lambda: None)
-        clk.schedule(200.0, lambda: None)  # overflow territory (calendar)
-        order = [(ev.time, ev.seq) for ev in clk.iter_pending()]
-        assert order == sorted(order)
-        assert [t for t, _ in order] == [1.0, 1.0, 3.0, 200.0]
-        a.cancel()
-        assert sum(1 for ev in clk.iter_pending() if not ev.cancelled) == 3
-
-
-class TestMakeClock:
-    def test_kinds(self):
-        from repro.cluster.simclock import HeapSimClock, make_clock
-
-        assert isinstance(make_clock("calendar"), SimClock)
-        assert isinstance(make_clock("heap"), HeapSimClock)
-        with pytest.raises(ValueError):
-            make_clock("fibheap")
-
-    def test_env_var_default(self, monkeypatch):
-        from repro.cluster import simclock
-
-        monkeypatch.setenv("REPRO_SIMCLOCK", "heap")
-        assert isinstance(simclock.make_clock(), simclock.HeapSimClock)
-        monkeypatch.delenv("REPRO_SIMCLOCK")
-        assert isinstance(simclock.make_clock(), simclock.SimClock)

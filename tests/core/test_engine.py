@@ -6,6 +6,8 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, MaxNConfig
 from repro.core.engine import TrainingEngine
+from repro.experiments.environments import get_environment
+from repro.experiments.runner import build_config, build_topology, workload_for
 
 
 def make_engine(fast_config, tiny_topology, **changes):
@@ -162,3 +164,44 @@ class TestRunResultMetrics:
     def test_deviation_nonnegative(self, fast_config, tiny_topology):
         res = make_engine(fast_config, tiny_topology).run(10.0)
         assert res.accuracy_deviation_at(10.0) >= 0.0
+
+
+class TestDenseMessagesInFlight:
+    def test_unchanged_after_the_senders_next_iteration(self):
+        """Dense messages carry the step's gradient arrays uncopied, and
+        on slow links they outlive the sender's next step: whatever that
+        step does, the bytes still in flight must not move."""
+        env = get_environment("Hetero SYS A")
+        workload = workload_for(env)
+        engine = TrainingEngine(
+            build_config("baseline", workload), build_topology(env, workload), seed=0
+        )
+        sent = []  # (message, copy of its arrays at send time)
+        delivered = set()
+        send_batch = engine.send_gradients_batch
+
+        def recording_send(src, items):
+            for _dst, msg, _n in items:
+                sent.append((msg, {k: g.copy() for k, g in msg.dense.items()}))
+            send_batch(src, items)
+
+        engine.send_gradients_batch = recording_send
+        for worker in engine.workers:
+            def on_gradient(msg, _handler=worker.on_gradient_message):
+                delivered.add(id(msg))
+                _handler(msg)
+
+            worker.on_gradient_message = on_gradient
+
+        horizon = 30.0
+        engine.advance_to(0.0)
+        checked = 0
+        while engine.clock.now < horizon:
+            engine.clock.run_until(horizon, max_events=1)
+            for msg, at_send in sent:
+                sender = engine.workers[msg.sender]
+                if id(msg) not in delivered and sender.iteration > msg.iteration:
+                    checked += 1
+                    for name, g in msg.dense.items():
+                        np.testing.assert_array_equal(g, at_send[name])
+        assert checked > 0  # the scenario occurred: in flight across a step

@@ -140,6 +140,30 @@ class TestRecomputeLbsMatchesReference:
         assert w.lbs == reference_lbs(w) == 63  # 125 if 0.5 became 0
 
 
+class TestLeaveMidIteration:
+    def test_departed_worker_draws_no_batch(self, fast_config, tiny_topology):
+        """Its completion event still fires, but the iteration never
+        happened: no minibatch, no RNG advance, no epoch progress."""
+        sched = MembershipSchedule([(6.0, 2, "leave")], n_workers=3)
+        engine = TrainingEngine(
+            fast_config, tiny_topology, seed=0, membership=sched
+        )
+        engine.advance_to(5.999)
+        gone = engine.workers[2]
+        assert gone.computing  # the leave lands inside an iteration
+        drawn = gone.sampler.samples_drawn
+        iteration = gone.iteration
+        version = gone.model_version
+        rng_state = gone.sampler.rng.bit_generator.state
+        engine.advance_to(9.0)
+        assert not gone.active and not gone.computing  # the event fired
+        assert gone.sampler.samples_drawn == drawn
+        assert gone.sampler.rng.bit_generator.state == rng_state
+        assert gone.iteration == iteration
+        assert gone.model_version == version
+        assert engine.workers[0].sampler.samples_drawn > drawn  # others go on
+
+
 class TestModelUpdateModule:
     def test_dense_gradient_applied_with_db_weight(self, engine):
         w = engine.workers[0]

@@ -135,7 +135,12 @@ class TestMinibatchSampler:
         flat_shard = {arr.tobytes() for arr in shard.x}
         assert all(row.tobytes() in flat_shard for row in x)
 
-    def test_rejects_zero_batch(self, small_dataset, rng):
+    @pytest.mark.parametrize("batch", [0, -4])
+    def test_rejects_batch_below_one(self, small_dataset, rng, batch):
         sampler = MinibatchSampler(small_dataset.shards(2)[0], rng)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            sampler.draw(0)
+            sampler.draw(batch)
+        # A rejected draw is no draw: nothing counted, stream untouched.
+        assert sampler.samples_drawn == 0
+        assert rng.bit_generator.state == state

@@ -1,199 +1,144 @@
-"""Workspace (allocation-free) path: parity, in-place SGD, allocations.
+"""NN step contracts: array ownership, in-place SGD, float32 discipline.
 
-The buffer-reusing hot path must be *bitwise* identical to the
-allocating path — same kernels, same operand order, only the output
-arrays' provenance differs. These tests compare the two paths layer by
-layer under hypothesis-generated inputs (dtypes, odd shapes, zero-size
-batches), check the in-place optimizer against the textbook allocating
-formulas, and pin the headline property: a steady-state training step
-performs no net NumPy allocations.
+Layers allocate every array a step produces, so whatever a step hands
+out (layer outputs, input gradients, ``grads``) belongs to the caller:
+the next step must neither share it nor overwrite it. That is what lets
+a dense gradient message travel without a copy. The in-place optimizer
+is checked against the textbook allocating formulas, and the zoo models
+are pinned to float32 end to end.
 """
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.nn import workspace
-from repro.nn.layers.activations import LeakyReLU, ReLU, ReLU6
-from repro.nn.layers.batchnorm import BatchNorm
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.dense import Dense
-from repro.nn.layers.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn.layers import (
+    AvgPool2D,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    DepthwiseConv2D,
+    Dropout,
+    Flatten,
+    GlobalAvgPool2D,
+    Layer,
+    LeakyReLU,
+    MaxPool2D,
+    ReLU,
+    ReLU6,
+)
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
 
-F_DTYPES = (np.float32, np.float64)
+ZOO = [
+    ("mlp", {"in_dim": 48, "hidden": (16,)}, (4, 48)),
+    ("cipher", {"image_size": 8, "kernels": (3, 4, 5), "hidden": 16}, (4, 1, 8, 8)),
+    ("mobilenet", {"num_classes": 5, "blocks": ((8, 1), (16, 2))}, (4, 3, 16, 16)),
+]
+
+# (factory, input shape, output-gradient shape) for every layer class.
+LAYER_CASES = {
+    "Dense": (lambda: Dense(6, 4, np.random.default_rng(0)), (5, 6), (5, 4)),
+    "Conv2D": (
+        lambda: Conv2D(2, 3, 3, np.random.default_rng(0)), (2, 2, 6, 6), (2, 3, 6, 6)
+    ),
+    "Conv2D-nopad": (
+        lambda: Conv2D(2, 3, 3, np.random.default_rng(0), pad=0),
+        (2, 2, 6, 6), (2, 3, 4, 4),
+    ),
+    "DepthwiseConv2D": (
+        lambda: DepthwiseConv2D(2, 3, np.random.default_rng(0)),
+        (2, 2, 6, 6), (2, 2, 6, 6),
+    ),
+    "MaxPool2D": (MaxPool2D, (2, 3, 4, 4), (2, 3, 2, 2)),
+    "AvgPool2D": (AvgPool2D, (2, 3, 4, 4), (2, 3, 2, 2)),
+    "GlobalAvgPool2D": (GlobalAvgPool2D, (2, 3, 4, 4), (2, 3)),
+    "ReLU": (ReLU, (4, 5), (4, 5)),
+    "ReLU6": (ReLU6, (4, 5), (4, 5)),
+    "LeakyReLU": (lambda: LeakyReLU(0.1), (4, 5), (4, 5)),
+    "BatchNorm": (lambda: BatchNorm(3), (5, 3), (5, 3)),
+    "Flatten": (Flatten, (2, 3, 2, 2), (2, 12)),
+    "Dropout": (lambda: Dropout(0.3, np.random.default_rng(0)), (4, 6), (4, 6)),
+}
 
 
-def _data(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    return rng.standard_normal(size=shape).astype(dtype)
+def _snapshot(arrays):
+    return [a.copy() for a in arrays]
 
 
-def _run_step(layer, x, dout):
-    """One forward/backward pair; results copied out of any shared buffers."""
-    out = layer.forward(x, training=True)
-    dx = layer.backward(dout)
-    return out.copy(), dx.copy(), {k: g.copy() for k, g in layer.grads.items()}
+def _assert_owned(kept, copies, later):
+    """``kept`` still hold ``copies`` and share no memory with ``later``."""
+    for arr, copy in zip(kept, copies):
+        np.testing.assert_array_equal(arr, copy)
+        for other in later:
+            assert not np.shares_memory(arr, other)
 
 
-def _assert_layer_parity(factory, x, dout):
-    """The workspace and allocating paths must agree bit for bit.
+class TestStepsOwnTheirArrays:
+    """What one step returns, the next step neither shares nor overwrites."""
 
-    ``factory`` builds a fresh, identically-initialised layer per call
-    (seeded rng inside), so the two runs share nothing but the inputs.
-    """
-    ws_layer = factory()
-    assert workspace.enabled(), "tests assume the default workspace-on state"
-    got_ws = _run_step(ws_layer, x, dout)
-    with workspace.disabled():
-        ref_layer = factory()
-        got_ref = _run_step(ref_layer, x, dout)
-    for ws_arr, ref_arr in zip(got_ws[:2], got_ref[:2]):
-        assert ws_arr.dtype == ref_arr.dtype
-        np.testing.assert_array_equal(ws_arr, ref_arr)
-    assert got_ws[2].keys() == got_ref[2].keys()
-    for name in got_ref[2]:
-        np.testing.assert_array_equal(got_ws[2][name], got_ref[2][name])
-    return ws_layer, ref_layer
+    def test_every_layer_class_is_covered(self):
+        import repro.nn.layers as layers
 
+        classes = {
+            name for name in layers.__all__
+            if name != "Layer" and issubclass(getattr(layers, name), Layer)
+        }
+        assert classes == {case.split("-")[0] for case in LAYER_CASES}
 
-class TestLayerParity:
-    """Bitwise workspace-on vs workspace-off equality per layer."""
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
+    def test_layer_step(self, case):
+        factory, x_shape, d_shape = LAYER_CASES[case]
+        layer = factory()
+        rng = np.random.default_rng(1)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        batch=st.integers(0, 6),
-        in_dim=st.integers(1, 9),
-        out_dim=st.integers(1, 7),
-        dtype=st.sampled_from(F_DTYPES),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_dense(self, batch, in_dim, out_dim, dtype, seed):
-        rng = np.random.default_rng(seed)
-        x = _data(rng, (batch, in_dim), dtype)
-        res_dtype = np.result_type(dtype, np.float32)
-        dout = _data(rng, (batch, out_dim), res_dtype)
-        _assert_layer_parity(
-            lambda: Dense(in_dim, out_dim, np.random.default_rng(seed)), x, dout
+        def step():
+            x = rng.standard_normal(size=x_shape).astype(np.float32)
+            dout = rng.standard_normal(size=d_shape).astype(np.float32)
+            out = layer.forward(x, training=True)
+            dx = layer.backward(dout)
+            return [out, dx, *layer.grads.values()]
+
+        first = step()
+        copies = _snapshot(first)
+        second = step()
+        _assert_owned(first, copies, second)
+
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
+    def test_layer_inference_output(self, case):
+        factory, x_shape, _ = LAYER_CASES[case]
+        layer = factory()
+        rng = np.random.default_rng(2)
+        first = layer.forward(
+            rng.standard_normal(size=x_shape).astype(np.float32), training=False
         )
+        copy = first.copy()
+        second = layer.forward(
+            rng.standard_normal(size=x_shape).astype(np.float32), training=False
+        )
+        _assert_owned([first], [copy], [second])
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(0, 5), st.integers(1, 7)),
-        dtype=st.sampled_from(F_DTYPES),
-        kind=st.sampled_from(["relu", "relu6", "leaky"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_activations(self, shape, dtype, kind, seed):
-        factory = {
-            "relu": ReLU,
-            "relu6": ReLU6,
-            "leaky": lambda: LeakyReLU(0.1),
-        }[kind]
-        rng = np.random.default_rng(seed)
-        # Scale up so ReLU6's upper clamp is actually exercised.
-        x = (_data(rng, shape, dtype) * 4).astype(dtype)
-        dout = _data(rng, shape, dtype)
-        _assert_layer_parity(factory, x, dout)
+    @pytest.mark.parametrize("name,kwargs,x_shape", ZOO)
+    def test_zoo_model_step(self, name, kwargs, x_shape):
+        model = build_model(name, np.random.default_rng(2), **kwargs)
+        rng = np.random.default_rng(3)
 
-    @settings(max_examples=12, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        in_c=st.integers(1, 2),
-        out_c=st.integers(1, 3),
-        hw=st.integers(3, 6),
-        kernel=st.integers(1, 3),
-        stride=st.integers(1, 2),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_conv2d(self, n, in_c, out_c, hw, kernel, stride, seed):
-        rng = np.random.default_rng(seed)
-        x = _data(rng, (n, in_c, hw, hw), np.float32)
+        def step():
+            x = rng.standard_normal(size=x_shape).astype(np.float32)
+            y = rng.integers(0, 5, size=x_shape[0])
+            _, grads = model.loss_and_grads(x, y)
+            model.apply_grads(grads, lr=0.1)
+            return list(grads.values())
 
-        def factory():
-            return Conv2D(
-                in_c, out_c, kernel, np.random.default_rng(seed), stride=stride
-            )
-
-        out_shape = factory().forward(x, training=False).shape
-        dout = _data(rng, out_shape, np.float32)
-        _assert_layer_parity(factory, x, dout)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        c=st.integers(1, 3),
-        half=st.integers(1, 3),
-        dtype=st.sampled_from(F_DTYPES),
-        kind=st.sampled_from(["max", "avg", "global"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_pools(self, n, c, half, dtype, kind, seed):
-        rng = np.random.default_rng(seed)
-        h = w = 2 * half
-        x = _data(rng, (n, c, h, w), dtype)
-        if kind == "global":
-            factory = GlobalAvgPool2D
-            dout = _data(rng, (n, c), dtype)
-        else:
-            factory = MaxPool2D if kind == "max" else AvgPool2D
-            dout = _data(rng, (n, c, half, half), dtype)
-        _assert_layer_parity(factory, x, dout)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        batch=st.integers(1, 6),
-        dim=st.integers(1, 5),
-        spatial=st.one_of(st.none(), st.integers(1, 4)),
-        dtype=st.sampled_from(F_DTYPES),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_batchnorm(self, batch, dim, spatial, dtype, seed):
-        rng = np.random.default_rng(seed)
-        shape = (batch, dim) if spatial is None else (batch, dim, spatial, spatial)
-        x = _data(rng, shape, dtype)
-        res_dtype = x.dtype if x.dtype.kind == "f" else np.float64
-        dout = _data(rng, shape, res_dtype)
-        ws_layer, ref_layer = _assert_layer_parity(lambda: BatchNorm(dim), x, dout)
-        # The in-place running-statistics update must also match.
-        np.testing.assert_array_equal(ws_layer.running_mean, ref_layer.running_mean)
-        np.testing.assert_array_equal(ws_layer.running_var, ref_layer.running_var)
-
-    def test_full_model_training_matches_allocating_path(self):
-        """Three loss_and_grads + apply_grads steps on identically-seeded
-        MLPs: losses, gradients, and final weights all bitwise equal."""
-        rng = np.random.default_rng(11)
-        xb = rng.standard_normal(size=(16, 36)).astype(np.float32)
-        yb = rng.integers(0, 10, size=16)
-
-        def train(path_ws: bool):
-            model = build_model(
-                "mlp", np.random.default_rng(7), in_dim=36, hidden=(12, 8)
-            )
-            losses, grad_dumps = [], []
-            for _ in range(3):
-                loss, grads = model.loss_and_grads(xb, yb)
-                losses.append(loss)
-                grad_dumps.append({n: g.copy() for n, g in grads.items()})
-                model.apply_grads(grads, lr=0.05)
-            weights = model.copy_weights()
-            return losses, grad_dumps, weights
-
-        ws_out = train(True)
-        with workspace.disabled():
-            ref_out = train(False)
-        assert ws_out[0] == ref_out[0]  # float losses, exact
-        for g_ws, g_ref in zip(ws_out[1], ref_out[1]):
-            for name in g_ref:
-                np.testing.assert_array_equal(g_ws[name], g_ref[name])
-        for name in ref_out[2]:
-            np.testing.assert_array_equal(ws_out[2][name], ref_out[2][name])
+        first = step()
+        copies = _snapshot(first)
+        logits = model.forward(
+            rng.standard_normal(size=x_shape).astype(np.float32), training=False
+        )
+        logits_copy = logits.copy()
+        second = step()
+        _assert_owned(first + [logits], copies + [logits_copy], second)
 
 
 class TestSgdInPlaceParity:
@@ -260,82 +205,11 @@ class TestSgdInPlaceParity:
             )
 
 
-class TestAllocationFree:
-    def test_steady_state_training_step_allocates_nothing(self):
-        """After warmup, repeated steps must not grow traced memory.
-
-        The bound tolerates only the small per-step temporaries the loss
-        head creates (softmax probabilities for a 16x10 logit block plus
-        reduction scalars) — any leaked layer-sized array would blow
-        straight through it.
-        """
-        model = build_model("mlp", np.random.default_rng(0), in_dim=576, hidden=(32,))
-        opt = SGD(model, lr=0.05, momentum=0.9, clip_norm=1.0)
-        rng = np.random.default_rng(1)
-        xb = rng.standard_normal(size=(16, 576)).astype(np.float32)
-        yb = rng.integers(0, 10, size=16)
-
-        def step():
-            _, grads = model.loss_and_grads(xb, yb)
-            opt.step(grads)
-
-        for _ in range(3):  # populate every buffer cache
-            step()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            for _ in range(5):
-                step()
-            gc.collect()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # No net growth across five steps beyond interpreter noise...
-        assert current - base < 16_384, f"leaked {current - base} bytes over 5 steps"
-        # ...and transient allocations stay in loss-head territory: far
-        # below one (16, 576) float32 activation (36 KB).
-        assert peak - base < 32_768, f"per-step temporaries peaked at {peak - base}"
-
-    def test_buffers_cached_only_when_enabled(self):
-        layer = ReLU()
-        a = layer._buf("x", (3, 4), np.float32)
-        b = layer._buf("x", (3, 4), np.float32)
-        assert a is b
-        c = layer._buf("x", (3, 4), np.float64)  # dtype is part of the key
-        assert c is not a
-        with workspace.disabled():
-            d = layer._buf("x", (3, 4), np.float32)
-            e = layer._buf("x", (3, 4), np.float32)
-            assert d is not e and d is not a
-        assert layer._buf("x", (3, 4), np.float32) is a
-
-    def test_set_enabled_returns_previous_and_disabled_restores(self):
-        assert workspace.enabled()
-        prev = workspace.set_enabled(False)
-        try:
-            assert prev is True
-            assert not workspace.enabled()
-            with workspace.disabled():
-                assert not workspace.enabled()
-            assert not workspace.enabled()  # restored to *previous*, still off
-        finally:
-            workspace.set_enabled(True)
-        assert workspace.enabled()
-
-
 class TestFloat32Discipline:
     """The paper's workloads train end-to-end in float32: no silent
     float64 upcasts in parameters, activations, or gradients."""
 
-    @pytest.mark.parametrize(
-        "name,kwargs,x_shape",
-        [
-            ("mlp", {"in_dim": 48, "hidden": (16,)}, (4, 48)),
-            ("cipher", {"image_size": 8, "kernels": (3, 4, 5), "hidden": 16}, (4, 1, 8, 8)),
-            ("mobilenet", {"num_classes": 5, "blocks": ((8, 1), (16, 2))}, (4, 3, 16, 16)),
-        ],
-    )
+    @pytest.mark.parametrize("name,kwargs,x_shape", ZOO)
     def test_zoo_models_stay_float32(self, name, kwargs, x_shape):
         rng = np.random.default_rng(2)
         model = build_model(name, rng, **kwargs)

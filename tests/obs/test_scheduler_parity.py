@@ -1,14 +1,13 @@
-"""Golden scheduler parity: calendar queue vs heap, byte-for-byte.
+"""Rerun determinism: the same configuration twice, byte for byte.
 
-The calendar-queue scheduler is required to be *observationally
-invisible*: swapping ``REPRO_SIMCLOCK`` between ``heap`` (the frozen
-original) and ``calendar`` under an otherwise identical engine must
-reproduce the exact same Chrome trace bytes and full metric dumps on
-the Table 3 presets — and on sparse-overlay runs (ring, k-regular),
-whose degree-scaled engine paths ride the same determinism contract.
-Re-running the same configuration must also be byte-identical to
-itself, which pins down any hidden wall-clock or iteration-order
-dependence.
+Running one ``(environment, system, overlay, seed)`` twice must produce
+the exact same Chrome trace bytes and full metric dump, which pins down
+any hidden wall-clock, object-identity or iteration-order dependence in
+the scheduler, the engine and every strategy. The DLion rows cover the
+Table 3 presets across every heterogeneity axis (incl. a dynamic
+phase-switching row) plus a ring and a k-regular overlay, whose
+degree-scaled engine paths ride the same determinism contract; one
+preset per baseline system covers the dense and accumulating paths.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
-def _golden_run(environment, overlay, kind, monkeypatch, horizon):
-    monkeypatch.setenv("REPRO_SIMCLOCK", kind)
+def _golden_run(environment, overlay, horizon, system="dlion"):
     tracer = Tracer()
     metrics = MetricsRegistry()
     spec = RunSpec(
         environment=environment,
-        system="dlion",
+        system=system,
         seed=3,
         horizon=horizon,
         overlay=overlay,
@@ -38,8 +36,6 @@ def _golden_run(environment, overlay, kind, monkeypatch, horizon):
     return result, tracer.dumps(), metric_dump
 
 
-# Table 3 presets across every heterogeneity axis (incl. a dynamic
-# phase-switching row), plus one ring and one k-regular overlay run.
 CONFIGS = [
     ("Homo B", None, 12.0),
     ("Hetero CPU B", None, 12.0),
@@ -50,30 +46,36 @@ CONFIGS = [
     ("Homo B", "kregular:3", 12.0),
 ]
 
+BASELINE_PRESETS = [
+    ("baseline", "Hetero SYS A"),
+    ("hop", "Hetero SYS A"),
+    ("gaia", "Hetero NET A"),
+    ("ako", "Homo B"),
+]
 
-class TestSchedulerParity:
+
+def _assert_rerun_identical(one, two):
+    assert one[1] == two[1]  # trace bytes
+    assert one[2] == two[2]  # metric dump
+    assert one[0].iterations == two[0].iterations
+    assert one[0].events == two[0].events
+    assert sum(one[0].iterations) > 0  # the run must have trained
+
+
+class TestRerunByteIdentical:
     @pytest.mark.parametrize(
         "environment,overlay,horizon", CONFIGS,
         ids=[f"{e}{'+' + o if o else ''}" for e, o, _ in CONFIGS],
     )
-    def test_heap_vs_calendar_byte_identical(
-        self, environment, overlay, horizon, monkeypatch
-    ):
-        r_heap, trace_heap, metrics_heap = _golden_run(
-            environment, overlay, "heap", monkeypatch, horizon
+    def test_dlion(self, environment, overlay, horizon):
+        _assert_rerun_identical(
+            _golden_run(environment, overlay, horizon),
+            _golden_run(environment, overlay, horizon),
         )
-        r_cal, trace_cal, metrics_cal = _golden_run(
-            environment, overlay, "calendar", monkeypatch, horizon
-        )
-        assert trace_heap == trace_cal
-        assert metrics_heap == metrics_cal
-        assert r_heap.iterations == r_cal.iterations
-        assert r_heap.events == r_cal.events
 
-    @pytest.mark.parametrize("environment,overlay",
-                             [("Hetero NET A", None), ("Homo B", "kregular:3")])
-    def test_rerun_byte_identical(self, environment, overlay, monkeypatch):
-        one = _golden_run(environment, overlay, "calendar", monkeypatch, 12.0)
-        two = _golden_run(environment, overlay, "calendar", monkeypatch, 12.0)
-        assert one[1] == two[1]  # trace bytes
-        assert one[2] == two[2]  # metric dump
+    @pytest.mark.parametrize("system,environment", BASELINE_PRESETS)
+    def test_baseline_systems(self, system, environment):
+        _assert_rerun_identical(
+            _golden_run(environment, None, 12.0, system),
+            _golden_run(environment, None, 12.0, system),
+        )

@@ -9,8 +9,8 @@ this suite pins down the invariants the replacement must preserve:
   payload at that N fits the budget (the histogram only overcounts);
 * the fit is monotone non-decreasing in the budget;
 * the batched answer agrees with the reference bisection
-  (``_fit_n_bisect``) within one histogram bin plus the bisection's
-  precision;
+  (``_fit_n_bisect``, kept here as the oracle) within one histogram bin
+  plus the bisection's precision;
 * the generic selector path (``fit_level_to_budget`` with
   :class:`MaxNSelector`) agrees with the Max-N fast path within the
   same granularity, including on degenerate gradients (all-zero,
@@ -27,7 +27,7 @@ from repro.core.maxn import select_payload
 from repro.core.selectors import MaxNSelector
 from repro.core.transmission import (
     _BINS,
-    _fit_n_bisect,
+    GradientHistograms,
     fit_level_to_budget,
     fit_n_to_budget,
 )
@@ -35,6 +35,24 @@ from repro.core.transmission import (
 # One histogram bin of N plus the bisection's precision: the bound on
 # how far the batched answer may sit from any exact-count resolver.
 BIN_TOL = 100.0 / _BINS + 0.01 + 1e-9
+
+
+def _fit_n_bisect(grads, budget_bytes, *, n_min=0.85, n_max=100.0, precision=0.01):
+    """The pre-batching per-link bisection over the binned upper bound."""
+    hist = GradientHistograms(grads)
+    if hist.bytes_at(n_max) <= budget_bytes:
+        return n_max
+    if hist.bytes_at(n_min) > budget_bytes:
+        return n_min
+    lo, hi = n_min, n_max  # feasible at lo, infeasible at hi
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if hist.bytes_at(mid) <= budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
 
 grad_dicts = st.dictionaries(
     keys=st.sampled_from(["w1", "w2", "w3"]),

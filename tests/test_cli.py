@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    def test_run_rejects_removed_compute_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-e", "Homo A", "--horizon", "5", "--compute-threads", "2"])
+        assert exc.value.code == 2
+        assert "--compute-threads" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_output(self, capsys):
@@ -370,7 +376,7 @@ class TestRunChaos:
 class TestOverlayFlag:
     def test_overlay_run(self, capsys):
         rc = main(["run", "-e", "Homo A", "--overlay", "ring",
-                   "--horizon", "10", "--compute-threads", "1"])
+                   "--horizon", "10"])
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
 
@@ -381,7 +387,7 @@ class TestOverlayFlag:
         for name, extra in (("mesh", []), ("ring", ["--overlay", "ring"])):
             out = tmp_path / f"{name}.json"
             rc = main(["run", "-e", "Homo A", "--horizon", "10",
-                       "--compute-threads", "1", "--output", str(out), *extra])
+                       "--output", str(out), *extra])
             assert rc == 0
             paths[name] = json.loads(out.read_text())
         capsys.readouterr()
@@ -409,7 +415,6 @@ class TestOverlayFlag:
 
     def test_stress_preset_truncates(self, capsys):
         rc = main(["run", "-e", "Stress 1k", "--workers", "12",
-                   "--overlay", "hier:4", "--horizon", "4",
-                   "--compute-threads", "1"])
+                   "--overlay", "hier:4", "--horizon", "4"])
         assert rc == 0
         assert "Stress 1k" in capsys.readouterr().out

@@ -333,8 +333,7 @@ class TestBufferPaths:
 
     def test_encode_steady_state_allocates_nothing(self):
         """After warmup, re-encoding into a pooled buffer must not grow
-        traced memory: the zero-copy claim, machine-checked (same idiom
-        as tests/nn/test_workspace.py for the compute workspace)."""
+        traced memory: the zero-copy claim, machine-checked."""
         import gc
         import tracemalloc
 

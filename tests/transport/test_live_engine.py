@@ -7,6 +7,8 @@ to exercise the reconnect → retry-budget → membership-change path.
 These are the acceptance criteria of the live-transport milestone.
 """
 
+import os
+
 import pytest
 
 from repro.cluster.chaos import ChaosPlan, CrashEvent
@@ -184,3 +186,34 @@ class TestChurn:
         # Survivors recorded the 3 -> 2 membership transition.
         assert result.active_workers.values[0] == 3
         assert result.active_workers.values[-1] == 2
+
+
+BLAS_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+class TestBlasPins:
+    def test_children_always_inherit_single_thread_blas(self, setup, monkeypatch):
+        """W processes x a BLAS pool each oversubscribes the machine, so
+        every spawn sees the four pins; an operator's own value wins."""
+        config, topo = setup
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        seen = []
+
+        class Abort(Exception):
+            pass
+
+        def spawn(self, ctx, w, spec, *, resume):
+            seen.append({var: os.environ.get(var) for var in BLAS_VARS})
+            raise Abort
+
+        monkeypatch.setattr(LiveEngine, "_spawn", spawn)
+        with pytest.raises(Abort):
+            LiveEngine(config, topo, seed=0).run(5.0)
+        assert seen == [{**dict.fromkeys(BLAS_VARS, "1"), "OMP_NUM_THREADS": "3"}]
