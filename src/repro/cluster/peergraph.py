@@ -7,13 +7,17 @@ overlay: the engine only routes gradients, loss shares, and RCP shares
 along its edges, so DKT and the controllers automatically operate on
 each worker's neighbourhood.
 
-Built on :mod:`networkx` so arbitrary graphs plug in; constructors for
-the common overlays are provided.
+The overlay is a plain adjacency dict; anything with ``.nodes`` and
+``.edges`` (a :mod:`networkx` graph, say) plugs in. networkx itself is
+imported only by :meth:`PeerGraph.k_regular`, whose seeded
+``random_regular_graph`` is what the k-regular overlays are pinned to.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
+from functools import cached_property
+from types import SimpleNamespace
 
 __all__ = ["PeerGraph"]
 
@@ -21,7 +25,7 @@ __all__ = ["PeerGraph"]
 class PeerGraph:
     """An undirected, connected exchange overlay over the workers."""
 
-    def __init__(self, graph: nx.Graph, n_workers: int):
+    def __init__(self, graph, n_workers: int):
         if n_workers < 2:
             raise ValueError("need at least two workers")
         if set(graph.nodes) != set(range(n_workers)):
@@ -29,14 +33,47 @@ class PeerGraph:
                 f"graph nodes must be exactly 0..{n_workers - 1}, "
                 f"got {sorted(graph.nodes)}"
             )
-        if not nx.is_connected(graph):
+        adjacency: dict[int, set[int]] = {v: set() for v in range(n_workers)}
+        for u, v in graph.edges:
+            if u == v:
+                raise ValueError("self-loops are not allowed")
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self.n_workers = n_workers
+        self._neighbors = {v: frozenset(adjacency[v]) for v in range(n_workers)}
+        self.edges = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+        if len(self._distances(0)) != n_workers:
             raise ValueError("peer graph must be connected (updates must be able "
                              "to reach every worker)")
-        if any(graph.has_edge(v, v) for v in graph.nodes):
-            raise ValueError("self-loops are not allowed")
-        self.graph = graph
-        self.n_workers = n_workers
-        self._neighbors = {v: frozenset(graph.neighbors(v)) for v in graph.nodes}
+
+    def _distances(self, source: int) -> dict[int, int]:
+        """Hop counts from ``source`` to every worker it can reach (BFS)."""
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in self._neighbors[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+    @classmethod
+    def _from_edges(cls, n_workers: int, edges) -> "PeerGraph":
+        graph = SimpleNamespace(nodes=range(n_workers), edges=list(edges))
+        return cls(graph, n_workers)
+
+    @cached_property
+    def graph(self):
+        """The overlay as an ``nx.Graph`` (built on first access)."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n_workers))
+        graph.add_edges_from(
+            (u, v) for u, nbrs in self._neighbors.items() for v in nbrs if u < v
+        )
+        return graph
 
     def neighbors(self, worker: int) -> frozenset[int]:
         """The workers adjacent to ``worker`` in the overlay."""
@@ -46,13 +83,11 @@ class PeerGraph:
         """Number of overlay neighbours of ``worker``."""
         return len(self._neighbors[worker])
 
-    @property
-    def edges(self) -> int:
-        return self.graph.number_of_edges()
-
     def diameter(self) -> int:
         """Longest shortest path in the overlay (mixing-speed proxy)."""
-        return int(nx.diameter(self.graph))
+        return max(
+            max(self._distances(v).values()) for v in range(self.n_workers)
+        )
 
     # ------------------------------------------------------------------
     # Common overlays
@@ -90,12 +125,14 @@ class PeerGraph:
     @classmethod
     def full_mesh(cls, n_workers: int) -> "PeerGraph":
         """The paper's all-to-all exchange."""
-        return cls(nx.complete_graph(n_workers), n_workers)
+        n = n_workers
+        return cls._from_edges(n, ((a, b) for a in range(n) for b in range(a + 1, n)))
 
     @classmethod
     def ring(cls, n_workers: int) -> "PeerGraph":
         """Each worker exchanges with its two ring neighbours."""
-        return cls(nx.cycle_graph(n_workers), n_workers)
+        n = n_workers
+        return cls._from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
     @classmethod
     def k_regular(cls, n_workers: int, k: int, *, seed: int = 0) -> "PeerGraph":
@@ -104,6 +141,8 @@ class PeerGraph:
             raise ValueError("need 2 <= k < n_workers")
         if (k * n_workers) % 2:
             raise ValueError("k * n_workers must be even for a k-regular graph")
+        import networkx as nx
+
         for attempt in range(64):
             g = nx.random_regular_graph(k, n_workers, seed=seed + attempt)
             if nx.is_connected(g):
@@ -132,33 +171,26 @@ class PeerGraph:
         if wan not in ("ring", "full"):
             raise ValueError(f"unknown wan topology {wan!r}")
         n_groups = n_workers // group_size
-        g = nx.Graph()
-        g.add_nodes_from(range(n_workers))
+        edges: list[tuple[int, int]] = []
         starts = [k * group_size for k in range(n_groups)]
         for k, start in enumerate(starts):
             end = n_workers if k == n_groups - 1 else start + group_size
             members = range(start, end)
-            g.add_edges_from(
-                (a, b) for a in members for b in members if a < b
-            )
+            edges.extend((a, b) for a in members for b in members if a < b)
         gateways = starts
         if len(gateways) > 1:
             if wan == "full":
-                g.add_edges_from(
-                    (a, b) for a in gateways for b in gateways if a < b
-                )
+                edges.extend((a, b) for a in gateways for b in gateways if a < b)
             else:
-                g.add_edges_from(
+                edges.extend(
                     (gateways[i], gateways[(i + 1) % len(gateways)])
                     for i in range(len(gateways))
-                    if gateways[i] != gateways[(i + 1) % len(gateways)]
                 )
-        return cls(g, n_workers)
+        return cls._from_edges(n_workers, edges)
 
     @classmethod
     def star(cls, n_workers: int, *, hub: int = 0) -> "PeerGraph":
         """Everyone exchanges with one hub (a PS-like degenerate overlay)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(n_workers))
-        g.add_edges_from((hub, v) for v in range(n_workers) if v != hub)
-        return cls(g, n_workers)
+        return cls._from_edges(
+            n_workers, ((hub, v) for v in range(n_workers) if v != hub)
+        )

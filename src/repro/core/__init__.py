@@ -7,8 +7,9 @@
 * :mod:`dkt` — direct knowledge transfer (§3.4).
 * :mod:`sync` — synchronous / asynchronous / bounded-synchronous
   training strategies (§4.2's ``synch_training``).
-* :mod:`worker` / :mod:`engine` — the per-worker module wiring (Fig. 10)
-  and the event-driven trainer.
+* :mod:`worker` / :mod:`host` / :mod:`engine` — the per-worker module
+  wiring (Fig. 10), the host surface it talks to, and the event-driven
+  trainer (the simulator's host).
 * :mod:`api` — the generic framework surface (``build_model``,
   ``enqueue``, ``generate_partial_gradients``, ``send_data``,
   ``synch_training``) that the comparison systems plug into.

@@ -38,7 +38,7 @@ import uuid
 from repro.cluster.chaos import ChaosPlan
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
-from repro.core.engine import RunResult
+from repro.core.host import RunResult
 from repro.core.run_metrics import RunMetrics
 from repro.obs import live_status
 from repro.obs.metrics import MetricsRegistry
@@ -47,7 +47,6 @@ from repro.transport.checkpoint import CheckpointConfig
 from repro.transport.mesh import TransportConfig
 from repro.transport.runtime import LiveRunSpec, run_live_worker
 from repro.transport.shm import ring_name, sweep_ring
-from repro.utils.metrics import TimeSeries
 
 __all__ = ["LiveEngine"]
 
@@ -137,9 +136,12 @@ class LiveEngine:
         self.status_dir = status_dir
         self.shm_lanes = bool(shm_lanes)
         self._stderr_dir: str | None = None
-        # Telemetry-delta stores, reset per run. Metric states are
-        # cumulative snapshots (latest per worker wins); trace streams
-        # and flight events accumulate in arrival order.
+        self._reset_telemetry()
+
+    def _reset_telemetry(self) -> None:
+        """Empty the telemetry-delta stores (once per run). Metric states
+        are cumulative snapshots (latest per worker wins); trace streams
+        and flight events accumulate in arrival order."""
         self._delta_metrics: dict[int, dict] = {}
         self._delta_info: dict[int, dict] = {}
         self._delta_trace: dict[int, list] = {}
@@ -166,13 +168,7 @@ class LiveEngine:
         """
         if chaos is not None:
             chaos.validate(self.n_workers)
-        self._delta_metrics = {}
-        self._delta_info = {}
-        self._delta_trace = {}
-        self._delta_flight = {}
-        self._flight_tail = {}
-        self.deltas_received = 0
-        self.flight_events = {}
+        self._reset_telemetry()
         checkpoint = self.checkpoint
         tmp_ckpt_dir = None
         needs_checkpoint = self.restart_budget > 0 or (
@@ -732,31 +728,13 @@ class LiveEngine:
     def _merge(
         self, payloads: dict[int, dict], killed: set[int], horizon: float
     ) -> RunResult:
-        RunMetrics(self.metrics)  # ensure the catalog exists even if empty
-        result = RunResult(
-            n_workers=self.n_workers, horizon=horizon, metrics=self.metrics
+        result = RunResult.blank(
+            self.n_workers, horizon=horizon, metrics=self.metrics
         )
-        result.accuracy = [TimeSeries() for _ in range(self.n_workers)]
-        result.loss = [TimeSeries() for _ in range(self.n_workers)]
-        result.lbs = [TimeSeries() for _ in range(self.n_workers)]
-        result.iterations = [0] * self.n_workers
-
-        def fill(ts: TimeSeries, pair) -> None:
-            for t, v in zip(*pair):
-                ts.append(t, v)
-
-        for w, payload in sorted(payloads.items()):
-            fill(result.accuracy[w], payload["accuracy"])
-            fill(result.loss[w], payload["loss"])
-            fill(result.lbs[w], payload["lbs"])
-            result.iterations[w] = payload["iterations"]
-            result.dkt_merges += payload["dkt_merges"]
-            result.events += payload["events"]
-            result.epochs = max(result.epochs, payload["epoch"])
-            for key, pair in payload["link_entries"].items():
-                fill(result.link_entries.setdefault(tuple(key), TimeSeries()), pair)
-            for key, pair in payload["link_chosen_n"].items():
-                fill(result.link_chosen_n.setdefault(tuple(key), TimeSeries()), pair)
+        # Ascending order: absorb keeps the first view of the cluster-wide
+        # series (GBS, membership) — the lowest surviving worker's.
+        for _, payload in sorted(payloads.items()):
+            result.absorb(payload["result"])
             self.metrics.merge_state(payload["metrics"])
 
         # Crash safety: a worker that never reported a final result (a
@@ -794,10 +772,4 @@ class LiveEngine:
                 if self.tracer.enabled:
                     self.tracer.ingest(flight)
 
-        # GBS and membership are cluster-wide series every worker records
-        # its own view of; take the lowest surviving worker's.
-        if payloads:
-            first = payloads[min(payloads)]
-            fill(result.gbs, first["gbs"])
-            fill(result.active_workers, first["active_workers"])
         return result

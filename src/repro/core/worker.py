@@ -2,9 +2,9 @@
 
 Each worker owns a model replica, a data shard sampler, its message
 queues, the network resource monitor, the DKT state, and the LBS
-controller. The engine (``core.engine``) drives workers through the
-event clock; the worker exposes the handlers for iteration completion
-and message arrival and implements the strategy-facing
+controller. Its host (``core.host``; the simulator's is ``core.engine``)
+drives workers through the clock; the worker exposes the handlers for
+iteration completion and message arrival and implements the strategy-facing
 :class:`~repro.core.api.WorkerContext` protocol.
 
 Module map (paper §4.1 → methods here):
@@ -47,7 +47,7 @@ from repro.nn.model import Model
 from repro.obs.trace import TID_CTRL, TID_DKT, TID_ITER, TID_SYNC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import TrainingEngine
+    from repro.core.host import WorkerHost
 
 __all__ = ["Worker"]
 
@@ -58,7 +58,7 @@ class Worker:
     def __init__(
         self,
         worker_id: int,
-        engine: "TrainingEngine",
+        engine: "WorkerHost",
         model: Model,
         sampler: MinibatchSampler,
         strategy: ExchangeStrategy,

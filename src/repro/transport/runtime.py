@@ -1,10 +1,10 @@
 """Per-process worker runtime for the live (``--backend proc``) engine.
 
-:class:`LiveWorkerRuntime` is the engine-protocol adapter that lets one
-:class:`~repro.core.worker.Worker` — with the GBS/LBS controllers, the
-``TransmissionPlanner``, and DKT completely unchanged — train inside its
-own OS process against real sockets. Exactly the three things ISSUE 4
-allows are adapted:
+:class:`LiveWorkerRuntime` is the :class:`~repro.core.host.WorkerHost`
+of one OS process: it holds one :class:`~repro.core.worker.Worker` —
+GBS/LBS controllers, ``TransmissionPlanner`` and DKT unchanged — and
+everything the worker calls is the host's shared code. Only the hooks
+are live:
 
 * **clock** — :class:`WallClock` maps wall time onto the modelled time
   axis via a ``speedup`` factor, so the same horizons, GBS periods, and
@@ -12,10 +12,13 @@ allows are adapted:
   wall seconds);
 * **delivery** — messages cross a :class:`~repro.transport.mesh.PeerMesh`
   (serialized by :mod:`repro.transport.codec`, paced by the token-bucket
-  shaper) instead of the simulator's ``MessageQueues``/``Link`` pair;
-* **RCP profiling** — probe durations still come from the modelled
-  compute profile (the paper's calibrated heterogeneity), exactly like
-  the simulator, so the LBS allocation is comparable across backends.
+  shaper) instead of the simulator's modelled links;
+* **progress** — ``global_epoch`` adds the peers' heartbeat-reported
+  sample counts to the worker's own.
+
+RCP probe durations still come from the modelled compute profile (the
+paper's calibrated heterogeneity), exactly like the simulator, so the
+LBS allocation is comparable across backends.
 
 Gradient/weight *math* is real — the worker draws real minibatches and
 applies real gradients — while iteration *timing* follows the modelled
@@ -51,27 +54,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.chaos import ChaosPlan, LinkFaultInjector
-from repro.cluster.messages import (
-    ControlMessage,
-    DktRequestMessage,
-    GradientMessage,
-    LossShareMessage,
-    RcpShareMessage,
-    WeightMessage,
-)
-from repro.cluster.monitor import NetworkResourceMonitor
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
-from repro.core.gbs_controller import GbsController
-from repro.core.run_metrics import RunMetrics
-from repro.core.worker import Worker
-from repro.nn.datasets import MinibatchSampler, SyntheticImageDataset
-from repro.nn.models import build_model
-from repro.obs import profile as _profile
+from repro.core.host import MESSAGE_HANDLERS, RunResult, WorkerHost
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
-from repro.obs.trace import NULL_TRACER, THREAD_NAMES, TID_NET, Tracer
+from repro.obs.trace import TID_NET, Tracer
 from repro.transport.checkpoint import CheckpointConfig, load_latest, write_checkpoint
 from repro.transport.codec import Heartbeat
 from repro.transport.mesh import (
@@ -81,14 +69,19 @@ from repro.transport.mesh import (
     TransportConfig,
 )
 from repro.transport.shm import shm_available
-from repro.utils.metrics import TimeSeries
-from repro.utils.rng import RngPool
 
 __all__ = ["WallClock", "LiveRunSpec", "LiveWorkerRuntime", "run_live_worker"]
 
-# Control-plane propagation delay for GBS announcements (modelled
-# seconds) — matches the simulator's constant.
-_GBS_ANNOUNCE_DELAY = 0.05
+# Version of the checkpoint ``meta`` layout. Checkpoints never outlive
+# a run, so restore_from accepts exactly this one.
+CHECKPOINT_FORMAT = 2
+# Plain-value attributes a checkpoint saves and restores by name.
+_WORKER_SCALARS = (
+    "iteration", "model_version", "lbs", "gbs", "_iter_time_ema",
+    "stats_grad_msgs_sent", "stats_grad_msgs_received", "stats_weight_pulls",
+    "compute_time", "wait_time",
+)
+_GBS_SCALARS = ("gbs", "phase", "_last_growth_epoch")
 
 
 class WallClock:
@@ -106,7 +99,7 @@ class WallClock:
         self.speedup = float(speedup)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
-        self.fired = 0
+        self.events_processed = 0
         self.error_handler = None
 
     def start(self, loop: asyncio.AbstractEventLoop, *, offset: float = 0.0) -> None:
@@ -130,7 +123,7 @@ class WallClock:
         self._loop.call_later(max(delay, 0.0) / self.speedup, self._guard, fn, args)
 
     def _guard(self, fn, args) -> None:
-        self.fired += 1
+        self.events_processed += 1
         try:
             fn(*args)
         except BaseException as exc:  # noqa: BLE001 - must surface to parent
@@ -183,103 +176,28 @@ class LiveRunSpec:
             raise ValueError("ship_interval_s must be positive (or None)")
 
 
-class LiveWorkerRuntime:
-    """The engine-protocol adapter one live worker trains against.
+class LiveWorkerRuntime(WorkerHost):
+    """The :class:`WorkerHost` of one live worker process.
 
-    Exposes exactly the attributes and methods ``Worker`` expects from
-    ``TrainingEngine`` (clock, metrics aliases, send/record/broadcast
-    hooks), implemented over a :class:`PeerMesh` and a
-    :class:`WallClock`. Construction is deterministic for ``(spec,
-    worker_id)``: the RNG pool uses the same named streams as the
-    simulator — including building every worker's model from the shared
-    ``model-init`` stream and keeping only this worker's — so a live run
-    starts from bit-identical models, shards, and jitter streams.
+    Holds exactly one :class:`Worker` and supplies the live hooks: a
+    :class:`WallClock`, ``_deliver`` over a :class:`PeerMesh`, and a
+    ``global_epoch`` that adds the peers' heartbeat-reported progress to
+    its own. On top of that it owns what only a real process needs:
+    checkpointing, telemetry delta shipping and the resume path.
     """
 
     def __init__(self, worker_id: int, spec: LiveRunSpec, *, resume: bool = False):
         self.worker_id = worker_id
         self.spec = spec
-        self.config = spec.config
-        self.topology = spec.topology
-        self.n_workers = spec.topology.n_workers
-        self.clock = WallClock(spec.speedup)
-        self.clock.error_handler = self.fail
-        self.stopped = False
-        self.active: set[int] = set(range(self.n_workers))
-        self.peer_graph = None
         self._failure: BaseException | None = None
-
-        self.metrics = MetricsRegistry()
-        rm = RunMetrics(self.metrics)
-        self.run_metrics = rm
-        self._c_grad_bytes = rm.c_grad_bytes
-        self._c_grad_msgs = rm.c_grad_msgs
-        self._c_weight_bytes = rm.c_weight_bytes
-        self._h_chosen_n = rm.h_chosen_n
-        self._c_iterations = rm.c_iterations
-        self._h_iteration_s = rm.h_iteration_s
-        self._h_wait_s = rm.h_wait_s
-        self._c_wait_total = rm.c_wait_total
-        self._c_compute_total = rm.c_compute_total
-        self._c_dkt_merges = rm.c_dkt_merges
-        self._c_dkt_pulls = rm.c_dkt_pulls
-        self._g_gbs = rm.g_gbs
-        self._g_lbs = rm.g_lbs
-        self._g_queue_depth = rm.g_queue_depth
-        self._c_queue_dropped = rm.c_queue_dropped
-        self._g_active = rm.g_active
-        self._c_events = rm.c_events
-        self._c_chaos_dropped = rm.c_chaos_dropped
-        self._g_partition = rm.g_partition
-
-        self.tracer = Tracer() if spec.trace else NULL_TRACER
-        if self.tracer.enabled:
-            self.tracer.set_process_name(worker_id, f"worker {worker_id}")
-            for tid, name in THREAD_NAMES.items():
-                self.tracer.set_thread_name(worker_id, tid, name)
-        self.profiler = Profiler() if spec.profile else None
-
-        # Deterministic construction (same streams as the simulator).
-        self.rng_pool = RngPool(spec.seed)
-        self.dataset = self._build_dataset()
-        shards = self.dataset.shards(self.n_workers, mode=self.config.shard_mode)
-        self._eval_x = self.dataset.test_x[: self.config.eval_subset]
-        self._eval_y = self.dataset.test_y[: self.config.eval_subset]
-        self.gbs_controller = GbsController(
-            self.config.gbs,
-            initial_gbs=self.config.initial_lbs * self.n_workers,
-            train_size=self.dataset.train_size,
+        clock = WallClock(spec.speedup)
+        clock.error_handler = self.fail
+        super().__init__(
+            spec.config, spec.topology, clock, seed=spec.seed, hosted=(worker_id,),
+            tracer=Tracer() if spec.trace else None,
+            profiler=Profiler() if spec.profile else None,
         )
-        # model-init is ONE shared stream consumed sequentially across
-        # workers in the simulator; replay all draws, keep only ours.
-        model = None
-        for w in range(self.n_workers):
-            candidate = build_model(
-                self.config.model,
-                self.rng_pool.get("model-init"),
-                **self.config.model_kwargs,
-            )
-            if w == worker_id:
-                model = candidate
-        sampler = MinibatchSampler(
-            shards[worker_id], self.rng_pool.get(f"sampler/{worker_id}")
-        )
-        monitor = NetworkResourceMonitor(worker_id, self.topology.network)
-        from repro.baselines.registry import create_strategy
-
-        strategy = create_strategy(self.config, worker_id)
-        self.worker = Worker(
-            worker_id=worker_id,
-            engine=self,
-            model=model,
-            sampler=sampler,
-            strategy=strategy,
-            monitor=monitor,
-            config=self.config,
-            rng=self.rng_pool.get(f"worker/{worker_id}"),
-        )
-        strategy.setup(self.worker)
-        self.workers = {worker_id: self.worker}  # engine-protocol shim
+        self.worker = self.workers[0]
 
         # Peer progress, fed by heartbeats (the live GBS input).
         self._peer_samples: dict[int, int] = {}
@@ -288,7 +206,6 @@ class LiveWorkerRuntime:
         # modelled clock. The rng stream is per-worker so live drop
         # sampling never perturbs the shared simulator streams.
         self._fault_injector: LinkFaultInjector | None = None
-        self._active_blackouts = 0
         if spec.chaos is not None and spec.chaos.link_faults:
             self._fault_injector = LinkFaultInjector(
                 spec.chaos, self.rng_pool.get(f"chaos/{worker_id}")
@@ -311,16 +228,6 @@ class LiveWorkerRuntime:
         self.flight = FlightRecorder(worker_id)
         self._trace_cursor = 0
         self._last_ship_wall = 0.0
-        self.deltas_shipped = 0
-
-        # Locally-recorded series (shipped to the parent at the end).
-        self.acc_series = TimeSeries()
-        self.loss_series = TimeSeries()
-        self.lbs_series = TimeSeries()
-        self.gbs_series = TimeSeries()
-        self.active_series = TimeSeries()
-        self.link_entries: dict[tuple[int, int], TimeSeries] = {}
-        self.link_chosen_n: dict[tuple[int, int], TimeSeries] = {}
 
         shm_peers = self._shm_lane_peers(resume)
         self.mesh = PeerMesh(
@@ -346,21 +253,6 @@ class LiveWorkerRuntime:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _build_dataset(self) -> SyntheticImageDataset:
-        rng = self.rng_pool.get("dataset")
-        cfg = self.config
-        if cfg.dataset == "cifar_like":
-            return SyntheticImageDataset.cifar_like(
-                rng, train_size=cfg.train_size, test_size=cfg.test_size,
-                **cfg.dataset_kwargs,
-            )
-        if cfg.dataset == "imagenet_like":
-            return SyntheticImageDataset.imagenet_like(
-                rng, train_size=cfg.train_size, test_size=cfg.test_size,
-                **cfg.dataset_kwargs,
-            )
-        raise ValueError(f"unknown dataset preset {cfg.dataset!r}")
-
     def _shm_lane_peers(self, resume: bool) -> set[int]:
         """Which peers' data links ride the shm lane.
 
@@ -401,76 +293,13 @@ class LiveWorkerRuntime:
             self._failure = exc
 
     # ------------------------------------------------------------------
-    # Engine protocol: physics + peers
+    # Hook: delivery over the mesh
     # ------------------------------------------------------------------
-    def iteration_duration(self, worker: int, batch: int, t: float) -> float:
-        """Modelled duration of one iteration (same compute model as sim)."""
-        return self.topology.compute[worker].iter_time(
-            batch, t, self.rng_pool.get(f"jitter/{worker}")
-        )
-
-    def active_peers(self, worker: int) -> list[int]:
-        """Live peers of ``worker`` (the mesh's death set drives this)."""
-        return sorted(w for w in self.active if w != worker)
-
-    # ------------------------------------------------------------------
-    # Engine protocol: message sends (over the mesh)
-    # ------------------------------------------------------------------
-    def send_gradients(
-        self, src: int, dst: int, msg: GradientMessage, *, chosen_n: float | None
-    ) -> None:
-        """Ship gradients on the data channel, recording the same link
-        accounting as the simulator (estimate-based, so Max-N budgets
-        compare across backends; actual socket bytes land in
-        ``transport_send_bytes_total``)."""
-        nbytes = msg.wire_bytes()
-        if self.config.record_link_stats:
-            key = (src, dst)
-            self._c_grad_bytes.inc(nbytes, src, dst)
-            self._c_grad_msgs.inc(1, src, dst)
-            self.link_entries.setdefault(key, TimeSeries()).append(
-                self.clock.now, msg.num_entries()
-            )
-            if chosen_n is not None:
-                self._h_chosen_n.observe(chosen_n, f"{src}->{dst}")
-                self.link_chosen_n.setdefault(key, TimeSeries()).append(
-                    self.clock.now, chosen_n
-                )
-        self.mesh.send(dst, CHANNEL_DATA, msg, trace_name=f"grad->{dst}")
-
-    def send_gradients_batch(self, src: int, items) -> None:
-        """Engine protocol: a worker's same-instant gradient fan-out.
-
-        Real sockets serialize per destination anyway, so the live
-        runtime just replays the batch sequentially."""
-        for dst, msg, chosen_n in items:
-            self.send_gradients(src, dst, msg, chosen_n=chosen_n)
-
-    def active_members(self) -> list[int]:
-        """Engine protocol: sorted live worker ids."""
-        return sorted(self.active)
-
-    def send_control(self, src: int, dst: int, msg) -> None:
-        """Ship a control message on the control channel."""
-        self.mesh.send(dst, CHANNEL_CONTROL, msg, trace_name=f"ctrl->{dst}")
-
-    def send_weights(self, src: int, dst: int, msg: WeightMessage) -> None:
-        """Ship a DKT weight snapshot on the data channel."""
-        self._c_weight_bytes.inc(msg.wire_bytes(), src, dst)
-        self.mesh.send(dst, CHANNEL_DATA, msg, trace_name=f"weights->{dst}")
-
-    def broadcast_rcp(self, src: int, rcp: float) -> None:
-        """Share this worker's measured RCP with every live peer."""
-        for dst in self.active_peers(src):
-            self.send_control(src, dst, RcpShareMessage(sender=src, rcp=rcp))
-
-    def broadcast_loss_share(self, src: int, iteration: int, avg_loss: float) -> None:
-        """Share this worker's trailing-average loss with every live peer."""
-        for dst in self.active_peers(src):
-            self.send_control(
-                src, dst,
-                LossShareMessage(sender=src, iteration=iteration, avg_loss=avg_loss),
-            )
+    def _deliver(self, src, dst, nbytes, handler, msg, *, kind="msg") -> None:
+        """Queue ``msg`` on the mesh link to ``dst`` (control traffic on
+        the control channel); the receiving process finds the handler."""
+        channel = CHANNEL_CONTROL if kind == "ctrl" else CHANNEL_DATA
+        self.mesh.send(dst, channel, msg, trace_name=f"{kind}->{dst}")
 
     # ------------------------------------------------------------------
     # Incoming traffic (mesh callbacks; all on the event-loop thread)
@@ -479,19 +308,10 @@ class LiveWorkerRuntime:
         if self.stopped:
             return  # the local model is finalized; late traffic is dropped
         try:
-            if isinstance(msg, GradientMessage):
-                self.worker.on_gradient_message(msg)
-            elif isinstance(msg, WeightMessage):
-                self.worker.on_weight_message(msg)
-            elif isinstance(msg, DktRequestMessage):
-                self.worker.on_dkt_request(msg)
-            elif isinstance(msg, LossShareMessage):
-                self.worker.on_loss_share(msg)
-            elif isinstance(msg, RcpShareMessage):
-                self.worker.on_rcp_share(msg)
-            elif isinstance(msg, ControlMessage):
-                self.worker.on_control_message(msg)
             # Unknown payloads are ignored (forward compatibility).
+            name = MESSAGE_HANDLERS.get(type(msg))
+            if name is not None:
+                getattr(self.worker, name)(msg)
         except BaseException as exc:  # noqa: BLE001 - must surface to parent
             self.fail(exc)
 
@@ -505,13 +325,8 @@ class LiveWorkerRuntime:
             return
         self.active.discard(peer)
         self._peer_samples.pop(peer, None)
-        self.active_series.append(self.clock.now, len(self.active))
-        self._g_active.set(len(self.active))
         self.flight.record("peer-dead", self.clock.now, {"peer": peer})
-        try:
-            self.worker.on_membership_change(self.active)
-        except BaseException as exc:  # noqa: BLE001 - must surface to parent
-            self.fail(exc)
+        self._apply_membership()
 
     def on_peer_revived(self, peer: int, addr: tuple[str, int]) -> None:
         """The supervisor respawned ``peer`` at ``addr``: rebuild the
@@ -527,8 +342,11 @@ class LiveWorkerRuntime:
         if peer in self.active:
             return
         self.active.add(peer)
-        self.active_series.append(self.clock.now, len(self.active))
-        self._g_active.set(len(self.active))
+        self._apply_membership()
+
+    def _apply_membership(self) -> None:
+        """Book a change of ``active`` and tell the worker."""
+        self._membership_changed()
         try:
             self.worker.on_membership_change(self.active)
         except BaseException as exc:  # noqa: BLE001 - must surface to parent
@@ -563,21 +381,13 @@ class LiveWorkerRuntime:
             )
 
     def _blackout_edge(self, fault, delta: int) -> None:
-        self._active_blackouts = max(0, self._active_blackouts + delta)
-        self._g_partition.set(self._active_blackouts)
         self.flight.record(
             "blackout-start" if delta > 0 else "blackout-end",
             self.clock.now, {"src": fault.src, "dst": fault.dst},
         )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "blackout-start" if delta > 0 else "blackout-end",
-                self.worker_id,
-                TID_NET,
-                self.clock.now,
-                cat="chaos",
-                args={"src": fault.src, "dst": fault.dst},
-            )
+        # Never below zero, whatever order a resumed worker's catch-up
+        # edges fire in.
+        super()._blackout_edge(fault, max(delta, -self._active_blackouts))
 
     # ------------------------------------------------------------------
     # Checkpointing (crash recovery)
@@ -600,22 +410,17 @@ class LiveWorkerRuntime:
     def checkpoint_state(self) -> tuple[dict, dict]:
         """Everything needed to resume this worker after a SIGKILL."""
         w = self.worker
-
-        def series(ts: TimeSeries) -> tuple[list[float], list[float]]:
-            return (list(ts.times), list(ts.values))
-
         arrays = {name: arr.copy() for name, arr in w.model.variables().items()}
         layer_arrays, layer_rngs = self._layer_state()
         arrays.update(layer_arrays)
-        gc = self.gbs_controller
         meta = {
-            "format": 1,
+            "format": CHECKPOINT_FORMAT,
             "worker": self.worker_id,
             "seed": self.spec.seed,
             "n_workers": self.n_workers,
             "iteration": w.iteration,
-            "model_version": w.model_version,
             "time": self.clock.now,
+            "worker_state": {name: getattr(w, name) for name in _WORKER_SCALARS},
             "samples_drawn": w.sampler.samples_drawn,
             "rng": {
                 "sampler": w.sampler.rng.bit_generator.state,
@@ -625,8 +430,6 @@ class LiveWorkerRuntime:
                 ).bit_generator.state,
                 "layers": layer_rngs,
             },
-            "lbs": w.lbs,
-            "gbs": w.gbs,
             "rcp_table": dict(w.rcp_table),
             "received_from": dict(w.sync_state.received_from),
             "dkt": {
@@ -635,31 +438,13 @@ class LiveWorkerRuntime:
                 "pulls_requested": w.dkt.pulls_requested,
                 "merges_applied": w.dkt.merges_applied,
             },
-            "iter_time_ema": w._iter_time_ema,
             "recent_iters": list(w._recent_iters),
-            "stats": {
-                "grad_msgs_sent": w.stats_grad_msgs_sent,
-                "grad_msgs_received": w.stats_grad_msgs_received,
-                "weight_pulls": w.stats_weight_pulls,
-            },
-            "compute_time": w.compute_time,
-            "wait_time": w.wait_time,
             "gbs_controller": {
-                "gbs": gc.gbs,
-                "phase": gc.phase,
-                "last_growth_epoch": gc._last_growth_epoch,
+                name: getattr(self.gbs_controller, name) for name in _GBS_SCALARS
             },
             "peer_samples": dict(self._peer_samples),
             "metrics": self.metrics.dump_state(),
-            "series": {
-                "accuracy": series(self.acc_series),
-                "loss": series(self.loss_series),
-                "lbs": series(self.lbs_series),
-                "gbs": series(self.gbs_series),
-                "active": series(self.active_series),
-            },
-            "link_entries": {k: series(v) for k, v in self.link_entries.items()},
-            "link_chosen_n": {k: series(v) for k, v in self.link_chosen_n.items()},
+            "result": self.result.to_state(),
         }
         return arrays, meta
 
@@ -671,6 +456,11 @@ class LiveWorkerRuntime:
         the crash (outbox frames, queued peer messages, an unfinished
         iteration) is lost by design — see docs/robustness.md.
         """
+        if meta.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"checkpoint format {meta.get('format')!r} is not the "
+                f"supported format {CHECKPOINT_FORMAT}"
+            )
         if meta.get("seed") != self.spec.seed or meta.get("worker") != self.worker_id:
             raise ValueError(
                 f"checkpoint mismatch: written by worker {meta.get('worker')} "
@@ -695,47 +485,35 @@ class LiveWorkerRuntime:
         self.rng_pool.get(f"jitter/{self.worker_id}").bit_generator.state = (
             meta["rng"]["jitter"]
         )
-        w.iteration = meta["iteration"]
-        w.model_version = meta["model_version"]
+        for name in _WORKER_SCALARS:
+            setattr(w, name, meta["worker_state"][name])
         w.sync_state.iteration = w.iteration
         w.sync_state.received_from = dict(meta["received_from"])
         w.sampler.samples_drawn = meta["samples_drawn"]
-        w.lbs = meta["lbs"]
-        w.gbs = meta["gbs"]
         w.rcp_table = dict(meta["rcp_table"])
         w.dkt._losses.extend(meta["dkt"]["losses"])
         w.dkt.shared_losses = dict(meta["dkt"]["shared_losses"])
         w.dkt.pulls_requested = meta["dkt"]["pulls_requested"]
         w.dkt.merges_applied = meta["dkt"]["merges_applied"]
-        w._iter_time_ema = meta["iter_time_ema"]
         w._recent_iters.extend(tuple(x) for x in meta["recent_iters"])
-        w.stats_grad_msgs_sent = meta["stats"]["grad_msgs_sent"]
-        w.stats_grad_msgs_received = meta["stats"]["grad_msgs_received"]
-        w.stats_weight_pulls = meta["stats"]["weight_pulls"]
-        w.compute_time = meta["compute_time"]
-        w.wait_time = meta["wait_time"]
-        gc = self.gbs_controller
-        gc.gbs = meta["gbs_controller"]["gbs"]
-        gc.phase = meta["gbs_controller"]["phase"]
-        gc._last_growth_epoch = meta["gbs_controller"]["last_growth_epoch"]
+        for name in _GBS_SCALARS:
+            setattr(self.gbs_controller, name, meta["gbs_controller"][name])
         self._peer_samples = dict(meta["peer_samples"])
         # Counters add onto a fresh registry: an exact restore.
         self.metrics.merge_state(meta["metrics"])
-
-        def refill(ts: TimeSeries, pair) -> None:
-            for t, v in zip(*pair):
-                ts.append(t, v)
-
-        refill(self.acc_series, meta["series"]["accuracy"])
-        refill(self.loss_series, meta["series"]["loss"])
-        refill(self.lbs_series, meta["series"]["lbs"])
-        refill(self.gbs_series, meta["series"]["gbs"])
-        refill(self.active_series, meta["series"]["active"])
-        for key, pair in meta["link_entries"].items():
-            refill(self.link_entries.setdefault(tuple(key), TimeSeries()), pair)
-        for key, pair in meta["link_chosen_n"].items():
-            refill(self.link_chosen_n.setdefault(tuple(key), TimeSeries()), pair)
+        self.result.absorb(meta["result"])
         self.restored_iteration = w.iteration
+
+    def _mark(self, name: str) -> None:
+        """Note a lifecycle event at the current iteration: always in the
+        flight recorder, and in the trace when tracing."""
+        now = self.clock.now
+        self.flight.record(name, now, {"iteration": self.worker.iteration})
+        if self.tracer.enabled:
+            self.tracer.instant(
+                name, self.worker_id, TID_NET, now,
+                cat="chaos", args={"iteration": self.worker.iteration},
+            )
 
     def _checkpoint_tick(self) -> None:
         if self.stopped:
@@ -745,19 +523,11 @@ class LiveWorkerRuntime:
         write_checkpoint(
             cfg.directory, self.worker_id, arrays, meta, retention=cfg.retention
         )
-        self.flight.record(
-            "checkpoint", self.clock.now,
-            {"iteration": self.worker.iteration},
-        )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "checkpoint", self.worker_id, TID_NET, self.clock.now,
-                cat="chaos", args={"iteration": self.worker.iteration},
-            )
+        self._mark("checkpoint")
         self.clock.schedule_in(cfg.interval_s, self._checkpoint_tick)
 
     # ------------------------------------------------------------------
-    # Engine protocol: progress + the GBS tick
+    # Hook: progress; recording override
     # ------------------------------------------------------------------
     def global_epoch(self) -> float:
         """Estimated cluster progress: own samples plus the peers' last
@@ -765,24 +535,10 @@ class LiveWorkerRuntime:
         drawn = self.worker.sampler.samples_drawn + sum(self._peer_samples.values())
         return drawn / self.dataset.train_size
 
-    def _gbs_tick(self) -> None:
-        if self.stopped:
-            return
-        old = self.gbs_controller.gbs
-        new = self.gbs_controller.maybe_update(self.global_epoch())
-        if new != old:
-            self.gbs_series.append(self.clock.now, new)
-            self._g_gbs.set(new)
-            self.clock.schedule_in(_GBS_ANNOUNCE_DELAY, self.worker.set_gbs, new)
-        self.clock.schedule_in(self.config.gbs.update_period_s, self._gbs_tick)
-
-    # ------------------------------------------------------------------
-    # Engine protocol: recording hooks
-    # ------------------------------------------------------------------
     def record_loss(self, worker: int, loss: float) -> None:
-        """Record one iteration's loss (and count the iteration)."""
-        self.loss_series.append(self.clock.now, loss)
-        self._c_iterations.inc(1, worker)
+        """Record one iteration's loss, then leave a flight record and
+        report progress to the supervisor."""
+        super().record_loss(worker, loss)
         self.flight.record(
             "iteration", self.clock.now,
             {"iteration": self.worker.iteration, "loss": round(float(loss), 5)},
@@ -809,24 +565,6 @@ class LiveWorkerRuntime:
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             self.progress_conn = None
 
-    def record_lbs(self, worker: int, lbs: int) -> None:
-        """Record a local-batch-size change."""
-        self.lbs_series.append(self.clock.now, lbs)
-        self._g_lbs.set(lbs, worker)
-        if self.tracer.enabled:
-            self.tracer.counter("lbs", worker, self.clock.now, {"lbs": lbs})
-
-    def record_dkt_merge(self, worker: int) -> None:
-        """Count one applied DKT merge."""
-        self._c_dkt_merges.inc(1, worker)
-
-    def evaluate_worker(self, worker: int) -> None:
-        """Accuracy measurement of the local model (out of band)."""
-        if worker != self.worker_id:
-            raise ValueError("a live runtime can only evaluate its own worker")
-        _, acc = self.worker.model.evaluate(self._eval_x, self._eval_y)
-        self.acc_series.append(self.clock.now, acc)
-
     # ------------------------------------------------------------------
     # Run control
     # ------------------------------------------------------------------
@@ -844,29 +582,13 @@ class LiveWorkerRuntime:
         """
         if resume is None:
             self.clock.start(loop)
-            self.lbs_series.append(0.0, self.config.initial_lbs)
-            self._g_lbs.set(self.config.initial_lbs, self.worker_id)
-            self.gbs_series.append(0.0, self.gbs_controller.gbs)
-            self._g_gbs.set(self.gbs_controller.gbs)
-            self.active_series.append(0.0, len(self.active))
-            self._g_active.set(len(self.active))
-            if self.config.gbs.enabled:
-                self.clock.schedule_in(
-                    self.config.gbs.update_period_s, self._gbs_tick
-                )
-            w = self.worker
-            if self.config.lbs.enabled:
-                cost = w.run_profiling()
-                self.clock.schedule_in(cost, w.try_start_iteration)
-            else:
-                w.try_start_iteration()
+            self._record_start()
+            self._start_workers()
         else:
             self.clock.start(loop, offset=float(resume.get("clock_offset", 0.0)))
             w = self.worker
             self.active = {self.worker_id} | set(resume.get("active", ()))
-            now = self.clock.now
-            self.active_series.append(now, len(self.active))
-            self._g_active.set(len(self.active))
+            self._membership_changed()
             self._g_lbs.set(w.lbs, self.worker_id)
             self._g_gbs.set(self.gbs_controller.gbs)
             # Peers have advanced past the checkpoint; re-seed the sync
@@ -874,31 +596,10 @@ class LiveWorkerRuntime:
             # blocks on history the other never saw.
             w.sync_state.received_from = {p: w.iteration for p in w.peers}
             w.on_membership_change(self.active)
-            self.flight.record(
-                "worker-rejoined", now, {"iteration": w.iteration}
-            )
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "worker-rejoined", self.worker_id, TID_NET, now,
-                    cat="chaos", args={"iteration": w.iteration},
-                )
-            # Freshness bootstrap: DKT-style weight pull from the best
-            # known live peer (first live peer before any loss shares).
-            target = w.dkt.pull_target()
-            if target is None or target == self.worker_id or target not in self.active:
-                candidates = [p for p in sorted(self.active) if p != self.worker_id]
-                target = candidates[0] if candidates else None
-            if target is not None:
-                self.send_control(
-                    self.worker_id,
-                    target,
-                    DktRequestMessage(sender=self.worker_id, iteration=w.iteration),
-                )
-            if self.config.gbs.enabled:
-                self.clock.schedule_in(
-                    self.config.gbs.update_period_s, self._gbs_tick
-                )
+            self._mark("worker-rejoined")
+            self._bootstrap_pull(w)
             w.try_start_iteration()
+        self._arm_gbs_tick()
         if self.spec.checkpoint is not None:
             self.clock.schedule_in(
                 self.spec.checkpoint.interval_s, self._checkpoint_tick
@@ -966,36 +667,15 @@ class LiveWorkerRuntime:
         }
         try:
             self.progress_conn.send(("delta", self.worker_id, payload))
-            self.deltas_shipped += 1
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             self.progress_conn = None
 
-    def profiled(self):
-        """Activate this runtime's profiler (no-op context when unset)."""
-        from contextlib import nullcontext
-
-        if self.profiler is not None:
-            return _profile.activate(self.profiler)
-        return nullcontext()
-
-    def finalize(self) -> None:
+    def finalize(self) -> RunResult:
         """Stop training, take the final accuracy sample, close books."""
-        self.stopped = True
         self.flight.record(
             "finalize", self.clock.now, {"iteration": self.worker.iteration}
         )
-        self.evaluate_worker(self.worker_id)
-        w = self.worker
-        wait = w.wait_time
-        if w.waiting and w._wait_started is not None:
-            wait += self.clock.now - w._wait_started
-        self._c_wait_total.inc(wait, self.worker_id)
-        self._c_compute_total.inc(w.compute_time, self.worker_id)
-        self._c_events.inc(self.clock.fired)
-        if self.profiler is not None:
-            for name, (calls, total) in self.profiler.totals().items():
-                self.run_metrics.c_profile_seconds.inc(total, name)
-                self.run_metrics.c_profile_calls.inc(calls, name)
+        return super().finalize()
 
     def result_payload(self) -> dict:
         """The picklable per-worker result shipped back to the parent.
@@ -1005,27 +685,11 @@ class LiveWorkerRuntime:
         run with shipping disabled ships everything here and a run with
         shipping enabled ships only the tail — no duplicates either way.
         """
-        def series(ts: TimeSeries) -> tuple[list[float], list[float]]:
-            return (list(ts.times), list(ts.values))
-
         trace_events, self._trace_cursor = self.tracer.delta_events(
             self._trace_cursor
         )
         return {
-            "worker": self.worker_id,
-            "horizon": self.clock.now,
-            "accuracy": series(self.acc_series),
-            "loss": series(self.loss_series),
-            "lbs": series(self.lbs_series),
-            "gbs": series(self.gbs_series),
-            "active_workers": series(self.active_series),
-            "iterations": self.worker.iteration,
-            "samples_drawn": self.worker.sampler.samples_drawn,
-            "dkt_merges": self.worker.dkt.merges_applied,
-            "epoch": self.global_epoch(),
-            "events": self.clock.fired,
-            "link_entries": {k: series(v) for k, v in self.link_entries.items()},
-            "link_chosen_n": {k: series(v) for k, v in self.link_chosen_n.items()},
+            "result": self.result.to_state(),
             "metrics": self.metrics.dump_state(),
             "trace_events": trace_events,
             "flight": self.flight.drain(),

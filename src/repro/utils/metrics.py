@@ -49,6 +49,11 @@ class TimeSeries:
         self.times.append(float(t))
         self.values.append(float(v))
 
+    def extend(self, other: "TimeSeries") -> None:
+        """Append every sample of ``other`` (times must not decrease)."""
+        for t, v in zip(other.times, other.values):
+            self.append(t, v)
+
     def __len__(self) -> int:
         return len(self.times)
 

@@ -173,3 +173,61 @@ class TestFromSpec:
     def test_arg_errors_name_the_spec(self):
         with pytest.raises(ValueError, match="kregular:7"):
             PeerGraph.from_spec("kregular:7", 4)
+
+
+def _nx_reference(spec, n):
+    """The overlay built directly in networkx, as it was before PeerGraph
+    kept its own adjacency."""
+    kind, *args = spec.split(":")
+    if kind == "full":
+        return nx.complete_graph(n)
+    if kind == "ring":
+        return nx.cycle_graph(n)
+    if kind == "star":
+        return nx.star_graph(n - 1)
+    group = int(args[0])
+    starts = [k * group for k in range(n // group)]
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for k, start in enumerate(starts):
+        members = range(start, n if k == len(starts) - 1 else start + group)
+        g.add_edges_from((a, b) for a in members for b in members if a < b)
+    if len(args) == 2:
+        g.add_edges_from((a, b) for a in starts for b in starts if a < b)
+    elif len(starts) > 1:
+        nx.add_cycle(g, starts)
+    return g
+
+
+class TestAgainstNetworkx:
+    @pytest.mark.parametrize(
+        "spec", ["full", "ring", "star", "hier:8", "hier:8:full"]
+    )
+    @pytest.mark.parametrize("n", [8, 19, 40])
+    def test_same_overlay(self, spec, n):
+        pg = PeerGraph.from_spec(spec, n)
+        ref = _nx_reference(spec, n)
+        assert all(pg.neighbors(v) == set(ref.neighbors(v)) for v in range(n))
+        assert pg.edges == ref.number_of_edges()
+        assert pg.diameter() == nx.diameter(ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kregular_is_the_seeded_networkx_graph(self, seed):
+        pg = PeerGraph.k_regular(12, 4, seed=seed)
+        ref = next(
+            g
+            for g in (
+                nx.random_regular_graph(4, 12, seed=seed + attempt)
+                for attempt in range(64)
+            )
+            if nx.is_connected(g)
+        )
+        assert all(pg.neighbors(v) == set(ref.neighbors(v)) for v in range(12))
+        assert pg.edges == 24 and pg.diameter() == nx.diameter(ref)
+
+    def test_any_object_with_nodes_and_edges_plugs_in(self):
+        from types import SimpleNamespace
+
+        pg = PeerGraph(SimpleNamespace(nodes=[0, 1, 2], edges=[(0, 1), (2, 1)]), 3)
+        assert pg.neighbors(1) == {0, 2} and pg.edges == 2 and pg.diameter() == 2
+        assert sorted(pg.graph.edges) == [(0, 1), (1, 2)]
