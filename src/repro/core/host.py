@@ -80,6 +80,15 @@ _STATE = _PER_WORKER + _PER_LINK + _CLUSTER + (
 )
 
 
+def _series(table: dict, key) -> TimeSeries:
+    """``table[key]``, created on first use (``setdefault`` would build
+    and drop a ``TimeSeries`` on every call)."""
+    series = table.get(key)
+    if series is None:
+        series = table[key] = TimeSeries()
+    return series
+
+
 @dataclass
 class RunResult:
     """Everything a run recorded, plus the paper's derived metrics.
@@ -140,7 +149,7 @@ class RunResult:
         for name in _PER_LINK:
             table = getattr(self, name)
             for key, theirs in state[name].items():
-                table.setdefault(key, TimeSeries()).extend(theirs)
+                _series(table, key).extend(theirs)
         for name in _CLUSTER:
             if not getattr(self, name):
                 getattr(self, name).extend(state[name])
@@ -470,14 +479,10 @@ class WorkerHost:
         key = (src, dst)
         self._c_grad_bytes.inc(nbytes, src, dst)
         self._c_grad_msgs.inc(1, src, dst)
-        self.result.link_entries.setdefault(key, TimeSeries()).append(
-            now, msg.num_entries()
-        )
+        _series(self.result.link_entries, key).append(now, msg.num_entries())
         if chosen_n is not None:
             self._h_chosen_n.observe(chosen_n, f"{src}->{dst}")
-            self.result.link_chosen_n.setdefault(key, TimeSeries()).append(
-                now, chosen_n
-            )
+            _series(self.result.link_chosen_n, key).append(now, chosen_n)
             if self.tracer.enabled:
                 self.tracer.counter(
                     f"chosen_n {src}->{dst}", src, now, {"n": round(chosen_n, 3)}

@@ -875,12 +875,18 @@ class TransmissionPlanner:
                     return [warm] * len(budgets)
             self._warm_miss += 1
         if uniform:
-            n, edge = hist.fit_edge(budgets[0], n_min=cfg.n_min, n_max=cfg.n_max)
-            self._stale_fold = hist.folded
-            return [(n, edge)] * len(budgets)
-        chosen, edges = hist.fit_many(budgets, n_min=cfg.n_min, n_max=cfg.n_max)
-        self._stale_fold = hist.folded
-        return [(float(n), int(e)) for n, e in zip(chosen, edges)]
+            fits = [
+                hist.fit_edge(budgets[0], n_min=cfg.n_min, n_max=cfg.n_max)
+            ] * len(budgets)
+        else:
+            chosen, edges = hist.fit_many(budgets, n_min=cfg.n_min, n_max=cfg.n_max)
+            fits = [(float(n), int(e)) for n, e in zip(chosen, edges)]
+        # kept per planner, so kept narrow: int32 holds every fold below
+        # 268M gradient entries, and the warm start's searchsorted and
+        # slope read the same numbers off it
+        fold = hist.folded
+        self._stale_fold = fold.astype(np.int32) if fold[-1] < 2**31 else fold
+        return fits
 
     def _select(self, grads: Mapping[str, np.ndarray], level: float) -> dict:
         if self.selector is None:

@@ -32,7 +32,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Given dL/d(output), set ``self.grads`` and return dL/d(input)."""
+        """Given dL/d(output), set ``self.grads`` and return dL/d(input).
+
+        Layers with ``params`` also take ``need_dx=True``: the model
+        passes ``False`` to its first trainable layer, which then skips
+        dL/d(input) and returns ``None``.
+        """
         raise NotImplementedError
 
     def num_params(self) -> int:

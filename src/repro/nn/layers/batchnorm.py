@@ -75,7 +75,7 @@ class BatchNorm(Layer):
         out += beta
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         xhat, inv_std, axes, bs, x_shape = self._cache
@@ -83,6 +83,8 @@ class BatchNorm(Layer):
         np.multiply(dout, xhat, out=scratch)
         self.grads["gamma"] = np.sum(scratch, axis=axes)
         self.grads["beta"] = np.sum(dout, axis=axes)
+        if not need_dx:
+            return None
         gamma = self.params["gamma"].reshape(bs)
         dxhat = np.empty(dout.shape, np.result_type(dout.dtype, gamma.dtype))
         np.multiply(dout, gamma, out=dxhat)

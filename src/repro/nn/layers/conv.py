@@ -136,7 +136,7 @@ class Conv2D(Layer):
         self._cache = (x.shape, cols) if training else None
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         x_shape, cols = self._cache
@@ -152,6 +152,8 @@ class Conv2D(Layer):
         np.matmul(dflat.T, cols, out=gw.reshape(self.out_c, -1))
         self.grads["W"] = gw
         self.grads["b"] = np.sum(dflat, axis=0)
+        if not need_dx:
+            return None
         dcols = np.matmul(dflat, wmat)
         dx = col2im(dcols, x_shape, k, k, s, p)
         # A padded result is a view into the padded sum: hand out a

@@ -43,11 +43,11 @@ class Dense(Layer):
         out += self.params["b"]
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
         x = self._x
         w = self.params["W"]
         self.grads["W"] = np.matmul(x.T, dout)
         self.grads["b"] = np.sum(dout, axis=0)
-        return np.matmul(dout, w.T)
+        return np.matmul(dout, w.T) if need_dx else None

@@ -68,12 +68,14 @@ class DepthwiseConv2D(Layer):
         self._cache = (x.shape, np.ascontiguousarray(view)) if training else None
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         x_shape, view = self._cache
         self.grads["W"] = np.einsum("ncijkl,ncij->ckl", view, dout, optimize=True)
         self.grads["b"] = dout.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
 
         # dL/dx: scatter dout * W back over the windows.
         n, c, h, w = x_shape

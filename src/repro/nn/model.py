@@ -21,6 +21,22 @@ __all__ = ["Model"]
 
 GradDict = dict[str, np.ndarray]
 
+# Process-wide update-step scratch, one buffer per variable
+# (shape, dtype), so apply_grads never allocates the ``lr * coeff * g``
+# temporary. A buffer is live only inside one apply_grads call and the
+# simulator is single-threaded (a live process holds one model), so
+# every replica shares it — cache-warm, and not a model-sized buffer
+# per replica.
+_APPLY_SCRATCH: dict[tuple, np.ndarray] = {}
+
+
+def _scr(shape: tuple[int, ...], dtype) -> np.ndarray:
+    key = (shape, np.dtype(dtype))
+    buf = _APPLY_SCRATCH.get(key)
+    if buf is None:
+        buf = _APPLY_SCRATCH[key] = np.empty(shape, dtype=dtype)
+    return buf
+
 
 class Model:
     """A feed-forward stack of layers with a softmax classification head.
@@ -35,20 +51,15 @@ class Model:
         if not self.layers:
             raise ValueError("model needs at least one layer")
         self._var_index: dict[str, tuple[Layer, str]] = {}
+        # Backward ends here: nothing below the first trainable layer
+        # has a gradient to compute, and nobody reads its dL/d(input).
+        self._first_trainable = next(
+            (i for i, layer in enumerate(self.layers) if layer.params),
+            len(self.layers),
+        )
         for i, layer in enumerate(self.layers):
             for pname in layer.params:
                 self._var_index[f"{i:02d}_{layer.name}/{pname}"] = (layer, pname)
-        # Update-step scratch (one buffer per variable shape/dtype) so
-        # apply_grads never allocates the ``lr * coeff * g`` temporary.
-        self._scratch: dict[tuple, np.ndarray] = {}
-
-    def _scr(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype))
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch[key] = buf
-        return buf
 
     # ------------------------------------------------------------------
     # Variable access
@@ -109,11 +120,16 @@ class Model:
             loss, dlogits = softmax_cross_entropy(logits, labels)
             with _profile.scope("nn/backward"):
                 dout = dlogits
-                for layer in reversed(self.layers):
+                first = self._first_trainable
+                for layer in reversed(self.layers[first + 1:]):
                     dout = layer.backward(dout)
+                if first < len(self.layers):
+                    self.layers[first].backward(dout, need_dx=False)
+            # Hand the arrays off: the step (the returned dict and the
+            # messages built from it) owns them, no layer keeps a copy.
             grads: GradDict = {}
             for name, (layer, pname) in self._var_index.items():
-                grads[name] = layer.grads[pname]
+                grads[name] = layer.grads.pop(pname)
             return loss, grads
 
     def apply_grads(
@@ -139,7 +155,7 @@ class Model:
             # temporary keeps g's dtype (matching the historical
             # expression bit for bit) and lives in a cached scratch.
             dtype = g.dtype if g.dtype.kind == "f" else np.result_type(g.dtype, np.float64)
-            s = self._scr(g.shape, dtype)
+            s = _scr(g.shape, dtype)
             np.multiply(g, scale, out=s)
             np.subtract(w, s, out=w)
 

@@ -319,3 +319,19 @@ class TestFitWarm:
         if n > 0.85:
             budget = planner.budget_bytes(5.0, 0.05)
             assert sparse_payload_bytes(plans[1][1]) <= budget
+
+    @pytest.mark.parametrize(
+        "links", [{1: 5.0, 2: 5.0}, {1: 5.0, 2: 0.5}], ids=["uniform", "mixed"]
+    )
+    def test_planner_keeps_the_fold_narrow(self, rng, links):
+        """The fold a planner keeps between plans is the cold fit's,
+        value for value, at half the bytes (1,000 planners keep one
+        each)."""
+        grads = {"w": rng.normal(size=5000), "b": rng.normal(size=10)}
+        planner = TransmissionPlanner(MaxNConfig())
+        planner.plan(grads, links, 0.05)
+        hist = GradientHistograms(grads)
+        hist.fit(1.0)
+        assert hist.folded.dtype == np.int64
+        assert planner._stale_fold.dtype == np.int32
+        np.testing.assert_array_equal(planner._stale_fold, hist.folded)

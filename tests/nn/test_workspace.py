@@ -10,9 +10,13 @@ are pinned to float32 end to end.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.cluster.messages import GradientMessage
 from repro.nn.layers import (
     AvgPool2D,
     BatchNorm,
@@ -139,6 +143,47 @@ class TestStepsOwnTheirArrays:
         logits_copy = logits.copy()
         second = step()
         _assert_owned(first + [logits], copies + [logits_copy], second)
+
+    @pytest.mark.parametrize("name,kwargs,x_shape", ZOO)
+    def test_step_hands_its_gradients_off(self, name, kwargs, x_shape):
+        """The returned dict is the only owner: no layer keeps a
+        gradient, and dropping the dict frees the arrays."""
+        model = build_model(name, np.random.default_rng(2), **kwargs)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(size=x_shape).astype(np.float32)
+        _, grads = model.loss_and_grads(x, rng.integers(0, 5, size=x_shape[0]))
+        assert all(not layer.grads for layer in model.layers)
+        refs = [weakref.ref(g) for g in grads.values()]
+        del grads
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("name,kwargs,x_shape", ZOO)
+    def test_in_flight_message_keeps_its_gradients(self, name, kwargs, x_shape):
+        """A message built from a step owns that step's arrays for as
+        long as it is in flight, whatever the sender does next."""
+        model = build_model(name, np.random.default_rng(2), **kwargs)
+        rng = np.random.default_rng(3)
+
+        def step():
+            x = rng.standard_normal(size=x_shape).astype(np.float32)
+            _, grads = model.loss_and_grads(x, rng.integers(0, 5, size=x_shape[0]))
+            model.apply_grads(grads, lr=0.1)
+            return grads
+
+        grads = step()
+        msg = GradientMessage(sender=0, iteration=1, lbs=x_shape[0], dense=grads)
+        refs = {n: weakref.ref(g) for n, g in grads.items()}
+        copies = {n: g.copy() for n, g in grads.items()}
+        del grads
+        later = [*step().values(), *step().values()]
+        gc.collect()
+        for name_, ref in refs.items():
+            assert ref() is msg.dense[name_]
+        _assert_owned(list(msg.dense.values()), list(copies.values()), later)
+        del msg
+        gc.collect()
+        assert all(ref() is None for ref in refs.values())
 
 
 class TestSgdInPlaceParity:

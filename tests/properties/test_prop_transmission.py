@@ -14,7 +14,9 @@ this suite pins down the invariants the replacement must preserve:
 * the generic selector path (``fit_level_to_budget`` with
   :class:`MaxNSelector`) agrees with the Max-N fast path within the
   same granularity, including on degenerate gradients (all-zero,
-  single-entry, subnormal magnitudes).
+  single-entry, subnormal magnitudes);
+* the planner's stored fold is a *guess* source only: narrowed to int32
+  it warm-starts every later plan exactly as the int64 fold would.
 """
 
 import numpy as np
@@ -23,11 +25,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.cluster.messages import sparse_payload_bytes
+from repro.core.config import MaxNConfig
 from repro.core.maxn import select_payload
 from repro.core.selectors import MaxNSelector
 from repro.core.transmission import (
     _BINS,
     GradientHistograms,
+    TransmissionPlanner,
     fit_level_to_budget,
     fit_n_to_budget,
 )
@@ -143,3 +147,45 @@ def test_tricky_payload_fits_budget_unless_floored(grads, budget):
     if n > 0.85 + 1e-9:
         size = sparse_payload_bytes(select_payload(grads, n))
         assert size <= budget
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 3000),
+    drift=st.floats(0.0, 2.0),
+    cold_uniform=st.booleans(),
+    bandwidths=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_int32_fold_warm_starts_like_the_int64_fold(
+    seed, size, drift, cold_uniform, bandwidths
+):
+    """Two planners fold the same cold plan (uniform or not — the most
+    recent cold fit is kept, whichever kind); one keeps the int32 fold
+    it stored, the other gets the int64 original back. Every later
+    uniform plan — budgets and gradient drift drawn — answers the same:
+    chosen N, payload, and the fold left behind."""
+    rng = np.random.default_rng(seed)
+    first = {"w": rng.normal(size=size), "b": rng.normal(size=7)}
+    cold = {1: 5.0, 2: 5.0} if cold_uniform else {1: 5.0, 2: 0.5, 3: 2.0}
+    narrow = TransmissionPlanner(MaxNConfig())
+    wide = TransmissionPlanner(MaxNConfig())
+    for planner in (narrow, wide):
+        planner.plan(first, cold, 0.05)
+    assert narrow._stale_fold.dtype == np.int32
+    wide._stale_fold = wide._stale_fold.astype(np.int64)
+
+    for mbps in bandwidths:
+        grads = {
+            name: g + drift * rng.normal(size=g.shape) for name, g in first.items()
+        }
+        links = {1: mbps, 2: mbps}
+        got, want = narrow.plan(grads, links, 0.05), wide.plan(grads, links, 0.05)
+        assert narrow._warm_miss == wide._warm_miss
+        np.testing.assert_array_equal(narrow._stale_fold, wide._stale_fold)
+        for dst in links:
+            assert got[dst][0] == want[dst][0]
+            assert got[dst][1].keys() == want[dst][1].keys()
+            for name, (idx, vals) in got[dst][1].items():
+                np.testing.assert_array_equal(idx, want[dst][1][name][0])
+                np.testing.assert_array_equal(vals, want[dst][1][name][1])

@@ -69,13 +69,30 @@ def recovery_run(setup):
 
 class TestRecoveryRun:
     def test_victim_resumes_and_everyone_trains(self, recovery_run):
-        result, _, _ = recovery_run
+        result, tracer, _ = recovery_run
         assert len(result.iterations) == N_WORKERS
         assert all(n > 10 for n in result.iterations)
-        # The victim lost wall time to the crash window, so it must
-        # trail the survivors — proof the respawn resumed rather than
-        # some survivor's result being double-counted.
-        assert result.iterations[VICTIM] < max(result.iterations)
+        # The victim was down from the kill to the respawn's "go", so
+        # its loss series has a hole there that no survivor's has —
+        # proof the respawn resumed rather than some survivor's result
+        # being double-counted. (Iteration counts cannot prove it: a
+        # victim that catches up to the staleness bound ties the rest.)
+        (recovery,) = [
+            e for e in tracer.events()
+            if e.get("ph") == "X" and e.get("name") == "recovery"
+        ]
+        # Half a modelled second in: a step may land between the
+        # supervisor reading its clock and the SIGKILL.
+        down_from = recovery["ts"] / 1e6 + 0.5
+        down_to = (recovery["ts"] + recovery["dur"]) / 1e6
+        assert down_from > CRASH_AT and down_to >= CRASH_AT + RESTART_AFTER
+
+        def trained_while_down(w):
+            return any(down_from <= t < down_to for t in result.loss[w].times)
+
+        assert not trained_while_down(VICTIM)
+        assert all(trained_while_down(w) for w in range(N_WORKERS) if w != VICTIM)
+        assert result.iterations[VICTIM] <= max(result.iterations)
 
     def test_membership_dips_then_recovers(self, recovery_run):
         result, _, _ = recovery_run
