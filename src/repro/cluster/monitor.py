@@ -50,6 +50,7 @@ class NetworkResourceMonitor:
     def snapshot(self, t: float) -> dict[int, float]:
         """Estimates for every neighbour at once."""
         return {
-            link.dst: self.available_bandwidth(link.dst, t)
-            for link in self.matrix.out_links(self.worker)
+            dst: self.available_bandwidth(dst, t)
+            for dst in range(self.matrix.n)
+            if dst != self.worker
         }

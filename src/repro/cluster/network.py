@@ -1,25 +1,22 @@
 """Network model: per-directed-link bandwidth with FIFO serialization.
 
-Each ordered worker pair has a :class:`Link` whose bandwidth follows a
-trace (the ``tc`` substitute). Transfers on a link are serialized: a
-transfer enqueued while another is in flight waits its turn. That
-queueing is what produces the congestion effects behind Fig. 9a (a DKT
-period that is too short floods the links and *slows* training).
+Each ordered worker pair is a directed link whose bandwidth is a
+constant or follows a trace (the ``tc`` substitute). Transfers on a
+link are serialized: a transfer enqueued while another is in flight
+waits its turn. That queueing is what produces the congestion effects
+behind Fig. 9a (a DKT period that is too short floods the links and
+*slows* training).
 
-:class:`BandwidthMatrix` has two storage modes with one observable
-behaviour:
-
-- **Legacy mode** (any traced bandwidth, or shared egress): one
-  :class:`Link` object per ordered pair, built eagerly.
-- **Vector mode** (every bandwidth a scalar constant, no egress): link
-  state lives in flat NumPy arrays (bandwidth, busy-until, bytes,
-  transfer counts) and ``links`` is a lazy mapping that materialises
-  lightweight :class:`LinkView` proxies on access. This is what makes
-  1,000-worker clusters feasible — no O(n²) object graph — and enables
-  :meth:`BandwidthMatrix.enqueue_transfers`, the vectorized batch used
-  for same-instant gradient fan-out. The arithmetic mirrors
-  :meth:`Link.enqueue_transfer` operation for operation, so both modes
-  (and the batch and scalar paths) are IEEE-754 bit-identical.
+:class:`BandwidthMatrix` keeps every link's state — constant bandwidth,
+busy-until, bytes, transfer count — in n x n NumPy arrays, whatever the
+spec: there is no O(n²) object graph, which is what makes 1,000-worker
+clusters feasible. A link whose bandwidth varies keeps its trace beside
+the arrays, read once at transfer start; the optional shared-egress
+model puts one :class:`EgressQueue` per worker in front of the links.
+:class:`Link` is a view onto one cell of those arrays. The scalar
+:meth:`BandwidthMatrix.enqueue_transfer` and the same-instant batch
+:meth:`BandwidthMatrix.enqueue_transfers` perform the same IEEE-754
+operations per transfer, so they are bit-identical.
 
 The module also ships the paper's Table 2: measured inter-region
 bandwidth (Mbps) between six Amazon regions, used to emulate WAN
@@ -28,13 +25,11 @@ micro-cloud environments.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from repro.cluster.traces import ConstantTrace
 
-__all__ = ["Link", "LinkView", "BandwidthMatrix", "AWS_REGIONS", "AWS_REGION_BANDWIDTH"]
+__all__ = ["Link", "BandwidthMatrix", "AWS_REGIONS", "AWS_REGION_BANDWIDTH"]
 
 
 # Paper Table 2: available bandwidth (Mbps) between Amazon regions.
@@ -56,68 +51,21 @@ AWS_REGION_BANDWIDTH = np.array(
 
 
 class Link:
-    """A directed communication link with FIFO transfer serialization.
+    """The directed link ``src -> dst`` of a :class:`BandwidthMatrix`,
+    with FIFO transfer serialization.
 
-    ``enqueue_transfer(nbytes, t)`` returns the delivery completion time
-    assuming the transfer joins the tail of the link's queue at ``t``.
-    Bandwidth changes mid-transfer are approximated by the bandwidth at
-    transfer start — adequate for piecewise schedules whose phases are
-    long relative to individual transfers (the Table 3 regimes).
-    """
-
-    def __init__(self, src: int, dst: int, bandwidth_mbps, *, latency: float = 0.002):
-        if src == dst:
-            raise ValueError("no self-links")
-        if isinstance(bandwidth_mbps, (int, float)):
-            bandwidth_mbps = ConstantTrace(float(bandwidth_mbps))
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.src = src
-        self.dst = dst
-        self.bandwidth = bandwidth_mbps
-        self.latency = latency
-        self.busy_until = 0.0
-        self.bytes_sent = 0
-        self.transfers = 0
-
-    def bandwidth_at(self, t: float) -> float:
-        """Available bandwidth in Mbps at time ``t``."""
-        return self.bandwidth.value_at(t)
-
-    def transfer_duration(self, nbytes: int, t: float) -> float:
-        """Serialization time for ``nbytes`` at the bandwidth active at ``t``."""
-        if nbytes < 0:
-            raise ValueError("negative payload")
-        mbps = self.bandwidth_at(t)
-        return (nbytes * 8.0) / (mbps * 1e6)
-
-    def enqueue_transfer(self, nbytes: int, t: float) -> float:
-        """Queue a transfer at time ``t``; returns its delivery time."""
-        start = max(t, self.busy_until)
-        duration = self.transfer_duration(nbytes, start)
-        self.busy_until = start + duration
-        self.bytes_sent += int(nbytes)
-        self.transfers += 1
-        return self.busy_until + self.latency
-
-    def queue_delay(self, t: float) -> float:
-        """How long a transfer enqueued now would wait before starting."""
-        return max(0.0, self.busy_until - t)
-
-
-class LinkView:
-    """A lightweight proxy onto one directed link of a vector-mode
-    :class:`BandwidthMatrix`.
-
-    Presents the :class:`Link` interface (``bandwidth_at``,
-    ``enqueue_transfer``, ``busy_until``, ``bytes_sent`` …) but reads
-    and writes the matrix's shared NumPy state, so views are cheap,
-    interchangeable, and never stale.
+    A view: it reads and writes the matrix's arrays, so links are
+    cheap, interchangeable, and never stale. Bandwidth changes
+    mid-transfer are approximated by the bandwidth at transfer start —
+    adequate for piecewise schedules whose phases are long relative to
+    individual transfers (the Table 3 regimes).
     """
 
     __slots__ = ("_m", "src", "dst")
 
     def __init__(self, matrix: "BandwidthMatrix", src: int, dst: int):
+        if src == dst:
+            raise ValueError("no self-links")
         self._m = matrix
         self.src = src
         self.dst = dst
@@ -142,61 +90,24 @@ class LinkView:
     def transfers(self) -> int:
         return int(self._m._xfers[self.src, self.dst])
 
-    @property
-    def bandwidth(self) -> ConstantTrace:
-        return ConstantTrace(float(self._m._bw[self.src, self.dst]))
-
     def bandwidth_at(self, t: float) -> float:
         """Available bandwidth in Mbps at time ``t``."""
-        return float(self._m._bw[self.src, self.dst])
+        return self._m.bandwidth_at(self.src, self.dst, t)
 
     def transfer_duration(self, nbytes: int, t: float) -> float:
         """Serialization time for ``nbytes`` at the bandwidth active at ``t``."""
         if nbytes < 0:
             raise ValueError("negative payload")
-        mbps = self.bandwidth_at(t)
-        return (nbytes * 8.0) / (mbps * 1e6)
+        return (nbytes * 8.0) / (self.bandwidth_at(t) * 1e6)
 
     def enqueue_transfer(self, nbytes: int, t: float) -> float:
-        """Queue a transfer at time ``t``; returns its delivery time."""
+        """Queue a transfer at time ``t`` (through the source's NIC
+        queue, if modelled); returns its delivery time."""
         return self._m.enqueue_transfer(self.src, self.dst, nbytes, t)
 
     def queue_delay(self, t: float) -> float:
         """How long a transfer enqueued now would wait before starting."""
         return max(0.0, self.busy_until - t)
-
-
-class _LinkMap(Mapping):
-    """Lazy ``{(src, dst): LinkView}`` mapping for vector mode.
-
-    Behaves like the legacy eager dict (membership, length, iteration
-    over all ordered pairs) without materialising n² objects.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, matrix: "BandwidthMatrix"):
-        self._m = matrix
-
-    def __getitem__(self, key) -> LinkView:
-        if key not in self:
-            raise KeyError(key)
-        return LinkView(self._m, key[0], key[1])
-
-    def __contains__(self, key) -> bool:
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return False
-        i, j = key
-        n = self._m.n
-        return 0 <= i < n and 0 <= j < n and i != j
-
-    def __iter__(self):
-        n = self._m.n
-        return ((i, j) for i in range(n) for j in range(n) if i != j)
-
-    def __len__(self) -> int:
-        n = self._m.n
-        return n * (n - 1)
 
 
 class EgressQueue:
@@ -231,106 +142,115 @@ class EgressQueue:
 
 
 class BandwidthMatrix:
-    """Constructs the full set of directed links for a cluster.
+    """The full mesh of directed links for a cluster, in one store.
 
     ``spec[i][j]`` gives the bandwidth (Mbps, scalar or trace) from
-    worker i to worker j. ``from_worker_capacity`` builds the common
-    Table 3 pattern where each worker has a single capacity applied to
-    all of its links (e.g. "50/50/35/35/20/20" means worker 0's links
-    run at 50 Mbps, worker 4's at 20).
+    worker i to worker j; every off-diagonal bandwidth must be positive
+    and the diagonal is ignored (Table 2's is 0).
+    ``from_worker_capacity`` builds the common Table 3 pattern where
+    each worker has a single capacity applied to all of its links (e.g.
+    "50/50/35/35/20/20" means worker 0's links run at 50 Mbps, worker
+    4's at 20).
 
-    All-scalar specs without egress store link state in NumPy arrays
-    (vector mode, see module docstring); traced bandwidths or shared
-    egress fall back to eager per-pair :class:`Link` objects. Both
-    modes expose the identical API and produce bit-identical times.
+    Link state lives in n x n arrays for every spec (see the module
+    docstring); only a link whose bandwidth varies over time keeps an
+    entry in ``_traces``, so an all-constant matrix holds none.
     """
 
     def __init__(self, spec, *, latency: float = 0.002, egress=None):
-        self.n = len(spec)
-        if any(len(row) != self.n for row in spec):
+        n = self.n = len(spec)
+        if any(len(row) != n for row in spec):
             raise ValueError("bandwidth spec must be square")
         if latency < 0:
             raise ValueError("latency must be non-negative")
         self._latency = float(latency)
-        scalar = egress is None and (
-            isinstance(spec, np.ndarray)
-            or all(
-                isinstance(v, (int, float)) for row in spec for v in row
-            )
-        )
-        self._vector = scalar
-        if scalar:
-            self._bw = np.asarray(spec, dtype=float).copy()
-            self._busy = np.zeros((self.n, self.n), dtype=float)
-            self._bytes = np.zeros((self.n, self.n), dtype=np.int64)
-            self._xfers = np.zeros((self.n, self.n), dtype=np.int64)
-            self.links: Mapping[tuple[int, int], Link] = _LinkMap(self)
-            self.egress: dict[int, EgressQueue] | None = None
-            return
-        self.links = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                self.links[(i, j)] = Link(i, j, spec[i][j], latency=latency)
+        # (src, dst) -> trace, for the links whose bandwidth varies;
+        # their ``_bw`` cell is NaN and never read.
+        self._traces: dict[tuple[int, int], object] = {}
+        constant = ~np.eye(n, dtype=bool)
+        if isinstance(spec, np.ndarray):
+            self._bw = spec.astype(float)
+        else:
+            self._bw = np.full((n, n), np.nan)
+            for i, row in enumerate(spec):
+                for j, v in enumerate(row):
+                    if i == j:
+                        continue
+                    if isinstance(v, ConstantTrace):
+                        v = v.value
+                    if hasattr(v, "value_at"):
+                        self._traces[(i, j)] = v
+                        constant[i, j] = False
+                    else:
+                        self._bw[i, j] = v
+        if not (self._bw > 0)[constant].all():
+            raise ValueError("link bandwidth must be positive")
+        self._busy = np.zeros((n, n), dtype=float)
+        self._bytes = np.zeros((n, n), dtype=np.int64)
+        self._xfers = np.zeros((n, n), dtype=np.int64)
         # Optional shared-egress model: per-worker NIC queues in front
         # of the per-link pipes.
-        self.egress = None
+        self.egress: dict[int, EgressQueue] | None = None
         if egress is not None:
-            if len(egress) != self.n:
+            if len(egress) != n:
                 raise ValueError("need one egress capacity per worker")
             self.egress = {
                 i: EgressQueue(i, cap) for i, cap in enumerate(egress)
             }
 
-    @property
-    def vectorized(self) -> bool:
-        """True when link state is array-backed (batch path available)."""
-        return self._vector
-
     def enqueue_transfer(self, src: int, dst: int, nbytes: int, t: float) -> float:
-        """Route a transfer through the NIC (if modelled) then the link."""
-        if self._vector:
-            if src == dst:
-                raise KeyError((src, dst))
-            if nbytes < 0:
-                raise ValueError("negative payload")
-            busy = self._busy
-            b = busy[src, dst]
-            start = b if b > t else t
-            duration = (nbytes * 8.0) / (self._bw[src, dst] * 1e6)
-            end = start + duration
-            busy[src, dst] = end
-            self._bytes[src, dst] += int(nbytes)
-            self._xfers[src, dst] += 1
-            return float(end + self._latency)
-        start = t
+        """Route a transfer through the NIC (if modelled) then the link;
+        returns its delivery time."""
+        if src == dst:
+            raise KeyError((src, dst))
+        if nbytes < 0:
+            raise ValueError("negative payload")
         if self.egress is not None:
-            start = self.egress[src].enqueue(nbytes, t)
-        return self.link(src, dst).enqueue_transfer(nbytes, start)
+            t = self.egress[src].enqueue(nbytes, t)
+        busy = self._busy
+        b = busy[src, dst]
+        start = b if b > t else t
+        mbps = self._bw[src, dst]
+        if self._traces:
+            trace = self._traces.get((src, dst))
+            if trace is not None:
+                mbps = trace.value_at(start)
+        end = start + (nbytes * 8.0) / (mbps * 1e6)
+        busy[src, dst] = end
+        self._bytes[src, dst] += int(nbytes)
+        self._xfers[src, dst] += 1
+        return float(end + self._latency)
 
     def enqueue_transfers(self, src: int, dsts, nbytes, t: float) -> np.ndarray:
-        """Vectorized same-instant batch: queue one transfer from
-        ``src`` to each of ``dsts`` (distinct destinations) at time
-        ``t``; returns the per-destination delivery times.
+        """Same-instant batch: queue one transfer from ``src`` to each
+        of ``dsts`` (distinct destinations) at time ``t``; returns the
+        per-destination delivery times.
 
-        Element-for-element this performs the same IEEE-754 operations
-        as calling :meth:`enqueue_transfer` per destination — distinct
-        links are independent, so the batch is bit-identical to the
-        sequential loop. Vector mode only.
+        Element for element this performs the same IEEE-754 operations
+        as calling :meth:`enqueue_transfer` per destination, so the
+        batch is bit-identical to the sequential loop. Distinct links
+        are independent and run as one array expression (a traced link
+        adds one trace read); behind a NIC queue the transfers leave
+        the interface one after another, so the batch *is* the in-order
+        loop.
         """
-        if not self._vector:
-            raise RuntimeError("batch transfers require a vector-mode matrix")
         dsts = np.asarray(dsts, dtype=np.intp)
         if dsts.size and bool((dsts == src).any()):
             raise KeyError(f"no self-link for worker {src}")
         sizes = np.asarray(nbytes, dtype=np.int64)
         if sizes.size and int(sizes.min()) < 0:
             raise ValueError("negative payload")
-        busy = self._busy[src, dsts]
-        starts = np.maximum(busy, t)
-        durations = (sizes * 8.0) / (self._bw[src, dsts] * 1e6)
-        ends = starts + durations
+        if self.egress is not None:
+            pairs = zip(dsts.tolist(), sizes.tolist())
+            return np.array([self.enqueue_transfer(src, d, s, t) for d, s in pairs])
+        starts = np.maximum(self._busy[src, dsts], t)
+        mbps = self._bw[src, dsts]
+        if self._traces:
+            for k, d in enumerate(dsts.tolist()):
+                trace = self._traces.get((src, d))
+                if trace is not None:
+                    mbps[k] = trace.value_at(starts[k])
+        ends = starts + (sizes * 8.0) / (mbps * 1e6)
         self._busy[src, dsts] = ends
         self._bytes[src, dsts] += sizes
         self._xfers[src, dsts] += 1
@@ -355,27 +275,22 @@ class BandwidthMatrix:
         outgoing transfers through a NIC queue at its own capacity —
         the interface-level contention model (see ``EgressQueue``).
         """
-        n = len(capacities)
-        if not shared_egress and all(
-            isinstance(c, (int, float)) for c in capacities
-        ):
+        egress = list(capacities) if shared_egress else None
+        if all(isinstance(c, (int, float)) for c in capacities):
             caps = np.asarray([float(c) for c in capacities])
-            return cls(np.minimum.outer(caps, caps), latency=latency)
-        spec = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ci, cj = capacities[i], capacities[j]
-                if isinstance(ci, (int, float)) and isinstance(cj, (int, float)):
-                    row.append(min(float(ci), float(cj)))
-                else:
-                    row.append(ci)
-            spec.append(row)
-        return cls(
-            spec,
-            latency=latency,
-            egress=list(capacities) if shared_egress else None,
-        )
+            return cls(
+                np.minimum.outer(caps, caps), latency=latency, egress=egress
+            )
+        spec = [
+            [
+                min(float(ci), float(cj))
+                if isinstance(ci, (int, float)) and isinstance(cj, (int, float))
+                else ci
+                for cj in capacities
+            ]
+            for ci in capacities
+        ]
+        return cls(spec, latency=latency, egress=egress)
 
     @classmethod
     def from_regions(
@@ -391,43 +306,29 @@ class BandwidthMatrix:
         ``region_ids[i]`` is the region index of worker i; cross-region
         links use the Table 2 measurement for that ordered pair.
         """
-        n = len(region_ids)
-        spec = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ri, rj = region_ids[i], region_ids[j]
-                if i == j:
-                    row.append(lan_mbps)
-                elif ri == rj:
-                    row.append(lan_mbps)
-                else:
-                    row.append(float(matrix[ri][rj]))
-            spec.append(row)
+        spec = [
+            [lan_mbps if ri == rj else float(matrix[ri][rj]) for rj in region_ids]
+            for ri in region_ids
+        ]
         return cls(spec, latency=latency)
 
     def bandwidth_at(self, src: int, dst: int, t: float) -> float:
-        """Available Mbps on ``src -> dst`` at ``t`` (no proxy object)."""
-        if self._vector:
-            if src == dst:
-                raise KeyError((src, dst))
-            return float(self._bw[src, dst])
-        return self.link(src, dst).bandwidth_at(t)
+        """Available Mbps on ``src -> dst`` at ``t``."""
+        if src == dst:
+            raise KeyError((src, dst))
+        trace = self._traces.get((src, dst))
+        return float(self._bw[src, dst]) if trace is None else trace.value_at(t)
 
     def link(self, src: int, dst: int) -> Link:
         """The directed link ``src -> dst``."""
-        return self.links[(src, dst)]
+        if not (0 <= src < self.n and 0 <= dst < self.n and src != dst):
+            raise KeyError((src, dst))
+        return Link(self, src, dst)
 
     def out_links(self, src: int) -> list[Link]:
         """All links leaving worker ``src``."""
-        if self._vector:
-            return [
-                LinkView(self, src, j) for j in range(self.n) if j != src
-            ]
-        return [l for (i, _j), l in self.links.items() if i == src]
+        return [Link(self, src, j) for j in range(self.n) if j != src]
 
     def total_bytes(self) -> int:
         """Total bytes carried by every link so far."""
-        if self._vector:
-            return int(self._bytes.sum())
-        return sum(l.bytes_sent for l in self.links.values())
+        return int(self._bytes.sum())

@@ -139,21 +139,17 @@ class TrainingEngine(WorkerHost):
         """Ship one worker's same-instant gradient fan-out as a batch.
 
         ``items`` is ``[(dst, msg, chosen_n), ...]`` in destination
-        order. When the network matrix is vector-mode and no fault
-        injector is armed, the per-link arithmetic for every live
-        destination runs as one vectorized call; trace spans, delivery
-        scheduling, and link stats still run per destination in the
-        original order, so traces, metrics, and event sequence numbers
-        are byte-identical to the sequential path. Anything the batch
-        cannot express exactly (chaos faults, egress queues, traced
-        bandwidths) falls back to :meth:`send_gradients` per item.
+        order. Unless a fault injector is armed, the link arithmetic
+        for every live destination runs as one
+        :meth:`BandwidthMatrix.enqueue_transfers` call; trace spans,
+        delivery scheduling, and link stats still run per destination
+        in the original order, so traces, metrics, and event sequence
+        numbers are byte-identical to the sequential path. Chaos
+        faults, which the batch cannot express, fall back to
+        :meth:`send_gradients` per item.
         """
         network = self.topology.network
-        if (
-            len(items) < 2
-            or self._fault_injector is not None
-            or not getattr(network, "vectorized", False)
-        ):
+        if len(items) < 2 or self._fault_injector is not None:
             return super().send_gradients_batch(src, items)
         now = self.clock.now
         active = self.active

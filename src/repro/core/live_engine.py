@@ -295,23 +295,27 @@ class LiveEngine:
     # Handshake phases
     # ------------------------------------------------------------------
     def _recv_expected(
-        self, children: dict[int, _Child], expected: str
+        self,
+        children: dict[int, _Child],
+        expected: str,
+        who: str = "live worker",
     ) -> dict[int, tuple]:
-        """Collect one ``expected``-tagged message from every child."""
+        """Collect one ``expected``-tagged message from every child
+        (``who`` names them in errors: the first spawn or a respawn)."""
         out: dict[int, tuple] = {}
         deadline = time.monotonic() + self.handshake_timeout_s
         pending = set(children)
         while pending:
             if time.monotonic() > deadline:
                 raise RuntimeError(
-                    f"live worker(s) {sorted(pending)} did not report "
+                    f"{who}(s) {sorted(pending)} did not report "
                     f"{expected!r} within {self.handshake_timeout_s:.0f}s"
                 )
             for w in sorted(pending):
                 c = children[w]
                 if not c.proc.is_alive() and not c.conn.poll():
                     raise RuntimeError(
-                        f"live worker {w} died during the {expected!r} "
+                        f"{who} {w} died during the {expected!r} "
                         "handshake" + self._stderr_tail(w)
                     )
                 if c.conn.poll(0.01):
@@ -319,52 +323,20 @@ class LiveEngine:
                         msg = c.conn.recv()
                     except EOFError:
                         raise RuntimeError(
-                            f"live worker {w} closed its pipe during the "
+                            f"{who} {w} closed its pipe during the "
                             f"{expected!r} handshake" + self._stderr_tail(w)
                         ) from None
                     if msg[0] == "error":
                         raise RuntimeError(
-                            f"live worker {w} failed during startup:\n{msg[2]}"
+                            f"{who} {w} failed during startup:\n{msg[2]}"
                         )
                     if msg[0] != expected:
                         raise RuntimeError(
-                            f"live worker {w}: expected {expected!r}, got {msg[0]!r}"
+                            f"{who} {w}: expected {expected!r}, got {msg[0]!r}"
                         )
                     out[w] = msg
                     pending.discard(w)
         return out
-
-    def _recv_one(self, child: _Child, w: int, expected: str) -> tuple:
-        """One ``expected``-tagged message from a single (respawned) child."""
-        deadline = time.monotonic() + self.handshake_timeout_s
-        while time.monotonic() <= deadline:
-            if child.conn.poll(0.02):
-                try:
-                    msg = child.conn.recv()
-                except EOFError:
-                    raise RuntimeError(
-                        f"respawned worker {w} closed its pipe during the "
-                        f"{expected!r} handshake" + self._stderr_tail(w)
-                    ) from None
-                if msg[0] == "error":
-                    raise RuntimeError(
-                        f"respawned worker {w} failed during startup:\n{msg[2]}"
-                    )
-                if msg[0] != expected:
-                    raise RuntimeError(
-                        f"respawned worker {w}: expected {expected!r}, "
-                        f"got {msg[0]!r}"
-                    )
-                return msg
-            if not child.proc.is_alive() and not child.conn.poll():
-                raise RuntimeError(
-                    f"respawned worker {w} died during the {expected!r} "
-                    "handshake" + self._stderr_tail(w)
-                )
-        raise RuntimeError(
-            f"respawned worker {w} did not report {expected!r} within "
-            f"{self.handshake_timeout_s:.0f}s"
-        )
 
     # ------------------------------------------------------------------
     # Supervision
@@ -445,14 +417,7 @@ class LiveEngine:
                         msg = c.conn.recv()
                     except EOFError:
                         break
-                    if msg[0] == "progress":
-                        c.last_iteration = msg[2]
-                        c.last_time = msg[3]
-                    elif msg[0] == "delta":
-                        self._note_delta(c, w, msg[2])
-                    elif msg[0] == "result":
-                        payloads[w] = msg[2]
-                        pending.discard(w)
+                    self._on_child_message(c, w, msg, payloads, pending)
                 if w not in pending:
                     crash_queue.pop(0)
                     continue
@@ -504,18 +469,11 @@ class LiveEngine:
                             f"live worker {w} closed its pipe before "
                             "reporting a result" + self._stderr_tail(w)
                         ) from None
-                    if msg[0] == "progress":
-                        c.last_iteration = msg[2]
-                        c.last_time = msg[3]
-                    elif msg[0] == "delta":
-                        self._note_delta(c, w, msg[2])
-                    elif msg[0] == "error":
+                    if msg[0] == "error":
                         raise RuntimeError(
                             f"live worker {w} failed:\n{msg[2]}"
                         )
-                    elif msg[0] == "result":
-                        payloads[w] = msg[2]
-                        pending.discard(w)
+                    self._on_child_message(c, w, msg, payloads, pending)
                 elif not c.proc.is_alive():
                     # Unplanned death. Respawn under the budget, else fail
                     # with whatever the child managed to say on stderr.
@@ -541,6 +499,19 @@ class LiveEngine:
                         )
         return payloads, killed
 
+    def _on_child_message(
+        self, c: _Child, w: int, msg: tuple, payloads: dict, pending: set
+    ) -> None:
+        """Book one post-go ``progress`` / ``delta`` / ``result`` message."""
+        if msg[0] == "progress":
+            c.last_iteration = msg[2]
+            c.last_time = msg[3]
+        elif msg[0] == "delta":
+            self._note_delta(c, w, msg[2])
+        elif msg[0] == "result":
+            payloads[w] = msg[2]
+            pending.discard(w)
+
     def _respawn(
         self,
         ctx,
@@ -562,7 +533,7 @@ class LiveEngine:
         child.last_iteration = old.last_iteration
         children[w] = child
 
-        msg = self._recv_one(child, w, "port")
+        msg = self._recv_expected({w: child}, "port", "respawned worker")[w]
         child.port = msg[2]
         child.restored_iteration = int(msg[3]) if len(msg) > 3 else 0
         child.last_iteration = child.restored_iteration
@@ -574,7 +545,7 @@ class LiveEngine:
             if i == w or c.proc.is_alive()
         }
         child.conn.send(("ports", live))
-        self._recv_one(child, w, "ready")
+        self._recv_expected({w: child}, "ready", "respawned worker")
 
         # Survivors first: re-opening their links before the rejoiner
         # starts training narrows the window in which its DKT bootstrap

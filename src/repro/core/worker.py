@@ -365,7 +365,7 @@ class Worker:
         """The DLion ``enqueue`` API: plan payloads and ship them.
 
         The whole fan-out happens at one simulated instant, so it ships
-        through the engine's batched send — one vectorized link-state
+        through the engine's batched send — one array link-state
         update instead of per-destination scalar arithmetic — with
         byte-identical results (see ``send_gradients_batch``)."""
         plans = self.strategy.generate_partial_gradients(self, grads)

@@ -268,13 +268,14 @@ class LiveWorkerRuntime(WorkerHost):
         if not self.spec.shm_lanes or resume or not shm_available():
             return set()
         cutoff = self.spec.transport.shm_min_mbps
+        network = self.topology.network
         peers: set[int] = set()
         for dst in range(self.n_workers):
             if dst == self.worker_id:
                 continue
-            fwd = self.topology.network.link(self.worker_id, dst)
-            rev = self.topology.network.link(dst, self.worker_id)
-            if min(fwd.bandwidth_at(0.0), rev.bandwidth_at(0.0)) >= cutoff:
+            fwd = network.bandwidth_at(self.worker_id, dst, 0.0)
+            rev = network.bandwidth_at(dst, self.worker_id, 0.0)
+            if min(fwd, rev) >= cutoff:
                 peers.add(dst)
         return peers
 
@@ -282,8 +283,8 @@ class LiveWorkerRuntime(WorkerHost):
         """The shaper rate for the link to ``dst``: modelled Mbps at the
         current modelled time, converted to wall bytes/s (sped up so a
         transfer's wall duration equals modelled duration / speedup)."""
-        mbps = self.topology.network.link(self.worker_id, dst).bandwidth_at(
-            self.clock.now
+        mbps = self.topology.network.bandwidth_at(
+            self.worker_id, dst, self.clock.now
         )
         return mbps * 1e6 / 8.0 * self.spec.speedup
 

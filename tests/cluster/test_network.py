@@ -9,46 +9,54 @@ from repro.cluster.network import (
     BandwidthMatrix,
     Link,
 )
-from repro.cluster.traces import PiecewiseTrace
+from repro.cluster.topology import ClusterTopology
+from repro.cluster.traces import ConstantTrace, PiecewiseTrace
+
+
+def make_link(src, dst, bandwidth, *, latency=0.002):
+    """A standalone link: the ``src -> dst`` view of a small uniform matrix."""
+    n = max(src, dst, 1) + 1
+    matrix = BandwidthMatrix([[bandwidth] * n for _ in range(n)], latency=latency)
+    return Link(matrix, src, dst)
 
 
 class TestLink:
     def test_transfer_duration(self):
-        link = Link(0, 1, 50.0, latency=0.0)
+        link = make_link(0, 1, 50.0, latency=0.0)
         # 1 MB at 50 Mbps = 8e6 bits / 5e7 bps = 0.16 s
         assert link.transfer_duration(1_000_000, 0.0) == pytest.approx(0.16)
 
     def test_fifo_serialization(self):
-        link = Link(0, 1, 80.0, latency=0.0)
+        link = make_link(0, 1, 80.0, latency=0.0)
         d1 = link.enqueue_transfer(1_000_000, 0.0)   # 0.1 s
         d2 = link.enqueue_transfer(1_000_000, 0.0)   # queued behind
         assert d1 == pytest.approx(0.1)
         assert d2 == pytest.approx(0.2)
 
     def test_idle_gap_resets_queue(self):
-        link = Link(0, 1, 80.0, latency=0.0)
+        link = make_link(0, 1, 80.0, latency=0.0)
         link.enqueue_transfer(1_000_000, 0.0)
         d = link.enqueue_transfer(1_000_000, 10.0)  # queue long drained
         assert d == pytest.approx(10.1)
 
     def test_latency_added_after_serialization(self):
-        link = Link(0, 1, 80.0, latency=0.05)
+        link = make_link(0, 1, 80.0, latency=0.05)
         assert link.enqueue_transfer(1_000_000, 0.0) == pytest.approx(0.15)
 
     def test_queue_delay(self):
-        link = Link(0, 1, 80.0, latency=0.0)
+        link = make_link(0, 1, 80.0, latency=0.0)
         link.enqueue_transfer(2_000_000, 0.0)  # busy until 0.2
         assert link.queue_delay(0.1) == pytest.approx(0.1)
         assert link.queue_delay(0.5) == 0.0
 
     def test_bandwidth_trace_respected(self):
-        link = Link(0, 1, PiecewiseTrace([(0, 10), (100, 100)]), latency=0.0)
+        link = make_link(0, 1, PiecewiseTrace([(0, 10), (100, 100)]), latency=0.0)
         slow = link.transfer_duration(1_000_000, 0.0)
         fast = link.transfer_duration(1_000_000, 150.0)
         assert slow == pytest.approx(10 * fast)
 
     def test_stats(self):
-        link = Link(0, 1, 80.0)
+        link = make_link(0, 1, 80.0)
         link.enqueue_transfer(100, 0.0)
         link.enqueue_transfer(200, 0.0)
         assert link.bytes_sent == 300
@@ -56,11 +64,11 @@ class TestLink:
 
     def test_no_self_link(self):
         with pytest.raises(ValueError):
-            Link(2, 2, 10.0)
+            make_link(2, 2, 10.0)
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
-            Link(0, 1, 10.0).transfer_duration(-1, 0.0)
+            make_link(0, 1, 10.0).transfer_duration(-1, 0.0)
 
 
 class TestBandwidthMatrix:
@@ -72,8 +80,9 @@ class TestBandwidthMatrix:
 
     def test_full_mesh_no_self_links(self):
         m = BandwidthMatrix.from_worker_capacity([10] * 4)
-        assert len(m.links) == 12
-        assert (1, 1) not in m.links
+        assert sum(len(m.out_links(i)) for i in range(4)) == 12
+        with pytest.raises(KeyError):
+            m.link(1, 1)
 
     def test_out_links(self):
         m = BandwidthMatrix.from_worker_capacity([10] * 3)
@@ -106,38 +115,51 @@ class TestBandwidthMatrix:
         with pytest.raises(ValueError):
             BandwidthMatrix([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BandwidthMatrix([[0, 0.0], [5, 0]]),
+            lambda: BandwidthMatrix(np.array([[0.0, 5.0], [-5.0, 0.0]])),
+            lambda: BandwidthMatrix([[1, ConstantTrace(50.0)], [-5, 1]]),
+            lambda: BandwidthMatrix.from_worker_capacity([50, -5, 20]),
+            lambda: BandwidthMatrix.from_worker_capacity(
+                [50, -5, 20], shared_egress=True
+            ),
+            lambda: BandwidthMatrix([[0, 5.0], [5.0, 0]], egress=[10.0, 0.0]),
+            lambda: ClusterTopology.build(cores=[4, 4, 4], bandwidth=[50, 0, 20]),
+        ],
+        ids=["list", "ndarray", "constant-trace", "capacity", "capacity+egress",
+             "egress", "topology"],
+    )
+    def test_non_positive_bandwidth_rejected(self, build):
+        """Every off-diagonal bandwidth and egress capacity must be > 0
+        (it used to surface as a delivery before the start, or ``inf``)."""
+        with pytest.raises(ValueError):
+            build()
+
+    def test_diagonal_is_ignored(self):
+        """Table 2 carries 0 on its diagonal; only real links are checked."""
+        m = BandwidthMatrix(AWS_REGION_BANDWIDTH)
+        assert m.link(0, 1).bandwidth_at(0.0) == 190.0
+
 
 class TestVectorMode:
-    """The allocation-free array backend behind all-scalar matrices."""
+    """The array store behind every matrix, and its batch path."""
 
     def _scalar_matrix(self):
         return BandwidthMatrix.from_worker_capacity(
             [50.0, 35.0, 20.0, 10.0], latency=0.01
         )
 
-    def test_scalar_spec_is_vectorized(self):
-        assert self._scalar_matrix().vectorized
-
-    def test_trace_spec_is_not_vectorized(self):
-        tr = PiecewiseTrace([(0.0, 10.0), (5.0, 20.0)])
-        m = BandwidthMatrix([[1.0, tr], [tr, 1.0]])
-        assert not m.vectorized
-
-    def test_egress_disables_vector_mode(self):
-        m = BandwidthMatrix.from_worker_capacity(
-            [50.0, 35.0], shared_egress=True
-        )
-        assert not m.vectorized
-
     def test_links_mapping_view(self):
         m = self._scalar_matrix()
-        assert len(m.links) == 12
-        assert (0, 1) in m.links and (1, 1) not in m.links
-        view = m.links[(0, 2)]
+        view = m.link(0, 2)
         assert view.bandwidth_at(0.0) == 20.0
         assert view.latency == 0.01
         with pytest.raises(KeyError):
-            m.links[(2, 2)]
+            m.link(2, 2)
+        with pytest.raises(KeyError):
+            m.link(0, 4)
 
     def test_batch_matches_sequential_bit_exact(self):
         """enqueue_transfers == the scalar loop, to the last ulp."""
@@ -152,17 +174,11 @@ class TestVectorMode:
         assert list(vec) == seq
         # Stats written back identically.
         for d in dsts:
-            la, lb = a.links[(0, d)], b.links[(0, d)]
+            la, lb = a.link(0, d), b.link(0, d)
             assert la.busy_until == lb.busy_until
             assert la.bytes_sent == lb.bytes_sent
             assert la.transfers == lb.transfers
         assert a.total_bytes() == b.total_bytes()
-
-    def test_batch_requires_vector_mode(self):
-        tr = PiecewiseTrace([(0.0, 10.0)])
-        m = BandwidthMatrix([[1.0, tr], [tr, 1.0]])
-        with pytest.raises(RuntimeError):
-            m.enqueue_transfers(0, [1], [100], 0.0)
 
     def test_batch_validation(self):
         m = self._scalar_matrix()

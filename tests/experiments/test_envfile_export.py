@@ -85,6 +85,42 @@ class TestParseEnvironment:
             load_environment(path)
 
 
+class TestEnvironmentTopology:
+    """Env files land in the same array store as float capacities."""
+
+    def test_constant_document_takes_the_array_path(self):
+        from repro.cluster.network import BandwidthMatrix
+        from repro.experiments.runner import build_topology, cpu_workload
+
+        doc = {
+            "name": "flat",
+            "workers": [{"cores": 24, "bandwidth": b} for b in (50, 35, 20)],
+        }
+        workload = cpu_workload()
+        net = build_topology(parse_environment(doc)[0], workload).network
+        assert net._traces == {}
+        ws = workload.wire_scale()
+        ref = BandwidthMatrix.from_worker_capacity([50.0 * ws, 35.0 * ws, 20.0 * ws])
+        for src, dst, nbytes, t in [(0, 1, 40_000, 0.0), (0, 1, 7, 0.001), (2, 0, 999, 0.5)]:
+            assert net.enqueue_transfer(src, dst, nbytes, t) == ref.enqueue_transfer(
+                src, dst, nbytes, t
+            )
+        assert list(net.enqueue_transfers(1, [0, 2], [123_456, 1], 0.75)) == list(
+            ref.enqueue_transfers(1, [0, 2], [123_456, 1], 0.75)
+        )
+
+    def test_only_traced_workers_keep_a_trace(self):
+        from repro.cluster.topology import ClusterTopology
+
+        _spec, cores, bandwidths = parse_environment(VALID_DOC)
+        net = ClusterTopology.build(cores=cores, bandwidth=bandwidths).network
+        # A traced capacity applies to the worker's outgoing links.
+        assert set(net._traces) == {(1, 0), (1, 2)}
+        assert net.bandwidth_at(1, 0, 299.0) == 50.0
+        assert net.bandwidth_at(1, 0, 300.0) == 20.0
+        assert net.bandwidth_at(0, 2, 300.0) == 20.0
+
+
 class TestExport:
     @pytest.fixture(scope="class")
     def result(self):

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""One sha256 line per simulator run, for "same bytes as the parent" claims.
+
+Runs fifteen short seeded simulations — the eleven presets of
+``tests/obs/test_scheduler_parity.py`` plus Dynamic SYS B, a shared-egress
+cluster, a bandwidth square wave and a square wave behind shared egress —
+and prints ``sha256(trace bytes + sorted metrics dump)`` for each. The
+simulator is byte-deterministic, so two trees behave identically on these
+runs exactly when the outputs ``diff`` clean::
+
+    python tools/same_bytes.py > head.txt
+    cp tools/same_bytes.py ../parent/tools/ && python ../parent/tools/same_bytes.py > base.txt
+    diff base.txt head.txt
+
+The script imports ``repro`` from the ``src/`` next to its own ``tools/``
+directory, and uses only entry points every commit since PR 15 has.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+SEED = 3
+HORIZON = 12.0
+
+# (environment, system, overlay): tests/obs/test_scheduler_parity.py's
+# CONFIGS and BASELINE_PRESETS, then the second dynamic preset.
+PRESETS = [
+    ("Homo B", "dlion", None),
+    ("Hetero CPU B", "dlion", None),
+    ("Hetero NET A", "dlion", None),
+    ("Hetero SYS B", "dlion", None),
+    ("Dynamic SYS A", "dlion", None),
+    ("Hetero NET A", "dlion", "ring"),
+    ("Homo B", "dlion", "kregular:3"),
+    ("Hetero SYS A", "baseline", None),
+    ("Hetero SYS A", "hop", None),
+    ("Hetero NET A", "gaia", None),
+    ("Homo B", "ako", None),
+    ("Dynamic SYS B", "dlion", None),
+]
+
+
+def _digest(tracer, metrics) -> str:
+    dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)
+    return hashlib.sha256(tracer.dumps().encode() + dump.encode()).hexdigest()
+
+
+def _preset(environment, system, overlay) -> str:
+    from repro.experiments.runner import RunSpec, run_experiment
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+    tracer, metrics = Tracer(), MetricsRegistry()
+    spec = RunSpec(
+        environment=environment, system=system, seed=SEED,
+        horizon=HORIZON, overlay=overlay,
+    )
+    run_experiment(spec, tracer=tracer, metrics=metrics)
+    return _digest(tracer, metrics)
+
+
+def _custom(bandwidth, *, shared_egress) -> str:
+    """DLion on a hand-built cluster (per-worker capacities or traces)."""
+    from repro.cluster.topology import ClusterTopology
+    from repro.core.engine import TrainingEngine
+    from repro.experiments.runner import build_config, cpu_workload
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+    workload = cpu_workload()
+    topo = ClusterTopology.build(
+        cores=[24] * len(bandwidth),
+        bandwidth=bandwidth,
+        per_core_rate=workload.per_unit_rate,
+        overhead=workload.overhead,
+        shared_egress=shared_egress,
+    )
+    tracer, metrics = Tracer(), MetricsRegistry()
+    TrainingEngine(
+        build_config("dlion", workload), topo, seed=SEED,
+        tracer=tracer, metrics=metrics,
+    ).run(HORIZON)
+    return _digest(tracer, metrics)
+
+
+def main() -> int:
+    from repro.cluster.traces import square_wave
+    from repro.experiments.runner import cpu_workload
+
+    ws = cpu_workload().wire_scale()
+    hetero_net_a = [b * ws for b in (50, 50, 35, 35, 20, 20)]
+    # Three workers, 20 <-> 50 Mbps every 3.5 s: three flips in a run.
+    waves = [
+        square_wave(20 * ws, 50 * ws, 3.5, start_high=bool(i % 2), horizon=60.0)
+        for i in range(3)
+    ]
+    for env, system, overlay in PRESETS:
+        name = f"{env} / {system}" + (f" / {overlay}" if overlay else "")
+        print(f"{_preset(env, system, overlay)}  {name}", flush=True)
+    for name, bandwidth, shared_egress in [
+        ("Hetero NET A + shared egress", hetero_net_a, True),
+        ("square wave x3", waves, False),
+        ("square wave x3 + shared egress", waves, True),
+    ]:
+        digest = _custom(bandwidth, shared_egress=shared_egress)
+        print(f"{digest}  {name} / dlion", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
