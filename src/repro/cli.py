@@ -241,39 +241,18 @@ def _build_run_setup(args: argparse.Namespace):
     the in-process simulator or the multi-process live runtime, so a
     ``--backend proc`` run trains the exact model the simulation models.
     """
-    from repro.experiments.runner import build_config
+    from repro.experiments.envfile import load_environment
+    from repro.experiments.environments import get_environment
+    from repro.experiments.runner import build_config, build_topology, workload_for
 
     if args.env_file:
-        from repro.cluster.topology import ClusterTopology
-        from repro.cluster.traces import PiecewiseTrace
-        from repro.experiments.envfile import load_environment
-        from repro.experiments.runner import cpu_workload, gpu_workload
-
-        spec, cores, bandwidths = load_environment(args.env_file)
-        workload = gpu_workload() if spec.platform == "gpu" else cpu_workload()
-        ws = workload.wire_scale()
-
-        def scale(bw):
-            if isinstance(bw, (int, float)):
-                return float(bw) * ws
-            # trace: rebuild with scaled levels
-            segments = [(t, v * ws) for t, v in zip(bw._times, bw._values)]
-            return PiecewiseTrace(segments)
-
-        topo = ClusterTopology.build(
-            cores=cores,
-            bandwidth=[scale(b) for b in bandwidths],
-            per_core_rate=workload.per_unit_rate,
-            overhead=workload.overhead,
-        )
-        print(f"custom environment: {spec.name} ({topo.n_workers} workers)")
+        env = load_environment(args.env_file)
     else:
-        from repro.experiments.environments import get_environment
-        from repro.experiments.runner import build_topology, workload_for
-
         env = get_environment(args.environment)
-        workload = workload_for(env)
-        topo = build_topology(env, workload, n_workers=args.workers)
+    workload = workload_for(env)
+    topo = build_topology(env, workload, n_workers=args.workers)
+    if args.env_file:
+        print(f"custom environment: {env.name} ({topo.n_workers} workers)")
     return build_config(args.system, workload), topo, workload.horizon()
 
 
@@ -297,9 +276,6 @@ def _live_profile_report(metrics) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     if bool(args.environment) == bool(args.env_file):
         print("exactly one of --environment / --env-file is required", file=sys.stderr)
-        return 2
-    if args.env_file and args.workers is not None:
-        print("--workers applies only to preset environments", file=sys.stderr)
         return 2
     if args.backend == "proc" and args.overlay:
         print(

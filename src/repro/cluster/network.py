@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.traces import ConstantTrace
+from repro.cluster.traces import ConstantTrace, min_trace
 
 __all__ = ["Link", "BandwidthMatrix", "AWS_REGIONS", "AWS_REGION_BANDWIDTH"]
 
@@ -148,9 +148,9 @@ class BandwidthMatrix:
     worker i to worker j; every off-diagonal bandwidth must be positive
     and the diagonal is ignored (Table 2's is 0).
     ``from_worker_capacity`` builds the common Table 3 pattern where
-    each worker has a single capacity applied to all of its links (e.g.
-    "50/50/35/35/20/20" means worker 0's links run at 50 Mbps, worker
-    4's at 20).
+    each worker has a single capacity (e.g. "50/50/35/35/20/20") and a
+    link runs at the slower of its two endpoints — ``min(cap_i(t),
+    cap_j(t))`` at transfer start, for scalars and traces alike.
 
     Link state lives in n x n arrays for every spec (see the module
     docstring); only a link whose bandwidth varies over time keeps an
@@ -264,12 +264,13 @@ class BandwidthMatrix:
         latency: float = 0.002,
         shared_egress: bool = False,
     ) -> "BandwidthMatrix":
-        """Each worker's outgoing links share its capacity value/trace.
+        """One capacity (Mbps, scalar or trace) per worker, one rule per link.
 
         The paper's per-worker Mbps lists (Table 3) describe the
         capacity of each worker's connections; a transfer i→j is limited
-        by the slower endpoint, so the link gets min(cap_i, cap_j) for
-        scalar capacities and the source's trace otherwise.
+        by the slower endpoint, so ``link i→j = min(cap_i(t), cap_j(t))``
+        — for scalars and traces alike (:func:`~repro.cluster.traces.min_trace`).
+        A link whose minimum never changes is stored as a constant.
 
         ``shared_egress=True`` additionally serializes each worker's
         outgoing transfers through a NIC queue at its own capacity —
@@ -278,18 +279,9 @@ class BandwidthMatrix:
         egress = list(capacities) if shared_egress else None
         if all(isinstance(c, (int, float)) for c in capacities):
             caps = np.asarray([float(c) for c in capacities])
-            return cls(
-                np.minimum.outer(caps, caps), latency=latency, egress=egress
-            )
-        spec = [
-            [
-                min(float(ci), float(cj))
-                if isinstance(ci, (int, float)) and isinstance(cj, (int, float))
-                else ci
-                for cj in capacities
-            ]
-            for ci in capacities
-        ]
+            spec = np.minimum.outer(caps, caps)
+        else:
+            spec = [[min_trace(ci, cj) for cj in capacities] for ci in capacities]
         return cls(spec, latency=latency, egress=egress)
 
     @classmethod

@@ -9,9 +9,10 @@ uses a bandwidth square wave — both are expressible here.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
-__all__ = ["ConstantTrace", "PiecewiseTrace", "square_wave"]
+__all__ = ["ConstantTrace", "PiecewiseTrace", "min_trace", "square_wave"]
 
 
 class ConstantTrace:
@@ -20,6 +21,8 @@ class ConstantTrace:
     def __init__(self, value: float):
         if value <= 0:
             raise ValueError("resource level must be positive")
+        if not math.isfinite(value):
+            raise ValueError("resource level must be finite")
         self.value = float(value)
 
     def value_at(self, t: float) -> float:
@@ -29,6 +32,10 @@ class ConstantTrace:
     def next_change_after(self, t: float) -> float | None:
         """Constant resources never change; always None."""
         return None
+
+    def scaled(self, factor: float) -> "ConstantTrace":
+        """The same resource at ``factor`` times the level."""
+        return ConstantTrace(self.value * factor)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ConstantTrace({self.value})"
@@ -53,6 +60,8 @@ class PiecewiseTrace:
             raise ValueError("segment times must be strictly increasing")
         if any(v <= 0 for v in values):
             raise ValueError("resource levels must be positive")
+        if not all(map(math.isfinite, times + values)):
+            raise ValueError("segment times and resource levels must be finite")
         self._times = times
         self._values = values
 
@@ -70,9 +79,35 @@ class PiecewiseTrace:
             return None
         return self._times[idx]
 
+    def scaled(self, factor: float) -> "PiecewiseTrace":
+        """The same schedule at ``factor`` times every level."""
+        return PiecewiseTrace([(t, v * factor) for t, v in zip(self._times, self._values)])
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pairs = list(zip(self._times, self._values))
         return f"PiecewiseTrace({pairs})"
+
+
+def min_trace(a, b) -> ConstantTrace | PiecewiseTrace:
+    """The pointwise minimum of two resource specs (scalars or traces).
+
+    Evaluated over the union of the two specs' breakpoints, with
+    consecutive equal levels collapsed; a minimum that never changes
+    comes back as a :class:`ConstantTrace`.
+    """
+    a, b = (
+        x if isinstance(x, PiecewiseTrace)
+        else PiecewiseTrace([(0.0, x.value if isinstance(x, ConstantTrace) else x)])
+        for x in (a, b)
+    )
+    segments: list[tuple[float, float]] = []
+    for t in sorted({*a._times, *b._times}):
+        v = min(a.value_at(t), b.value_at(t))
+        if not segments or v != segments[-1][1]:
+            segments.append((t, v))
+    if len(segments) == 1:
+        return ConstantTrace(segments[0][1])
+    return PiecewiseTrace(segments)
 
 
 def square_wave(

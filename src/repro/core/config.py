@@ -177,7 +177,6 @@ class TrainConfig:
     # Measurement
     eval_period_iters: int = 20  # paper §5.1.3
     eval_subset: int = 400
-    record_link_stats: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_capacity is not None and self.queue_capacity < 1:

@@ -58,7 +58,6 @@ class DktState:
         self._losses: deque[float] = deque(maxlen=config.loss_window)
         # latest shared avg-loss per worker (own entry updated locally)
         self.shared_losses: dict[int, float] = {}
-        self.pulls_requested = 0
         self.merges_applied = 0
 
     def record_loss(self, loss: float) -> None:

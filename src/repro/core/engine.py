@@ -164,7 +164,6 @@ class TrainingEngine(WorkerHost):
             )
         tracer = self.tracer
         tracing = tracer.enabled
-        record = self.config.record_link_stats
         schedule = self.clock.schedule
         workers = self.workers
         k = 0
@@ -190,8 +189,7 @@ class TrainingEngine(WorkerHost):
                     workers[dst].on_gradient_message,
                     msg,
                 )
-            if record:
-                self._record_link(src, dst, nbytes, msg, chosen_n, now)
+            self._record_link(src, dst, nbytes, msg, chosen_n, now)
 
     # ------------------------------------------------------------------
     # Elastic membership (extension)

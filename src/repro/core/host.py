@@ -497,8 +497,7 @@ class WorkerHost:
             src, dst, nbytes, self._handler(dst, "on_gradient_message"), msg,
             kind="grad",
         )
-        if self.config.record_link_stats:
-            self._record_link(src, dst, nbytes, msg, chosen_n, self.clock.now)
+        self._record_link(src, dst, nbytes, msg, chosen_n, self.clock.now)
 
     def send_gradients_batch(
         self, src: int, items: list[tuple[int, GradientMessage, float | None]]

@@ -21,7 +21,6 @@ Module map (paper §4.1 → methods here):
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -102,11 +101,9 @@ class Worker:
         # Iteration-time estimate (EMA over measured durations), seeded
         # pessimistically until the first iteration completes.
         self._iter_time_ema: float | None = None
-        self._recent_iters: deque[tuple[int, float]] = deque(maxlen=32)
 
         self.stats_grad_msgs_sent = 0
         self.stats_grad_msgs_received = 0
-        self.stats_weight_pulls = 0
 
         # Utilization accounting: simulated seconds spent computing
         # gradients vs. blocked on the synchronization gate.
@@ -279,7 +276,6 @@ class Worker:
             # The worker left mid-iteration: no batch is drawn and the
             # iteration never happened.
             return
-        self._recent_iters.append((batch, duration))
         ema = self._iter_time_ema
         self._iter_time_ema = duration if ema is None else 0.8 * ema + 0.2 * duration
 
@@ -328,8 +324,6 @@ class Worker:
                 self.engine.broadcast_loss_share(self.worker_id, self.iteration, avg)
                 target = self.dkt.pull_target()
                 if target is not None:
-                    self.dkt.pulls_requested += 1
-                    self.stats_weight_pulls += 1
                     self.engine._c_dkt_pulls.inc(1, self.worker_id)
                     if self.tracer.enabled:
                         self.tracer.instant(

@@ -135,9 +135,6 @@ def ablation_network_model(environment: str = "Hetero NET A") -> FigureResult:
     only the per-link estimate, so its payloads overshoot under
     contention yet the Max-N floor keeps it training.
     """
-    from repro.cluster.topology import ClusterTopology
-    from repro.core.engine import TrainingEngine
-
     workload = cpu_workload()
     env = get_environment(environment)
     res = FigureResult(
@@ -159,13 +156,7 @@ def ablation_network_model(environment: str = "Hetero NET A") -> FigureResult:
     for system, label, shared, overrides in cases:
         accs = []
         for seed in bench_seeds():
-            topo = ClusterTopology.build(
-                cores=list(env.cores),
-                bandwidth=[b * workload.wire_scale() for b in env.bandwidth],
-                per_core_rate=workload.per_unit_rate,
-                overhead=workload.overhead,
-                shared_egress=shared,
-            )
+            topo = workload.cluster(env.cores, env.bandwidth, shared_egress=shared)
             cfg = build_config(system, workload, **overrides)
             accs.append(
                 TrainingEngine(cfg, topo, seed=seed).run(workload.horizon())
@@ -189,8 +180,6 @@ def ablation_overlay(environment: str = "Homo B") -> FigureResult:
     gossip-SGD question, asked inside DLion.
     """
     from repro.cluster.peergraph import PeerGraph
-    from repro.cluster.topology import ClusterTopology
-    from repro.core.engine import TrainingEngine
 
     workload = cpu_workload()
     env = get_environment(environment)
@@ -208,12 +197,7 @@ def ablation_overlay(environment: str = "Homo B") -> FigureResult:
     for label, overlay in overlays:
         accs, mbs = [], []
         for seed in bench_seeds():
-            topo = ClusterTopology.build(
-                cores=list(env.cores),
-                bandwidth=[b * workload.wire_scale() for b in env.bandwidth],
-                per_core_rate=workload.per_unit_rate,
-                overhead=workload.overhead,
-            )
+            topo = workload.cluster(env.cores, env.bandwidth)
             cfg = build_config("dlion", workload)
             r = TrainingEngine(
                 cfg, topo, seed=seed, peer_graph=overlay

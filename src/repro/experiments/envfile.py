@@ -19,8 +19,11 @@ Schema (all bandwidths in Mbps, compute in cores/GPU-equivalents)::
 
 A scalar is a constant resource; a list of ``[start_time, value]``
 pairs is a :class:`~repro.cluster.traces.PiecewiseTrace` (first start
-must be 0). Link bandwidth between two workers is the slower endpoint,
-matching :meth:`BandwidthMatrix.from_worker_capacity`.
+must be 0); levels are finite positive numbers. The document becomes an
+:class:`~repro.experiments.environments.EnvSpec` and takes a preset's
+path to a cluster (``runner.build_topology``): the link between two
+workers runs at ``min(cap_i(t), cap_j(t))`` — the slower endpoint at
+transfer start, scalars and traces alike.
 """
 
 from __future__ import annotations
@@ -34,88 +37,51 @@ from repro.experiments.environments import EnvSpec
 __all__ = ["load_environment", "parse_environment", "trace_from_spec"]
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def trace_from_spec(spec):
     """A scalar → ConstantTrace; ``[[t, v], ...]`` → PiecewiseTrace."""
-    if isinstance(spec, (int, float)):
-        return ConstantTrace(float(spec))
+    if _number(spec):
+        return ConstantTrace(spec)
     if isinstance(spec, list):
-        segments = []
         for pair in spec:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_number, pair))):
                 raise ValueError(f"trace segment must be [time, value], got {pair!r}")
-            segments.append((float(pair[0]), float(pair[1])))
-        return PiecewiseTrace(segments)
+        return PiecewiseTrace(spec)
     raise ValueError(f"cannot interpret resource spec {spec!r}")
 
 
-def _static_value(spec) -> float | None:
-    """The scalar value if the spec is constant, else None."""
-    return float(spec) if isinstance(spec, (int, float)) else None
+def _resource(spec):
+    """A validated per-worker entry: scalars stay floats, lists become traces."""
+    trace = trace_from_spec(spec)
+    return trace.value if isinstance(trace, ConstantTrace) else trace
 
 
-def parse_environment(doc: dict) -> tuple[EnvSpec, list, list]:
-    """Validate a JSON document; returns (spec, cores, bandwidths).
-
-    ``cores`` / ``bandwidths`` are per-worker scalars or traces, ready
-    for :meth:`ClusterTopology.build`. The returned :class:`EnvSpec`
-    carries static placeholder values for trace-typed resources (it is
-    only used for naming/reporting).
-    """
+def parse_environment(doc: dict) -> EnvSpec:
+    """Validate a JSON document; returns the environment it describes."""
     if not isinstance(doc, dict):
         raise ValueError("environment document must be a JSON object")
     name = doc.get("name")
     if not name or not isinstance(name, str):
         raise ValueError("environment needs a string 'name'")
-    platform = doc.get("platform", "cpu")
     workers = doc.get("workers")
     if not isinstance(workers, list) or len(workers) < 2:
         raise ValueError("environment needs a 'workers' list with >= 2 entries")
-
-    cores, bandwidths = [], []
     for i, w in enumerate(workers):
         if not isinstance(w, dict) or "cores" not in w or "bandwidth" not in w:
             raise ValueError(f"worker {i} needs 'cores' and 'bandwidth'")
-        c, b = w["cores"], w["bandwidth"]
-        trace_from_spec(c)  # validate
-        trace_from_spec(b)
-        cores.append(c if _static_value(c) is None else float(c))
-        bandwidths.append(b if _static_value(b) is None else float(b))
-
-    # EnvSpec requires exactly 6 workers for the paper presets; custom
-    # files may use any count, so build the spec loosely via __new__-
-    # style construction is avoided: report static placeholders.
-    static_cores = tuple(
-        _static_value(w["cores"]) or trace_from_spec(w["cores"]).value_at(0.0)
-        for w in workers
+    return EnvSpec(
+        name=name,
+        platform=doc.get("platform", "cpu"),
+        cores=tuple(_resource(w["cores"]) for w in workers),
+        bandwidth=tuple(_resource(w["bandwidth"]) for w in workers),
+        description=f"custom environment from file ({name})",
     )
-    static_bw = tuple(
-        _static_value(w["bandwidth"]) or trace_from_spec(w["bandwidth"]).value_at(0.0)
-        for w in workers
-    )
-    spec = EnvSpec.__new__(EnvSpec)
-    object.__setattr__(spec, "name", name)
-    object.__setattr__(spec, "platform", platform)
-    object.__setattr__(spec, "cores", static_cores)
-    object.__setattr__(spec, "bandwidth", static_bw)
-    object.__setattr__(spec, "phases", ())
-    object.__setattr__(spec, "phase_duration", 500.0)
-    object.__setattr__(spec, "description", f"custom environment from file ({name})")
-    if platform not in ("cpu", "gpu"):
-        raise ValueError("platform must be cpu or gpu")
-
-    # Normalize trace-typed entries into trace objects for the topology.
-    cores_out = [
-        trace_from_spec(w["cores"]) if _static_value(w["cores"]) is None else float(w["cores"])
-        for w in workers
-    ]
-    bw_out = [
-        trace_from_spec(w["bandwidth"]) if _static_value(w["bandwidth"]) is None else float(w["bandwidth"])
-        for w in workers
-    ]
-    return spec, cores_out, bw_out
 
 
-def load_environment(path: str | pathlib.Path) -> tuple[EnvSpec, list, list]:
+def load_environment(path: str | pathlib.Path) -> EnvSpec:
     """Read and validate an environment JSON file."""
     text = pathlib.Path(path).read_text()
     try:

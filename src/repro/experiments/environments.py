@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.traces import PiecewiseTrace
+
 __all__ = ["EnvSpec", "ENVIRONMENTS", "get_environment", "LAN_MBPS"]
 
 LAN_MBPS = 1000.0  # "LAN" in Table 3: the cluster's 1 Gbps fabric
@@ -26,15 +28,19 @@ _P28X = 8.0
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """One Table 3 row."""
+    """One environment: a Table 3 row, or a user's cluster file.
+
+    ``cores`` / ``bandwidth`` hold one entry per worker, each a scalar
+    or a trace (:mod:`repro.cluster.traces`). A dynamic preset names
+    its ``phases`` instead and steps through their levels.
+    """
 
     name: str
     platform: str  # "cpu" | "gpu"
-    cores: tuple[float, ...] = ()
-    bandwidth: tuple[float, ...] = ()
+    cores: tuple = ()
+    bandwidth: tuple = ()
     # Dynamic environments: names of the three phase sub-environments.
     phases: tuple[str, ...] = ()
-    phase_duration: float = 500.0  # paper seconds, scaled by the runner
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -51,6 +57,23 @@ class EnvSpec:
     @property
     def dynamic(self) -> bool:
         return bool(self.phases)
+
+    def resources(self, phase_duration: float) -> tuple[list, list]:
+        """Per-worker ``(cores, bandwidth)`` specs, paper units.
+
+        A static environment's are its own; a dynamic preset's are
+        traces stepping through its phases every ``phase_duration``
+        simulated seconds.
+        """
+        if not self.phases:
+            return list(self.cores), list(self.bandwidth)
+        phases = [get_environment(p) for p in self.phases]
+        starts = [k * phase_duration for k in range(len(phases))]
+
+        def stepping(levels):  # levels[k][i]: worker i's level in phase k
+            return [PiecewiseTrace(list(zip(starts, col))) for col in zip(*levels)]
+
+        return stepping([p.cores for p in phases]), stepping([p.bandwidth for p in phases])
 
 
 def _cpu(name: str, cores, bandwidth, description: str) -> EnvSpec:

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.compute import ComputeProfile
-from repro.cluster.network import AWS_REGION_BANDWIDTH, AWS_REGIONS, BandwidthMatrix
-from repro.cluster.topology import ClusterTopology
+from repro.cluster.network import AWS_REGION_BANDWIDTH, AWS_REGIONS
 from repro.cluster.traces import PiecewiseTrace
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, MaxNConfig
 from repro.core.engine import TrainingEngine
-from repro.experiments.environments import ENVIRONMENTS, get_environment
+from repro.experiments.environments import ENVIRONMENTS, LAN_MBPS, get_environment
 from repro.experiments.reporting import FigureResult
 from repro.experiments.runner import (
     bench_seeds,
@@ -80,10 +78,6 @@ def _system_comparison(
         "'vs dlion' = dlion metric / system metric (>1 means dlion wins on accuracy)"
     )
     return result
-
-
-def _homo_topology(workload) -> ClusterTopology:
-    return build_topology(get_environment("Homo A"), workload)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +185,8 @@ def fig05() -> FigureResult:
         accs, final_gbs = [], None
         for seed in bench_seeds():
             cfg = build_config("dlion", workload, **overrides)
-            engine = TrainingEngine(cfg, _homo_topology(workload), seed=seed)
+            topo = build_topology(get_environment("Homo A"), workload)
+            engine = TrainingEngine(cfg, topo, seed=seed)
             r = engine.run_epochs(epochs, max_time=20_000.0)
             accs.append(r.final_mean_accuracy())
             final_gbs = int(r.gbs.values[-1])
@@ -204,12 +199,7 @@ def fig05() -> FigureResult:
 def fig06() -> FigureResult:
     """Fig. 6: LBS per worker as GBS grows, hetero cores 24/24/12/12/4/4."""
     workload = cpu_workload()
-    topo = ClusterTopology.build(
-        cores=[24, 24, 12, 12, 4, 4],
-        bandwidth=[workload.wire_scale() * 1000.0] * 6,
-        per_core_rate=workload.per_unit_rate,
-        overhead=workload.overhead,
-    )
+    topo = workload.cluster([24, 24, 12, 12, 4, 4], [LAN_MBPS] * 6)
     cfg = build_config("dlion", workload)
     horizon = 1000.0 * workload.time_scale
     r = TrainingEngine(cfg, topo, seed=0).run(horizon)
@@ -449,15 +439,7 @@ def fig19() -> FigureResult:
     cores = [
         PiecewiseTrace([(t, row[i]) for t, row in schedule]) for i in range(6)
     ]
-    topo = ClusterTopology(
-        compute=[
-            ComputeProfile(c, per_core_rate=workload.per_unit_rate, overhead=workload.overhead)
-            for c in cores
-        ],
-        network=BandwidthMatrix.from_worker_capacity(
-            [workload.wire_scale() * 1000.0] * 6
-        ),
-    )
+    topo = workload.cluster(cores, [LAN_MBPS] * 6)
     cfg = build_config(
         "dlion",
         workload,
@@ -487,20 +469,10 @@ def fig20() -> FigureResult:
     """Fig. 20: partial gradient size tracking a bandwidth square wave."""
     workload = cpu_workload()
     ts = workload.time_scale
-    ws = workload.wire_scale()
     horizon = 1000.0 * ts
     # 30 Mbps for 0-100 s and 600-1000 s, 100 Mbps in between (paper timing).
-    trace = PiecewiseTrace(
-        [(0.0, 30.0 * ws), (100.0 * ts, 100.0 * ws), (600.0 * ts, 30.0 * ws)]
-    )
-    spec = [[trace for _ in range(6)] for _ in range(6)]
-    topo = ClusterTopology(
-        compute=[
-            ComputeProfile(24, per_core_rate=workload.per_unit_rate, overhead=workload.overhead)
-            for _ in range(6)
-        ],
-        network=BandwidthMatrix(spec),
-    )
+    trace = PiecewiseTrace([(0.0, 30.0), (100.0 * ts, 100.0), (600.0 * ts, 30.0)])
+    topo = workload.cluster([24] * 6, [trace] * 6)
     # GBS pinned: otherwise growing batches lengthen iterations and raise
     # the per-iteration byte budget, confounding the bandwidth effect.
     cfg = build_config(

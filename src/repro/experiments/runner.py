@@ -23,10 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
-from repro.cluster.traces import PiecewiseTrace
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, MaxNConfig, TrainConfig
 from repro.core.engine import RunResult, TrainingEngine
-from repro.experiments.environments import EnvSpec, get_environment
+from repro.experiments.environments import ENVIRONMENTS, EnvSpec, get_environment
 from repro.nn.models import build_model
 
 __all__ = [
@@ -115,6 +114,22 @@ class Workload:
     def wire_scale(self) -> float:
         """Bandwidth multiplier preserving the comm/compute balance."""
         return self.model_bytes() / (self.paper_model_mb * 1e6)
+
+    def cluster(self, cores, bandwidth, *, shared_egress: bool = False) -> ClusterTopology:
+        """The simulated cluster for per-worker ``cores`` and ``bandwidth``
+        (paper Mbps; scalars or traces) — the one place that applies the
+        wire scale and this workload's compute calibration.
+        """
+        ws = self.wire_scale()
+        return ClusterTopology.build(
+            cores=cores,
+            bandwidth=[
+                b * ws if isinstance(b, (int, float)) else b.scaled(ws) for b in bandwidth
+            ],
+            per_core_rate=self.per_unit_rate,
+            overhead=self.overhead,
+            shared_egress=shared_egress,
+        )
 
 
 @lru_cache(maxsize=8)
@@ -206,7 +221,7 @@ def stress_workload() -> Workload:
 
 def workload_for(env: EnvSpec) -> Workload:
     """The platform workload matching an environment's cpu/gpu tag."""
-    if env.name.startswith("Stress"):
+    if env is ENVIRONMENTS["Stress 1k"]:
         return stress_workload()
     return gpu_workload() if env.platform == "gpu" else cpu_workload()
 
@@ -290,63 +305,16 @@ def build_config(variant: str, workload: Workload, **overrides) -> TrainConfig:
 def build_topology(
     env: EnvSpec, workload: Workload, n_workers: int | None = None
 ) -> ClusterTopology:
-    """The simulated cluster for one environment, wire-scaled.
+    """The simulated cluster for one environment (see ``Workload.cluster``).
 
     ``n_workers`` truncates the environment to its first N workers
     (N >= 2) — used by the live backend's smoke runs, where spawning
     all six Table 3 processes would be needlessly heavy.
     """
-    max_n = len(env.cores) if env.cores else 6
-    if n_workers is not None and not 2 <= n_workers <= max_n:
-        raise ValueError(f"n_workers must be in [2, {max_n}], got {n_workers}")
-    ws = workload.wire_scale()
-    if not env.dynamic:
-        cores = list(env.cores[:n_workers])
-        bw = [b * ws for b in env.bandwidth[:n_workers]]
-        return ClusterTopology.build(
-            cores=cores,
-            bandwidth=bw,
-            per_core_rate=workload.per_unit_rate,
-            overhead=workload.overhead,
-        )
-
-    # Dynamic environment: piecewise traces over the three phases.
-    phases = [get_environment(p) for p in env.phases]
-    dur = workload.phase_duration()
-    starts = [k * dur for k in range(len(phases))]
-    n = n_workers if n_workers is not None else 6
-    cores = [
-        PiecewiseTrace([(s, p.cores[i]) for s, p in zip(starts, phases)])
-        for i in range(n)
-    ]
-    # Per ordered pair: min of the two endpoints' capacities per phase.
-    from repro.cluster.compute import ComputeProfile
-    from repro.cluster.network import BandwidthMatrix
-
-    spec = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1.0)  # unused diagonal
-            else:
-                row.append(
-                    PiecewiseTrace(
-                        [
-                            (s, min(p.bandwidth[i], p.bandwidth[j]) * ws)
-                            for s, p in zip(starts, phases)
-                        ]
-                    )
-                )
-        spec.append(row)
-    matrix = BandwidthMatrix(spec)
-    profiles = [
-        ComputeProfile(
-            c, per_core_rate=workload.per_unit_rate, overhead=workload.overhead
-        )
-        for c in cores
-    ]
-    return ClusterTopology(compute=profiles, network=matrix)
+    cores, bandwidth = env.resources(workload.phase_duration())
+    if n_workers is not None and not 2 <= n_workers <= len(cores):
+        raise ValueError(f"n_workers must be in [2, {len(cores)}], got {n_workers}")
+    return workload.cluster(cores[:n_workers], bandwidth[:n_workers])
 
 
 # ----------------------------------------------------------------------

@@ -126,7 +126,6 @@ class TransportConfig:
     retry_attempts: int = 6
     heartbeat_interval_s: float = 0.2
     outbox_capacity: int = 4096
-    shape_bandwidth: bool = True
     # One batched write drains at most this many bytes from an outbox;
     # keeps a single coalesced write from monopolising the link when a
     # burst backs up behind a stall.
@@ -275,7 +274,7 @@ class PeerMesh:
         for dst, addr in sorted(port_map.items()):
             if dst == self.worker_id:
                 continue
-            if self._rate_fn is not None and self.cfg.shape_bandwidth:
+            if self._rate_fn is not None:
                 self._buckets[dst] = TokenBucket(max(1.0, self._rate_fn(dst)))
             for channel in (CHANNEL_CONTROL, CHANNEL_DATA):
                 link = _OutLink(dst, channel, self.cfg.outbox_capacity)
@@ -433,7 +432,7 @@ class PeerMesh:
             return
         self._dead.discard(peer)
         self._graceful.discard(peer)
-        if self._rate_fn is not None and self.cfg.shape_bandwidth:
+        if self._rate_fn is not None:
             self._buckets[peer] = TokenBucket(max(1.0, self._rate_fn(peer)))
         for channel in (CHANNEL_CONTROL, CHANNEL_DATA):
             old = self._out.get((peer, channel))

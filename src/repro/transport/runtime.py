@@ -74,12 +74,11 @@ __all__ = ["WallClock", "LiveRunSpec", "LiveWorkerRuntime", "run_live_worker"]
 
 # Version of the checkpoint ``meta`` layout. Checkpoints never outlive
 # a run, so restore_from accepts exactly this one.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 # Plain-value attributes a checkpoint saves and restores by name.
 _WORKER_SCALARS = (
     "iteration", "model_version", "lbs", "gbs", "_iter_time_ema",
-    "stats_grad_msgs_sent", "stats_grad_msgs_received", "stats_weight_pulls",
-    "compute_time", "wait_time",
+    "stats_grad_msgs_sent", "stats_grad_msgs_received", "compute_time", "wait_time",
 )
 _GBS_SCALARS = ("gbs", "phase", "_last_growth_epoch")
 
@@ -436,10 +435,8 @@ class LiveWorkerRuntime(WorkerHost):
             "dkt": {
                 "losses": list(w.dkt._losses),
                 "shared_losses": dict(w.dkt.shared_losses),
-                "pulls_requested": w.dkt.pulls_requested,
                 "merges_applied": w.dkt.merges_applied,
             },
-            "recent_iters": list(w._recent_iters),
             "gbs_controller": {
                 name: getattr(self.gbs_controller, name) for name in _GBS_SCALARS
             },
@@ -494,9 +491,7 @@ class LiveWorkerRuntime(WorkerHost):
         w.rcp_table = dict(meta["rcp_table"])
         w.dkt._losses.extend(meta["dkt"]["losses"])
         w.dkt.shared_losses = dict(meta["dkt"]["shared_losses"])
-        w.dkt.pulls_requested = meta["dkt"]["pulls_requested"]
         w.dkt.merges_applied = meta["dkt"]["merges_applied"]
-        w._recent_iters.extend(tuple(x) for x in meta["recent_iters"])
         for name in _GBS_SCALARS:
             setattr(self.gbs_controller, name, meta["gbs_controller"][name])
         self._peer_samples = dict(meta["peer_samples"])

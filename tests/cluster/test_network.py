@@ -78,6 +78,17 @@ class TestBandwidthMatrix:
         assert m.link(1, 0).bandwidth_at(0) == 20
         assert m.link(0, 2).bandwidth_at(0) == 35
 
+    def test_from_worker_capacity_uses_min_for_traces_too(self):
+        drop = PiecewiseTrace([(0, 50), (300, 20)])
+        m = BandwidthMatrix.from_worker_capacity([50, drop, 20])
+        # both directions follow the slower endpoint at every instant
+        for src, dst in ((0, 1), (1, 0)):
+            assert m.bandwidth_at(src, dst, 299.0) == 50
+            assert m.bandwidth_at(src, dst, 300.0) == 20
+        # a trace that is never slower than its peer leaves a constant link
+        assert set(m._traces) == {(0, 1), (1, 0)}
+        assert m.bandwidth_at(1, 2, 0.0) == m.bandwidth_at(2, 1, 300.0) == 20
+
     def test_full_mesh_no_self_links(self):
         m = BandwidthMatrix.from_worker_capacity([10] * 4)
         assert sum(len(m.out_links(i)) for i in range(4)) == 12

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.traces import ConstantTrace, PiecewiseTrace, square_wave
+from repro.cluster.traces import ConstantTrace, PiecewiseTrace, min_trace, square_wave
 
 
 class TestConstantTrace:
@@ -15,6 +15,20 @@ class TestConstantTrace:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ConstantTrace(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ConstantTrace(bad)
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseTrace([(0, 1), (5, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseTrace([(0, 1), (bad, 2)])
+
+    def test_scaled(self):
+        assert ConstantTrace(24.0).scaled(0.5).value_at(7) == 12.0
+        t = PiecewiseTrace([(0, 50), (10, 20)]).scaled(0.1)
+        assert (t.value_at(9.9), t.value_at(10)) == (50 * 0.1, 20 * 0.1)
 
 
 class TestPiecewiseTrace:
@@ -70,3 +84,28 @@ class TestSquareWave:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             square_wave(1, 2, period=0)
+
+
+class TestMinTrace:
+    def test_union_of_breakpoints(self):
+        a = PiecewiseTrace([(0, 50), (10, 20)])
+        b = PiecewiseTrace([(0, 35), (5, 60), (20, 10)])
+        m = min_trace(a, b)
+        assert [m.value_at(t) for t in (0, 5, 10, 20)] == [35, 50, 20, 10]
+        assert [m.next_change_after(t) for t in (0, 5, 10, 20)] == [5, 10, 20, None]
+
+    def test_scalars_and_constants_are_interchangeable(self):
+        a = PiecewiseTrace([(0, 50), (10, 20)])
+        for slow in (30, 30.0, ConstantTrace(30)):
+            m = min_trace(slow, a)
+            assert (m.value_at(0), m.value_at(10)) == (30, 20)
+
+    def test_unchanging_minimum_is_a_constant(self):
+        a = PiecewiseTrace([(0, 50), (10, 20)])
+        for m in (min_trace(a, 20), min_trace(5, a), min_trace(7, 9)):
+            assert isinstance(m, ConstantTrace)
+        assert min_trace(a, 20).value == 20
+
+    def test_equal_consecutive_levels_collapse(self):
+        a = PiecewiseTrace([(0, 50), (10, 50), (20, 20)])
+        assert min_trace(a, a).next_change_after(0) == 20

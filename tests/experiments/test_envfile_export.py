@@ -37,16 +37,34 @@ class TestTraceFromSpec:
         with pytest.raises(ValueError):
             trace_from_spec([[0, 1, 2]])
 
+    # json.loads accepts NaN / Infinity, and True is an int to Python.
+    @pytest.mark.parametrize("bad", [True, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["scalar", "level", "time", "document"])
+    def test_levels_and_times_must_be_finite_numbers(self, bad, where):
+        spec = {
+            "scalar": bad,
+            "level": [[0, 24], [300, bad]],
+            "time": [[0, 24], [bad, 12]],
+            "document": bad,
+        }[where]
+        with pytest.raises(ValueError):
+            if where == "document":
+                doc = json.loads(json.dumps(VALID_DOC))
+                doc["workers"][0]["cores"] = spec
+                parse_environment(json.loads(json.dumps(doc)))
+            else:
+                trace_from_spec(spec)
+
 
 class TestParseEnvironment:
     def test_valid_document(self):
-        spec, cores, bandwidths = parse_environment(VALID_DOC)
-        assert spec.name == "my-cluster"
-        assert spec.platform == "cpu"
-        assert len(cores) == 3
-        assert cores[0] == 24.0
-        assert isinstance(cores[1], PiecewiseTrace)
-        assert isinstance(bandwidths[1], PiecewiseTrace)
+        env = parse_environment(VALID_DOC)
+        assert env.name == "my-cluster"
+        assert env.platform == "cpu"
+        assert len(env.cores) == 3
+        assert env.cores[0] == 24.0
+        assert isinstance(env.cores[1], PiecewiseTrace)
+        assert isinstance(env.bandwidth[1], PiecewiseTrace)
 
     def test_missing_name(self):
         doc = dict(VALID_DOC)
@@ -75,8 +93,9 @@ class TestParseEnvironment:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "env.json"
         path.write_text(json.dumps(VALID_DOC))
-        spec, cores, bandwidths = load_environment(path)
-        assert spec.name == "my-cluster"
+        env = load_environment(path)
+        assert env.name == "my-cluster"
+        assert len(env.cores) == len(env.bandwidth) == 3
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "env.json"
@@ -97,7 +116,7 @@ class TestEnvironmentTopology:
             "workers": [{"cores": 24, "bandwidth": b} for b in (50, 35, 20)],
         }
         workload = cpu_workload()
-        net = build_topology(parse_environment(doc)[0], workload).network
+        net = build_topology(parse_environment(doc), workload).network
         assert net._traces == {}
         ws = workload.wire_scale()
         ref = BandwidthMatrix.from_worker_capacity([50.0 * ws, 35.0 * ws, 20.0 * ws])
@@ -109,16 +128,62 @@ class TestEnvironmentTopology:
             ref.enqueue_transfers(1, [0, 2], [123_456, 1], 0.75)
         )
 
+    def test_dynamic_preset_as_document_is_the_preset(self):
+        """Dynamic SYS A written out as an env document runs the same
+        bytes as the preset, across both phase switches."""
+        from repro.core.engine import TrainingEngine
+        from repro.experiments.environments import get_environment
+        from repro.experiments.runner import (
+            Workload, build_config, build_topology, cpu_workload,
+        )
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+
+        class ShortPhases(Workload):
+            def phase_duration(self):
+                return 6.0
+
+        workload = ShortPhases(**vars(cpu_workload()))
+        preset = get_environment("Dynamic SYS A")
+        phases = [get_environment(p) for p in preset.phases]
+        starts = [k * workload.phase_duration() for k in range(len(phases))]
+        doc = {
+            "name": "dynamic-sys-a-by-hand",
+            "workers": [
+                {
+                    "cores": [[s, p.cores[i]] for s, p in zip(starts, phases)],
+                    "bandwidth": [[s, p.bandwidth[i]] for s, p in zip(starts, phases)],
+                }
+                for i in range(6)
+            ],
+        }
+
+        def run(env):
+            tracer, metrics = Tracer(), MetricsRegistry()
+            topo = build_topology(env, workload, n_workers=3)
+            TrainingEngine(
+                build_config("dlion", workload), topo, seed=3,
+                tracer=tracer, metrics=metrics,
+            ).run(15.0)
+            return tracer.dumps(), json.dumps(metrics.to_dict(), sort_keys=True, default=str)
+
+        assert run(parse_environment(doc)) == run(preset)
+
     def test_only_traced_workers_keep_a_trace(self):
         from repro.cluster.topology import ClusterTopology
 
-        _spec, cores, bandwidths = parse_environment(VALID_DOC)
-        net = ClusterTopology.build(cores=cores, bandwidth=bandwidths).network
-        # A traced capacity applies to the worker's outgoing links.
-        assert set(net._traces) == {(1, 0), (1, 2)}
+        env = parse_environment(VALID_DOC)
+        net = ClusterTopology.build(cores=env.cores, bandwidth=env.bandwidth).network
+        # A link is its slower endpoint at every instant: both
+        # directions of 0 <-> 1 follow worker 1's drop to 20 Mbps ...
+        assert set(net._traces) == {(0, 1), (1, 0)}
         assert net.bandwidth_at(1, 0, 299.0) == 50.0
         assert net.bandwidth_at(1, 0, 300.0) == 20.0
+        assert net.bandwidth_at(0, 1, 300.0) == 20.0
+        # ... while constant-constant links, and a trace against a
+        # constant that is never faster, hold no trace.
         assert net.bandwidth_at(0, 2, 300.0) == 20.0
+        assert net.bandwidth_at(1, 2, 0.0) == net.bandwidth_at(2, 1, 300.0) == 20.0
 
 
 class TestExport:

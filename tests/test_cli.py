@@ -198,23 +198,21 @@ class TestRunBackendsAndWorkers:
         assert "simulator feature" in capsys.readouterr().err
 
     def test_env_file_rejects_workers(self, tmp_path, capsys):
+        """A file environment takes the preset path: --workers truncates it."""
         import json
 
         env_path = tmp_path / "env.json"
         env_path.write_text(json.dumps({
             "name": "tiny",
             "platform": "cpu",
-            "workers": [
-                {"cores": 8, "bandwidth": 20},
-                {"cores": 8, "bandwidth": 20},
-            ],
+            "workers": [{"cores": 8, "bandwidth": 20}] * 3,
         }))
         rc = main(
             ["run", "--env-file", str(env_path), "--workers", "2",
-             "--horizon", "5"]
+             "-s", "baseline", "--horizon", "5"]
         )
-        assert rc == 2
-        assert "preset environments" in capsys.readouterr().err
+        assert rc == 0
+        assert "tiny (2 workers)" in capsys.readouterr().out
 
     def test_proc_backend_smoke(self, capsys):
         rc = main(

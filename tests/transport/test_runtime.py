@@ -74,7 +74,7 @@ class TestCheckpointRoundTrip:
     def test_restore_reproduces_the_checkpoint(self, runtime, spec):
         _record_a_few_hooks(runtime)
         arrays, meta = runtime.checkpoint_state()
-        assert meta["format"] == CHECKPOINT_FORMAT == 2
+        assert meta["format"] == CHECKPOINT_FORMAT == 3
         assert meta["result"]["iterations"] == [3, 0, 0]
         assert (0, 1) in meta["result"]["link_chosen_n"]
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """One sha256 line per simulator run, for "same bytes as the parent" claims.
 
-Runs fifteen short seeded simulations — the eleven presets of
+Runs sixteen short seeded simulations — the eleven presets of
 ``tests/obs/test_scheduler_parity.py`` plus Dynamic SYS B, a shared-egress
-cluster, a bandwidth square wave and a square wave behind shared egress —
-and prints ``sha256(trace bytes + sorted metrics dump)`` for each. The
-simulator is byte-deterministic, so two trees behave identically on these
-runs exactly when the outputs ``diff`` clean::
+cluster, a bandwidth square wave, a square wave behind shared egress and an
+env-file document with a bandwidth step — and prints
+``sha256(trace bytes + sorted metrics dump)`` for each. The simulator is
+byte-deterministic, so two trees behave identically on these runs exactly
+when the outputs ``diff`` clean::
 
     python tools/same_bytes.py > head.txt
     cp tools/same_bytes.py ../parent/tools/ && python ../parent/tools/same_bytes.py > base.txt
@@ -65,28 +66,44 @@ def _preset(environment, system, overlay) -> str:
     return _digest(tracer, metrics)
 
 
-def _custom(bandwidth, *, shared_egress) -> str:
-    """DLion on a hand-built cluster (per-worker capacities or traces)."""
-    from repro.cluster.topology import ClusterTopology
+def _run(topo) -> str:
     from repro.core.engine import TrainingEngine
     from repro.experiments.runner import build_config, cpu_workload
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
+    tracer, metrics = Tracer(), MetricsRegistry()
+    TrainingEngine(
+        build_config("dlion", cpu_workload()), topo, seed=SEED,
+        tracer=tracer, metrics=metrics,
+    ).run(HORIZON)
+    return _digest(tracer, metrics)
+
+
+def _custom(bandwidth, *, shared_egress) -> str:
+    """DLion on a hand-built cluster (per-worker capacities or traces)."""
+    from repro.cluster.topology import ClusterTopology
+    from repro.experiments.runner import cpu_workload
+
     workload = cpu_workload()
-    topo = ClusterTopology.build(
+    return _run(ClusterTopology.build(
         cores=[24] * len(bandwidth),
         bandwidth=bandwidth,
         per_core_rate=workload.per_unit_rate,
         overhead=workload.overhead,
         shared_egress=shared_egress,
-    )
-    tracer, metrics = Tracer(), MetricsRegistry()
-    TrainingEngine(
-        build_config("dlion", workload), topo, seed=SEED,
-        tracer=tracer, metrics=metrics,
-    ).run(HORIZON)
-    return _digest(tracer, metrics)
+    ))
+
+
+def _document(doc) -> str:
+    """DLion on an env-file document: parse_environment -> build_topology."""
+    from repro.experiments.envfile import parse_environment
+    from repro.experiments.runner import build_topology, cpu_workload
+
+    env = parse_environment(doc)
+    if isinstance(env, tuple):  # before PR 24: (spec, cores, bandwidths)
+        env = env[0]
+    return _run(build_topology(env, cpu_workload()))
 
 
 def main() -> int:
@@ -110,6 +127,11 @@ def main() -> int:
     ]:
         digest = _custom(bandwidth, shared_egress=shared_egress)
         print(f"{digest}  {name} / dlion", flush=True)
+    # Three workers; worker 1's capacity steps 50 -> 20 Mbps at t = 5 s.
+    step = {"name": "step", "workers": [
+        {"cores": 24, "bandwidth": b} for b in (50, [[0, 50], [5, 20]], 35)
+    ]}
+    print(f"{_document(step)}  env document, bandwidth step / dlion", flush=True)
     return 0
 
 
