@@ -9,10 +9,13 @@ CI runs this file with ``--benchmark-disable``: every benchmark
 executes once for correctness.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.cluster.simclock import SimClock
+from repro.core import transmission
 from repro.core.config import MaxNConfig
 from repro.core.maxn import select_max_n
 from repro.core.transmission import (
@@ -22,7 +25,6 @@ from repro.core.transmission import (
 )
 from repro.nn.layers.conv import Conv2D, im2col
 from repro.nn.models import cipher_cnn
-from repro.obs.profile import Profiler, activate
 
 RNG = np.random.default_rng(0)
 
@@ -70,21 +72,25 @@ def test_histogram_build_768k(benchmark, big_grad):
 
 def test_plan_builds_histograms_once(big_grad, many_links):
     """Correctness of the batching itself (always runs, smoke included):
-    a 32-link plan enters the histogram scope exactly once and never
+    a 32-link plan builds the histogram fold exactly once and never
     falls back to the per-link fit."""
     planner = TransmissionPlanner(MaxNConfig())
-    prof = Profiler()
     # pairs of links share a bandwidth -> 16 distinct budgets over 32 links
     paired = {dst: 1.5 * (dst // 2 + 1) for dst in range(32)}
-    with activate(prof):
+    hist = GradientHistograms
+    with mock.patch.object(
+        hist, "_ensure_hist", autospec=True, side_effect=hist._ensure_hist
+    ) as ensure_hist, mock.patch.object(
+        hist, "select_payload", autospec=True, side_effect=hist.select_payload
+    ) as select, mock.patch.object(
+        transmission, "fit_n_to_budget", wraps=fit_n_to_budget
+    ) as per_link_fit:
         plans = planner.plan({"w": big_grad}, paired, 0.001)
     assert len(plans) == 32
-    calls, _ = prof.totals()["maxn/histograms"]
-    assert calls == 1
-    assert "maxn/fit_n_to_budget" not in prof.totals()
+    assert ensure_hist.call_count == 1
+    assert not per_link_fit.called
     # payload sharing: at most one selection per distinct budget
-    select_calls, _ = prof.totals()["maxn/select_payload"]
-    assert select_calls <= 16
+    assert select.call_count <= 16
 
 
 def test_im2col_cipher_shape(benchmark, conv_batch):

@@ -18,7 +18,7 @@ crashes/restarts and link faults; both backends, see
 docs/robustness.md), ``--output``/``--csv`` (result export), and the
 observability flags ``--trace`` (Chrome-trace JSON, viewable in
 Perfetto), ``--metrics-out`` (metrics registry JSON), and ``--profile``
-(wall-clock profile of the simulator itself). ``run --backend proc``
+(wall-clock self seconds per layer, either backend). ``run --backend proc``
 executes the same job as real worker processes over a loopback TCP mesh
 (``--speedup`` maps modelled seconds to wall time, ``--workers``
 truncates the environment, ``--checkpoint-dir``/``--checkpoint-interval``
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--metrics-out", metavar="PATH",
                        help="write the metrics registry as JSON")
     run_p.add_argument("--profile", action="store_true",
-                       help="print a wall-clock profile of the simulator itself")
+                       help="print wall-clock self seconds per layer (either backend)")
 
     cmp_p = sub.add_parser("compare", help="run several systems in one environment")
     cmp_p.add_argument("--environment", "-e", required=True, choices=sorted(ENVIRONMENTS))
@@ -217,8 +217,8 @@ def _parse_churn(entries: list[str], n_workers: int = 6):
 
 
 def _make_obs(args: argparse.Namespace):
-    """Tracer / metrics registry / profiler per the run flags (or Nones)."""
-    tracer = metrics = profiler = None
+    """Tracer / metrics registry per the run flags (or Nones)."""
+    tracer = metrics = None
     if getattr(args, "trace", None):
         from repro.obs.trace import Tracer
 
@@ -227,11 +227,7 @@ def _make_obs(args: argparse.Namespace):
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-    if getattr(args, "profile", False):
-        from repro.obs.profile import Profiler
-
-        profiler = Profiler()
-    return tracer, metrics, profiler
+    return tracer, metrics
 
 
 def _build_run_setup(args: argparse.Namespace):
@@ -254,23 +250,6 @@ def _build_run_setup(args: argparse.Namespace):
     if args.env_file:
         print(f"custom environment: {env.name} ({topo.n_workers} workers)")
     return build_config(args.system, workload), topo, workload.horizon()
-
-
-def _live_profile_report(metrics) -> str:
-    """Render the merged per-scope wall-clock totals of a live run."""
-    seconds = metrics.get("profile_seconds_total")
-    calls = metrics.get("profile_calls_total")
-    call_map = dict(calls.items()) if calls is not None else {}
-    rows = []
-    if seconds is not None:
-        for key, total in sorted(seconds.items(), key=lambda kv: -kv[1]):
-            rows.append(
-                f"  {key[0]:<28s} {int(call_map.get(key, 0)):>9d} {total:>11.3f}"
-            )
-    header = f"  {'scope':<28s} {'calls':>9s} {'seconds':>11s}"
-    return "\n".join(
-        ["wall-clock profile (summed across worker processes)", header, *rows]
-    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -338,7 +317,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if path_arg and not pathlib.Path(path_arg).resolve().parent.is_dir():
             print(f"output directory does not exist: {path_arg}", file=sys.stderr)
             return 2
-    tracer, metrics, profiler = _make_obs(args)
+    tracer, metrics = _make_obs(args)
     config, topo, default_horizon = _build_run_setup(args)
     peer_graph = None
     if args.overlay:
@@ -398,6 +377,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = engine.run(horizon, chaos=chaos)
     else:
         from repro.core.engine import TrainingEngine
+        from repro.obs.profile import Profiler
 
         try:
             sim = TrainingEngine(
@@ -407,8 +387,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 membership=membership,
                 tracer=tracer,
                 metrics=metrics,
-                profiler=profiler,
-                    chaos=chaos,
+                profiler=Profiler() if args.profile else None,
+                chaos=chaos,
                 peer_graph=peer_graph,
             )
         except ValueError as exc:
@@ -451,11 +431,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics.write(args.metrics_out)
         print(f"metrics JSON   : {args.metrics_out}")
     if args.profile:
+        from repro.obs.profile import render
+
         print()
-        if args.backend == "proc":
-            print(_live_profile_report(result.metrics))
-        else:
-            print(profiler.report())
+        print(render(result.metrics.get("profile_seconds_total"),
+                     result.metrics.get("profile_calls_total")))
     return 0
 
 

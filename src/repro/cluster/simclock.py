@@ -16,8 +16,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-from repro.obs import profile as _profile
-
 __all__ = ["SimClock", "Event"]
 
 
@@ -87,25 +85,19 @@ class SimClock:
 
     def _pump(self, horizon: float, max_events: int | None) -> tuple[int, bool]:
         """Fire events with ``time <= horizon``; ``(count, hit the cap)``."""
-        prof = _profile.active_profiler()
-        frame = prof.begin("simclock/dispatch") if prof is not None else None
         heap = self._heap
         processed = 0
-        try:
-            while heap and heap[0][0] <= horizon:
-                t, _seq, ev = heappop(heap)
-                if ev.cancelled:
-                    continue
-                self._now = t
-                ev.fn(*ev.args)
-                processed += 1
-                self.events_processed += 1
-                if max_events is not None and processed >= max_events:
-                    return processed, True
-            return processed, False
-        finally:
-            if frame is not None:
-                prof.end(frame, calls=processed)
+        while heap and heap[0][0] <= horizon:
+            t, _seq, ev = heappop(heap)
+            if ev.cancelled:
+                continue
+            self._now = t
+            ev.fn(*ev.args)
+            processed += 1
+            self.events_processed += 1
+            if max_events is not None and processed >= max_events:
+                return processed, True
+        return processed, False
 
     def run_until(self, horizon: float, *, max_events: int | None = None) -> int:
         """Process events with ``time <= horizon``; returns the count.

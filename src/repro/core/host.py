@@ -45,8 +45,8 @@ from repro.core.run_metrics import RunMetrics
 from repro.core.worker import Worker
 from repro.nn.datasets import MinibatchSampler, SyntheticImageDataset
 from repro.nn.models import build_model
-from repro.obs import profile as _profile
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import activate
 from repro.obs.trace import NULL_TRACER, THREAD_NAMES, TID_SYNC
 from repro.utils.metrics import TimeSeries, accuracy_at_time
 from repro.utils.rng import RngPool
@@ -418,9 +418,9 @@ class WorkerHost:
                 w.try_start_iteration()
 
     def profiled(self):
-        """Activate this host's profiler (no-op context when unset)."""
+        """Install this host's profiler's wrappers (no-op context when unset)."""
         if self.profiler is not None:
-            return _profile.activate(self.profiler)
+            return activate(self.profiler)
         return nullcontext()
 
     # ------------------------------------------------------------------
@@ -653,7 +653,7 @@ class WorkerHost:
         self.result.events = self.clock.events_processed
         self._c_events.inc(self.clock.events_processed)
         if self.profiler is not None:
-            for name, (calls, total) in self.profiler.totals().items():
-                self._c_profile_seconds.inc(total, name)
+            for name, (calls, seconds) in self.profiler.rows().items():
+                self._c_profile_seconds.inc(seconds, name)
                 self._c_profile_calls.inc(calls, name)
         return self.result

@@ -134,8 +134,8 @@ class RunMetrics:
             "messages dropped by fault injection", ("src", "dst"),
         )
         # Wall-clock attribution (populated at finalize when a profiler
-        # is attached, empty otherwise): lets a --metrics-out dump carry
-        # the same per-scope numbers the --profile table prints.
+        # is attached, empty otherwise): self seconds and calls per
+        # ledger layer, the numbers the --profile table prints.
         self.c_profile_seconds = m.counter(
             "profile_seconds_total",
             "wall-clock seconds per profiler scope", ("scope",),

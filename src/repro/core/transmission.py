@@ -50,7 +50,6 @@ from repro.cluster.messages import VARIABLE_HEADER_BYTES
 from repro.core.config import MaxNConfig
 from repro.core.maxn import select_payload
 from repro.core.selectors import GradientSelector
-from repro.obs import profile as _profile
 
 __all__ = [
     "GradientHistograms",
@@ -193,8 +192,7 @@ class GradientHistograms:
     def __init__(
         self, grads: Mapping[str, np.ndarray], *, scratch: "_Scratch | None" = None
     ):
-        with _profile.scope("maxn/grad_view"):
-            self._init_view(grads, scratch)
+        self._init_view(grads, scratch)
 
     def _init_view(
         self, grads: Mapping[str, np.ndarray], scratch: "_Scratch | None"
@@ -343,50 +341,49 @@ class GradientHistograms:
     def _ensure_hist(self) -> np.ndarray:
         if self._rev_bytes is not None:
             return self._rev_bytes
-        with _profile.scope("maxn/histograms"):
-            # Quantize every entry into the shared scale buffer:
-            # per-variable scalar division (bit-identical to the
-            # historical (mags / mx) * _BINS). Normalizing before
-            # scaling keeps subnormal maxima from overflowing the
-            # scale factor; the integer cast and the overflow-bin
-            # fold (entries at exactly the max land in bin _BINS)
-            # avoid a full-array clip pass.
-            scale = self._scale
-            if scale is None:
-                scale = np.empty(self._mags.size, dtype=self._mags.dtype)
-            for i, (a, b) in enumerate(self._bounds):
-                mx = float(self._maxes64[i])
-                if mx == 0.0:
-                    # zero variables land in bin 0, subtracted
-                    # out again below
-                    scale[a:b] = 0.0
-                else:
-                    np.divide(self._mags[a:b], mx, out=scale[a:b])
-            quant = self._quant
-            if quant is None:
-                quant = np.empty(scale.size, dtype=np.intp)
-            # one fused pass: the float multiply (exact — _BINS is
-            # a power of two) C-cast-truncates straight into the
-            # intp buffer bincount ingests copy-free; values are
-            # identical to the historical scale-then-astype chain
-            np.multiply(scale, _BINS, out=quant, casting="unsafe")
-            hist = np.bincount(quant, minlength=_BINS + 1)
-            hist[_BINS - 1] += hist[_BINS]
-            hist[0] -= self._zero_entries
-            counts = hist[:_BINS]
-            # rev[k] = bytes at edge _BINS - k: 8 bytes per entry in a
-            # bin >= that edge, plus — at every edge below _BINS — one
-            # header per variable with a nonzero max (each keeps at
-            # least its max entry in any band, so the header term is a
-            # constant and the whole map folds into one array). Built
-            # ascending so every fit is one searchsorted with no
-            # reversed-view copy.
-            rev = np.empty(_BINS + 1, dtype=np.int64)
-            rev[0] = 0
-            np.cumsum(counts[::-1], out=rev[1:])
-            np.multiply(rev, 8, out=rev)
-            rev[1:] += VARIABLE_HEADER_BYTES * self._nnz
-            self._rev_bytes = rev
+        # Quantize every entry into the shared scale buffer:
+        # per-variable scalar division (bit-identical to the
+        # historical (mags / mx) * _BINS). Normalizing before
+        # scaling keeps subnormal maxima from overflowing the
+        # scale factor; the integer cast and the overflow-bin
+        # fold (entries at exactly the max land in bin _BINS)
+        # avoid a full-array clip pass.
+        scale = self._scale
+        if scale is None:
+            scale = np.empty(self._mags.size, dtype=self._mags.dtype)
+        for i, (a, b) in enumerate(self._bounds):
+            mx = float(self._maxes64[i])
+            if mx == 0.0:
+                # zero variables land in bin 0, subtracted
+                # out again below
+                scale[a:b] = 0.0
+            else:
+                np.divide(self._mags[a:b], mx, out=scale[a:b])
+        quant = self._quant
+        if quant is None:
+            quant = np.empty(scale.size, dtype=np.intp)
+        # one fused pass: the float multiply (exact — _BINS is
+        # a power of two) C-cast-truncates straight into the
+        # intp buffer bincount ingests copy-free; values are
+        # identical to the historical scale-then-astype chain
+        np.multiply(scale, _BINS, out=quant, casting="unsafe")
+        hist = np.bincount(quant, minlength=_BINS + 1)
+        hist[_BINS - 1] += hist[_BINS]
+        hist[0] -= self._zero_entries
+        counts = hist[:_BINS]
+        # rev[k] = bytes at edge _BINS - k: 8 bytes per entry in a
+        # bin >= that edge, plus — at every edge below _BINS — one
+        # header per variable with a nonzero max (each keeps at
+        # least its max entry in any band, so the header term is a
+        # constant and the whole map folds into one array). Built
+        # ascending so every fit is one searchsorted with no
+        # reversed-view copy.
+        rev = np.empty(_BINS + 1, dtype=np.int64)
+        rev[0] = 0
+        np.cumsum(counts[::-1], out=rev[1:])
+        np.multiply(rev, 8, out=rev)
+        rev[1:] += VARIABLE_HEADER_BYTES * self._nnz
+        self._rev_bytes = rev
         return self._rev_bytes
 
     def bytes_at(self, n_percent: float) -> int:
@@ -597,8 +594,7 @@ def fit_n_to_budget(
     """
     if not 0 < n_min <= n_max <= 100.0:
         raise ValueError("need 0 < n_min <= n_max <= 100")
-    with _profile.scope("maxn/fit_n_to_budget"):
-        return GradientHistograms(grads).fit(budget_bytes, n_min=n_min, n_max=n_max)
+    return GradientHistograms(grads).fit(budget_bytes, n_min=n_min, n_max=n_max)
 
 
 def fit_level_to_budget(
@@ -621,28 +617,26 @@ def fit_level_to_budget(
     if not 0 < level_min <= level_max <= 100.0:
         raise ValueError("need 0 < level_min <= level_max <= 100")
 
-    with _profile.scope("maxn/fit_level_to_budget"):
+    def bytes_at(level: float) -> int:
+        total = 0
+        for g in grads.values():
+            cnt = selector.count_at(g, level)
+            if cnt:
+                total += VARIABLE_HEADER_BYTES + 8 * cnt
+        return total
 
-        def bytes_at(level: float) -> int:
-            total = 0
-            for g in grads.values():
-                cnt = selector.count_at(g, level)
-                if cnt:
-                    total += VARIABLE_HEADER_BYTES + 8 * cnt
-            return total
-
-        if bytes_at(level_max) <= budget_bytes:
-            return level_max
-        if bytes_at(level_min) > budget_bytes:
-            return level_min
-        lo, hi = level_min, level_max
-        while hi - lo > precision:
-            mid = 0.5 * (lo + hi)
-            if bytes_at(mid) <= budget_bytes:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    if bytes_at(level_max) <= budget_bytes:
+        return level_max
+    if bytes_at(level_min) > budget_bytes:
+        return level_min
+    lo, hi = level_min, level_max
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if bytes_at(mid) <= budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # Grid resolution of the batched generic fit — mirrors the Max-N
@@ -676,18 +670,17 @@ def fit_levels_to_budgets(
     """
     if not 0 < level_min <= level_max <= 100.0:
         raise ValueError("need 0 < level_min <= level_max <= 100")
-    with _profile.scope("maxn/fit_levels_to_budgets"):
-        budgets = np.asarray(budgets, dtype=np.float64)
-        steps = np.arange(_LEVEL_GRID_POINTS + 1) / _LEVEL_GRID_POINTS
-        grid = level_min + (level_max - level_min) * steps
-        grid[-1] = level_max  # exact endpoint despite float rounding
-        bytes_at = np.zeros(grid.size, dtype=np.int64)
-        for g in grads.values():
-            counts = np.asarray(selector.count_at_levels(g, grid), dtype=np.int64)
-            bytes_at += 8 * counts + VARIABLE_HEADER_BYTES * (counts > 0)
-        fits = np.searchsorted(bytes_at, budgets, side="right") - 1
-        idx = np.maximum(fits, 0)  # fits < 0: even level_min is infeasible
-        return grid[idx], idx
+    budgets = np.asarray(budgets, dtype=np.float64)
+    steps = np.arange(_LEVEL_GRID_POINTS + 1) / _LEVEL_GRID_POINTS
+    grid = level_min + (level_max - level_min) * steps
+    grid[-1] = level_max  # exact endpoint despite float rounding
+    bytes_at = np.zeros(grid.size, dtype=np.int64)
+    for g in grads.values():
+        counts = np.asarray(selector.count_at_levels(g, grid), dtype=np.int64)
+        bytes_at += 8 * counts + VARIABLE_HEADER_BYTES * (counts > 0)
+    fits = np.searchsorted(bytes_at, budgets, side="right") - 1
+    idx = np.maximum(fits, 0)  # fits < 0: even level_min is infeasible
+    return grid[idx], idx
 
 
 class TransmissionPlanner:
@@ -753,15 +746,6 @@ class TransmissionPlanner:
         Destinations whose budgets resolve to the same histogram bin
         (identical bandwidths in particular) reuse one payload object.
         """
-        with _profile.scope("maxn/plan"):
-            return self._plan(grads, bandwidths_mbps, iter_time_s)
-
-    def _plan(
-        self,
-        grads: Mapping[str, np.ndarray],
-        bandwidths_mbps: Mapping[int, float],
-        iter_time_s: float,
-    ) -> dict[int, tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]]:
         plans: dict[int, tuple[float, dict]] = {}
         cfg = self.config
         if cfg.fixed_n is not None:
@@ -784,8 +768,7 @@ class TransmissionPlanner:
             for dst, (n, edge) in zip(dsts, fits):
                 payload = shared.get(edge)
                 if payload is None:
-                    with _profile.scope("maxn/select_payload"):
-                        payload = hist.select_payload(n)
+                    payload = hist.select_payload(n)
                     shared[edge] = payload
                 plans[dst] = (n, payload)
             return plans
@@ -820,8 +803,7 @@ class TransmissionPlanner:
             key = int(idx)
             payload = shared.get(key)
             if payload is None:
-                with _profile.scope("maxn/select_payload"):
-                    payload = self._select(grads, float(level))
+                payload = self._select(grads, float(level))
                 shared[key] = payload
             plans[dst] = (float(level), payload)
         return plans
@@ -845,31 +827,30 @@ class TransmissionPlanner:
         uniform = len(set(budgets)) == 1
         if uniform and self._stale_fold is not None:
             if self._warm_miss < 4 or self._warm_miss % 64 == 0:
-                with _profile.scope("maxn/fit_warm"):
-                    stale = self._stale_fold
-                    fit = (
-                        int(np.searchsorted(stale, budgets[0], side="right")) - 1
-                    )
-                    k = max(fit, 0)
-                    guess = _BINS - k
-                    # local byte-cost of one bin near the guess, read
-                    # off the stale fold: sizes the secant steps and
-                    # the early-accept margin inside fit_warm
-                    k1 = max(k - 64, 0)
-                    k2 = min(k + 64, _BINS)
-                    slope = float(stale[k2] - stale[k1]) / max(k2 - k1, 1)
-                    # 8 probes, not the default 4: one extra probe
-                    # (~60us) is far cheaper than the fold rebuild a
-                    # miss forces (~340us), so spend probes generously
-                    warm = hist.fit_warm(
-                        budgets[0],
-                        guess,
-                        n_min=cfg.n_min,
-                        n_max=cfg.n_max,
-                        max_probes=8,
-                        slope_hint=max(slope, 8.0),
-                        slack=4,
-                    )
+                stale = self._stale_fold
+                fit = (
+                    int(np.searchsorted(stale, budgets[0], side="right")) - 1
+                )
+                k = max(fit, 0)
+                guess = _BINS - k
+                # local byte-cost of one bin near the guess, read
+                # off the stale fold: sizes the secant steps and
+                # the early-accept margin inside fit_warm
+                k1 = max(k - 64, 0)
+                k2 = min(k + 64, _BINS)
+                slope = float(stale[k2] - stale[k1]) / max(k2 - k1, 1)
+                # 8 probes, not the default 4: one extra probe
+                # (~60us) is far cheaper than the fold rebuild a
+                # miss forces (~340us), so spend probes generously
+                warm = hist.fit_warm(
+                    budgets[0],
+                    guess,
+                    n_min=cfg.n_min,
+                    n_max=cfg.n_max,
+                    max_probes=8,
+                    slope_hint=max(slope, 8.0),
+                    slack=4,
+                )
                 if warm is not None:
                     self._warm_miss = 0
                     return [warm] * len(budgets)

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.nn.layers.base import Layer
 from repro.nn.losses import softmax_cross_entropy
-from repro.obs import profile as _profile
 
 __all__ = ["Model"]
 
@@ -114,23 +113,19 @@ class Model:
         self, x: np.ndarray, labels: np.ndarray
     ) -> tuple[float, GradDict]:
         """One training step's loss and per-variable gradients (Eq. 6)."""
-        with _profile.scope("nn/loss_and_grads"):
-            with _profile.scope("nn/forward"):
-                logits = self.forward(x, training=True)
-            loss, dlogits = softmax_cross_entropy(logits, labels)
-            with _profile.scope("nn/backward"):
-                dout = dlogits
-                first = self._first_trainable
-                for layer in reversed(self.layers[first + 1:]):
-                    dout = layer.backward(dout)
-                if first < len(self.layers):
-                    self.layers[first].backward(dout, need_dx=False)
-            # Hand the arrays off: the step (the returned dict and the
-            # messages built from it) owns them, no layer keeps a copy.
-            grads: GradDict = {}
-            for name, (layer, pname) in self._var_index.items():
-                grads[name] = layer.grads.pop(pname)
-            return loss, grads
+        logits = self.forward(x, training=True)
+        loss, dout = softmax_cross_entropy(logits, labels)
+        first = self._first_trainable
+        for layer in reversed(self.layers[first + 1:]):
+            dout = layer.backward(dout)
+        if first < len(self.layers):
+            self.layers[first].backward(dout, need_dx=False)
+        # Hand the arrays off: the step (the returned dict and the
+        # messages built from it) owns them, no layer keeps a copy.
+        grads: GradDict = {}
+        for name, (layer, pname) in self._var_index.items():
+            grads[name] = layer.grads.pop(pname)
+        return loss, grads
 
     def apply_grads(
         self,
@@ -183,17 +178,16 @@ class Model:
         n = x.shape[0]
         if n == 0:
             raise ValueError("empty evaluation set")
-        with _profile.scope("nn/evaluate"):
-            total_loss = 0.0
-            correct = 0
-            for start in range(0, n, batch):
-                xb = x[start:start + batch]
-                yb = labels[start:start + batch]
-                logits = self.forward(xb, training=False)
-                loss, _ = softmax_cross_entropy(logits.copy(), yb)
-                total_loss += loss * xb.shape[0]
-                correct += int((logits.argmax(axis=1) == yb).sum())
-            return total_loss / n, correct / n
+        total_loss = 0.0
+        correct = 0
+        for start in range(0, n, batch):
+            xb = x[start:start + batch]
+            yb = labels[start:start + batch]
+            logits = self.forward(xb, training=False)
+            loss, _ = softmax_cross_entropy(logits.copy(), yb)
+            total_loss += loss * xb.shape[0]
+            correct += int((logits.argmax(axis=1) == yb).sum())
+        return total_loss / n, correct / n
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -9,9 +9,9 @@ Three independent instruments share this package (see
 * :mod:`repro.obs.metrics` — named counters, gauges, and fixed-bucket
   histograms with labels. Answers "how much / how many" and backs the
   :class:`~repro.core.engine.RunResult` accounting.
-* :mod:`repro.obs.profile` — ``perf_counter`` scopes around the real
-  hot paths. Answers "where does the **wall clock** go" for ``BENCH_*``
-  runs and perf work.
+* :mod:`repro.obs.profile` — self seconds per ledger layer, timed by
+  wrappers it installs on the layers' methods while a profiler is
+  active. Answers "where does the **wall clock** go" (``--profile``).
 
 The live backend's telemetry plane adds two more:
 
@@ -23,7 +23,8 @@ The live backend's telemetry plane adds two more:
 
 All instruments default to off (or to a no-op implementation) so the
 simulator's hot path pays only an ``enabled`` check when nothing is
-observing.
+observing — and nothing at all for the profiler, which has no hook in
+the measured code.
 """
 
 from repro.obs.flight import FlightRecorder
@@ -35,7 +36,7 @@ from repro.obs.metrics import (
     percentile_from_buckets,
     percentile_from_sample,
 )
-from repro.obs.profile import Profiler, activate, active_profiler, scope
+from repro.obs.profile import Profiler, activate, render
 from repro.obs.trace import (
     NULL_TRACER,
     TID_CTRL,
@@ -65,6 +66,5 @@ __all__ = [
     "percentile_from_sample",
     "Profiler",
     "activate",
-    "active_profiler",
-    "scope",
+    "render",
 ]

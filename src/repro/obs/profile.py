@@ -1,248 +1,189 @@
-"""Wall-clock profiling hooks for the simulator's real hot paths.
+"""Wall-clock attribution per layer, installed from outside the measured code.
 
 Unlike :mod:`repro.obs.trace` (simulated time), this measures where the
-**wall clock** goes: NumPy forward/backward passes, Max-N payload
-selection, and event-loop dispatch. ``BENCH_*`` runs and the CLI's
-``--profile`` flag use it to attribute runtime to subsystems and pick
-the next optimisation target.
-
-Instrumentation sites call the module-level :func:`scope`::
-
-    with profile.scope("nn/loss_and_grads"):
-        ...
-
-which resolves the *active* profiler at entry. With no active profiler
-(the default) it returns a shared no-op context manager — one function
-call and a ``None`` check, no ``perf_counter`` — so always-on
-instrumentation costs effectively nothing. Activate a profiler for a
-region with::
+**wall clock** goes. A *layer* names one or more methods (``LAYERS``);
+the names are the per-layer ledger's, and ``benchmarks/e2e/spans.py``
+wraps the very same methods. No other module carries a hook: while a
+:class:`Profiler` is active, every layer method whose module is loaded
+is replaced on its class by a timing wrapper, and on exit the originals
+come back::
 
     prof = Profiler()
     with activate(prof):
-        engine.run(...)
-    print(prof.report())
+        engine.advance_to(80.0)
+    prof.rows()  # {"nn.loss_and_grads": (calls, self seconds), ...}
 
-The active profiler lives in a :class:`contextvars.ContextVar`, so a
-scope entered on another thread attributes to the profiler of the
-context that thread runs in instead of racing on a module global.
-Recording itself takes a lock.
+A layer's **self** time is its calls' wall time minus the part spent in
+calls of other layers they make, so the self seconds of everything under
+one root sum to that root's wall time (``simclock.dispatch`` is the
+simulator's root). Coroutine layers (``ASYNC_LAYERS``) are counted, not
+timed: a coroutine's wall time is mostly other tasks, and a layer that
+runs while it awaits is a root of its own. Calls from any thread other
+than the activating one run untimed.
 
-Scope **totals** are inclusive: a scope's total contains any scopes
-entered beneath it on the same thread. Each scope additionally tracks
-its **self** (exclusive) time — total minus the time spent in child
-scopes — so ``simclock/dispatch`` can report pure dispatch overhead
-separate from the nn/ and maxn/ work running inside event callbacks.
-Parent/child nesting is tracked per *thread* (``threading.local``), not
-per context: a context copied onto another thread would otherwise alias
-one frame list across threads. A scope running on another thread is a
-root on that thread.
+The ledger's ``setup.*`` layers and its module-level codec functions are
+not listed: a profiler activates after construction, and only a method
+can be swapped on its class without chasing copies imported elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from time import perf_counter
 from typing import Iterator
 
-__all__ = ["Profiler", "activate", "active_profiler", "scope", "set_active"]
+__all__ = ["ASYNC_LAYERS", "LAYERS", "Profiler", "activate", "render"]
 
+# (layer, "module:Class.method")
+LAYERS = [
+    ("nn.loss_and_grads", "repro.nn.model:Model.loss_and_grads"),
+    ("nn.apply_grads", "repro.nn.model:Model.apply_grads"),
+    ("nn.apply_sparse_grads", "repro.nn.model:Model.apply_sparse_grads"),
+    ("nn.evaluate", "repro.nn.model:Model.evaluate"),
+    ("transmission.plan", "repro.core.transmission:TransmissionPlanner.plan"),
+    ("strategy.generate", "repro.core.strategy:DLionStrategy.generate_partial_gradients"),
+    ("strategy.generate", "repro.baselines.baseline_full:BaselineStrategy.generate_partial_gradients"),
+    ("strategy.generate", "repro.baselines.ako:AkoStrategy.generate_partial_gradients"),
+    ("strategy.generate", "repro.baselines.gaia:GaiaStrategy.generate_partial_gradients"),
+    ("strategy.generate", "repro.baselines.hop:HopStrategy.generate_partial_gradients"),
+    ("worker.recompute_lbs", "repro.core.worker:Worker.recompute_lbs"),
+    ("worker.run_profiling", "repro.core.worker:Worker.run_profiling"),
+    ("worker.finish_iteration", "repro.core.worker:Worker._finish_iteration"),
+    ("worker.on_gradient_message", "repro.core.worker:Worker.on_gradient_message"),
+    ("worker.try_start_iteration", "repro.core.worker:Worker.try_start_iteration"),
+    ("worker.control", "repro.core.worker:Worker.on_rcp_share"),
+    ("worker.control", "repro.core.worker:Worker.set_gbs"),
+    ("worker.control", "repro.core.worker:Worker.on_loss_share"),
+    ("worker.control", "repro.core.worker:Worker.on_dkt_request"),
+    ("worker.control", "repro.core.worker:Worker.on_control_message"),
+    ("worker.control", "repro.core.worker:Worker.on_membership_change"),
+    ("dkt.merge", "repro.core.worker:Worker.on_weight_message"),
+    ("compute_pool", "repro.core.compute_pool:ComputePool.collect"),
+    ("compute_pool", "repro.core.compute_pool:ComputePool.prefetch"),
+    ("engine.send", "repro.core.engine:TrainingEngine.send_gradients"),
+    ("engine.send", "repro.core.engine:TrainingEngine.send_gradients_batch"),
+    ("engine.send", "repro.core.engine:TrainingEngine.send_control"),
+    ("engine.send", "repro.core.engine:TrainingEngine.send_weights"),
+    ("engine.send", "repro.core.engine:TrainingEngine.broadcast_rcp"),
+    ("engine.send", "repro.core.engine:TrainingEngine.broadcast_loss_share"),
+    ("engine.deliver", "repro.core.engine:TrainingEngine._deliver"),
+    ("engine.evaluate_worker", "repro.core.engine:TrainingEngine.evaluate_worker"),
+    ("network.enqueue", "repro.cluster.network:BandwidthMatrix.enqueue_transfer"),
+    ("network.enqueue", "repro.cluster.network:BandwidthMatrix.enqueue_transfers"),
+    ("simclock.schedule", "repro.cluster.simclock:SimClock.schedule"),
+    ("simclock.dispatch", "repro.cluster.simclock:SimClock.run_until"),
+    ("mesh.send", "repro.transport.mesh:PeerMesh.send"),
+    ("shaper.reserve", "repro.transport.shaper:TokenBucket.reserve"),
+]
 
-class _NullScope:
-    """Shared do-nothing context manager for the profiling-off path."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-# The active profiler for the *current context*. A ContextVar (not a
-# module global) so a copied context carries the profiler onto another
-# thread, and nested ``activate`` blocks restore the previous profiler
-# on exit.
-_active: ContextVar["Profiler | None"] = ContextVar("repro_active_profiler", default=None)
-
-# Frame layout (plain list, no attribute lookups on the hot path):
-_F_NAME, _F_T0, _F_CHILD = 0, 1, 2
-
-
-class _Scope:
-    """A running timed scope; records into its profiler on exit."""
-
-    __slots__ = ("profiler", "name", "_frame")
-
-    def __init__(self, profiler: "Profiler", name: str):
-        self.profiler = profiler
-        self.name = name
-
-    def __enter__(self):
-        self._frame = self.profiler.begin(self.name)
-        return self
-
-    def __exit__(self, *exc):
-        self.profiler.end(self._frame)
-        return False
+ASYNC_LAYERS = [
+    ("shaper.throttle", "repro.transport.shaper:TokenBucket.throttle"),
+]
 
 
 class Profiler:
-    """Aggregates wall-clock seconds per named scope (thread-safe)."""
+    """Calls and self seconds per layer, recorded on one thread."""
 
-    enabled = True
+    def __init__(self, clock=perf_counter) -> None:
+        self.clock = clock
+        self._rows: dict[str, list] = {}  # layer -> [calls, self seconds]
+        self._stack: list[float] = []  # child seconds of each open call
+        self._installed: list[tuple] = []  # (class, attr, own original | None)
+        self._tid: int | None = None  # the activating thread, while installed
 
-    def __init__(self) -> None:
-        # name -> [calls, total_seconds, child_seconds]
-        self._totals: dict[str, list] = {}
-        # Recording is a read-modify-write; threads may record
-        # concurrently.
-        self._lock = threading.Lock()
-        # Per-thread stack of open frames for parent/child attribution.
-        self._frames = threading.local()
+    def rows(self) -> dict[str, tuple[int, float]]:
+        """``{layer: (calls, self seconds)}`` for every layer called."""
+        return {name: (calls, s) for name, (calls, s) in self._rows.items() if calls}
 
-    # -- frame API (used by _Scope and by SimClock's pump loop) --------
+    def _timed(self, name: str, fn):
+        row = self._rows.setdefault(name, [0, 0.0])
+        stack, clock, get_ident = self._stack, self.clock, threading.get_ident
 
-    def begin(self, name: str) -> list:
-        """Open a frame for ``name`` on this thread; returns the frame.
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if get_ident() != self._tid:
+                return fn(*args, **kwargs)
+            stack.append(0.0)
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = clock() - t0
+                row[0] += 1
+                row[1] += elapsed - stack.pop()
+                if stack:
+                    stack[-1] += elapsed
 
-        Pass the frame back to :meth:`end`. Frames on the same thread
-        nest; the elapsed time of a child is charged against the
-        parent's self time.
-        """
-        stack = getattr(self._frames, "stack", None)
-        if stack is None:
-            stack = self._frames.stack = []
-        frame = [name, perf_counter(), 0.0]
-        stack.append(frame)
-        return frame
+        return wrapper
 
-    def end(self, frame: list, calls: int = 1) -> None:
-        """Close ``frame``, recording its inclusive and self time."""
-        elapsed = perf_counter() - frame[_F_T0]
-        stack = self._frames.stack
-        # Unwind to this frame (robust to a callback leaking a scope).
-        while stack and stack[-1] is not frame:
-            stack.pop()
-        if stack:
-            stack.pop()
-        if stack:
-            stack[-1][_F_CHILD] += elapsed
-        child = frame[_F_CHILD]
-        if child > elapsed:  # clock skew guard; self time is never < 0
-            child = elapsed
-        with self._lock:
-            entry = self._totals.get(frame[_F_NAME])
-            if entry is None:
-                self._totals[frame[_F_NAME]] = [calls, elapsed, child]
+    def _counted(self, name: str, fn):
+        row = self._rows.setdefault(name, [0, 0.0])
+
+        @functools.wraps(fn)
+        async def wrapper(*args, **kwargs):
+            if threading.get_ident() == self._tid:
+                row[0] += 1
+            return await fn(*args, **kwargs)
+
+        return wrapper
+
+    def install(self) -> None:
+        """Wrap every layer whose module is loaded; time this thread's calls."""
+        self._tid = threading.get_ident()
+        for layers, wrap in ((LAYERS, self._timed), (ASYNC_LAYERS, self._counted)):
+            for name, path in layers:
+                modname, _, qualname = path.partition(":")
+                module = sys.modules.get(modname)
+                if module is None:
+                    continue
+                cls_name, attr = qualname.split(".")
+                cls = getattr(module, cls_name)
+                self._installed.append((cls, attr, cls.__dict__.get(attr)))
+                setattr(cls, attr, wrap(name, getattr(cls, attr)))
+
+    def uninstall(self) -> None:
+        """Put every original back; an inherited method is deleted again."""
+        self._tid = None
+        while self._installed:
+            cls, attr, own = self._installed.pop()
+            if own is None:
+                delattr(cls, attr)
             else:
-                entry[0] += calls
-                entry[1] += elapsed
-                entry[2] += child
-
-    def scope(self, name: str) -> _Scope:
-        """A context manager timing one entry of ``name``."""
-        return _Scope(self, name)
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Record ``seconds`` of wall time (and ``calls`` entries).
-
-        The time is treated as a leaf measurement: it is charged as
-        child time to the innermost open frame on this thread, if any.
-        """
-        stack = getattr(self._frames, "stack", None)
-        if stack:
-            stack[-1][_F_CHILD] += seconds
-        with self._lock:
-            entry = self._totals.get(name)
-            if entry is None:
-                self._totals[name] = [calls, seconds, 0.0]
-            else:
-                entry[0] += calls
-                entry[1] += seconds
-
-    # -- accessors -----------------------------------------------------
-
-    def totals(self) -> dict[str, tuple[int, float]]:
-        """``{name: (calls, total_seconds)}`` for every scope seen.
-
-        Totals are inclusive of nested scopes (historical shape, kept
-        for compatibility); see :meth:`self_totals` for exclusive time.
-        """
-        with self._lock:
-            return {name: (c, s) for name, (c, s, _child) in self._totals.items()}
-
-    def self_totals(self) -> dict[str, tuple[int, float]]:
-        """``{name: (calls, self_seconds)}`` — time *exclusive* of child scopes."""
-        with self._lock:
-            return {name: (c, s - child) for name, (c, s, child) in self._totals.items()}
-
-    def total(self, name: str) -> float:
-        """Total (inclusive) wall seconds recorded under ``name`` (0.0 if unseen)."""
-        with self._lock:
-            entry = self._totals.get(name)
-            return entry[1] if entry else 0.0
-
-    def self_total(self, name: str) -> float:
-        """Self (exclusive) wall seconds recorded under ``name`` (0.0 if unseen)."""
-        with self._lock:
-            entry = self._totals.get(name)
-            return entry[1] - entry[2] if entry else 0.0
-
-    def report(self) -> str:
-        """A text table of scopes sorted by total wall time (descending).
-
-        ``total s`` is inclusive of nested scopes, so that column does
-        not sum to the run's wall time; ``self s`` (total minus child
-        scopes entered on the same thread) does, per thread.
-        """
-        with self._lock:
-            totals = {name: tuple(entry) for name, entry in self._totals.items()}
-        if not totals:
-            return "profile: no scopes recorded"
-        rows = sorted(totals.items(), key=lambda kv: -kv[1][1])
-        width = max(len("scope"), max(len(n) for n, _ in rows))
-        lines = [
-            f"{'scope'.ljust(width)}  {'calls':>9}  {'total s':>10}  {'self s':>10}  {'mean ms':>10}",
-            f"{'-' * width}  {'-' * 9}  {'-' * 10}  {'-' * 10}  {'-' * 10}",
-        ]
-        for name, (calls, total, child) in rows:
-            mean_ms = (total / calls) * 1e3 if calls else 0.0
-            lines.append(
-                f"{name.ljust(width)}  {calls:>9d}  {total:>10.4f}  {total - child:>10.4f}  {mean_ms:>10.4f}"
-            )
-        return "\n".join(lines)
-
-
-def set_active(profiler: Profiler | None) -> Profiler | None:
-    """Install ``profiler`` as the context's target; returns the previous one."""
-    previous = _active.get()
-    _active.set(profiler)
-    return previous
-
-
-def active_profiler() -> Profiler | None:
-    """The currently active profiler, or None when profiling is off."""
-    return _active.get()
+                setattr(cls, attr, own)
 
 
 @contextmanager
 def activate(profiler: Profiler) -> Iterator[Profiler]:
-    """Make ``profiler`` active for the duration of the block."""
-    token = _active.set(profiler)
+    """Install ``profiler``'s wrappers for the block (re-entrant)."""
+    outermost = not profiler._installed
     try:
+        if outermost:
+            profiler.install()
         yield profiler
     finally:
-        _active.reset(token)
+        if outermost:
+            profiler.uninstall()
 
 
-def scope(name: str):
-    """Time ``name`` against the active profiler (no-op when none)."""
-    profiler = _active.get()
-    if profiler is None:
-        return _NULL_SCOPE
-    return _Scope(profiler, name)
+def render(seconds, calls) -> str:
+    """The ``--profile`` table from the ``profile_seconds_total`` and
+    ``profile_calls_total`` counter families of a run's metrics.
+
+    One row per layer, most self time first; ``share`` is the row's part
+    of the summed self seconds.
+    """
+    rows = sorted(
+        ((key[0], n, seconds.value(*key)) for key, n in calls.items()),
+        key=lambda row: (-row[2], row[0]),
+    )
+    if not rows:
+        return "profile: no layer was called"
+    total = sum(s for _, _, s in rows) or 1.0
+    width = max(len("layer"), *(len(name) for name, _, _ in rows))
+    lines = [f"{'layer'.ljust(width)}  {'calls':>9}  {'self s':>10}  {'share':>6}"]
+    for name, n, s in rows:
+        lines.append(f"{name.ljust(width)}  {int(n):>9d}  {s:>10.4f}  {s / total:>6.1%}")
+    return "\n".join(lines)

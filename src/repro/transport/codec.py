@@ -35,7 +35,7 @@ reusable :class:`FrameBuffer` with ``struct.pack_into`` and
 no ``b"".join``, zero steady-state allocations per frame. The wire
 bytes are bit-identical to the historical list-of-parts encoder.
 Decode hands back read-only ``np.frombuffer`` views into the received
-body wherever the wire dtype allows (little-endian hosts), instead of
+body, typed with the explicit little-endian wire dtype, instead of
 ``.astype`` copies; all consumers treat received arrays as immutable.
 """
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,11 +134,6 @@ _HELLO = struct.Struct("<IB")  # sender, channel
 _HEARTBEAT = struct.Struct("<IQdd")  # sender, samples_drawn, sim time, wall
 _HEARTBEAT_ACK = struct.Struct("<Id")  # sender, echoed wall timestamp
 _BYE = struct.Struct("<I")  # sender
-
-# The view-returning decode path hands out arrays whose wire dtype
-# ("<u4"/"<f4") is the host's native layout only on little-endian
-# machines; big-endian hosts fall back to the historical astype copies.
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 _CONTROL_BODY_BYTES = CONTROL_MESSAGE_BYTES - FRAME_HEADER_BYTES
 _ZERO_PAD = bytes(_CONTROL_BODY_BYTES)
@@ -404,9 +398,10 @@ def _control_frame(fbuf: FrameBuffer, msg_type: int, st: struct.Struct, fields) 
 def encode_message(msg) -> bytes:
     """Serialize a cluster or transport message into one wire frame.
 
-    Compatibility wrapper over :func:`encode_into`: allocates a fresh
-    buffer and copies the frame out as ``bytes``. Hot paths (the mesh
-    sender) use :func:`encode_into` with pooled buffers instead.
+    The allocating convenience over :func:`encode_into` (the mesh
+    handshake and the tests use it): a fresh buffer, the frame copied
+    out as ``bytes``. Hot paths (the mesh sender) use
+    :func:`encode_into` with pooled buffers instead.
     """
     return bytes(encode_into(msg, FrameBuffer(256)))
 
@@ -423,9 +418,8 @@ def _take(body: bytes, offset: int, n: int) -> tuple[bytes, int]:
 
 def _view(body: bytes, offset: int, count: int, dtype: str) -> tuple[np.ndarray, int]:
     """A read-only ndarray view of ``count`` little-endian 4-byte items
-    at ``offset`` — no slice copy, no astype. Big-endian hosts get the
-    historical native-dtype copy instead (the wire dtype would not be
-    the native layout there)."""
+    at ``offset`` — no slice copy, no astype. The explicit wire dtype
+    (``"<u4"`` / ``"<f4"``) reads correct values on either byte order."""
     end = offset + 4 * count
     if end > len(body):
         raise CodecError(
@@ -433,11 +427,7 @@ def _view(body: bytes, offset: int, count: int, dtype: str) -> tuple[np.ndarray,
         )
     if count == 0:
         return np.empty(0, dtype=np.int64 if dtype == "<u4" else np.float32), end
-    if _LITTLE_ENDIAN:
-        return np.frombuffer(body, dtype=dtype, count=count, offset=offset), end
-    arr = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-    native = np.int64 if dtype == "<u4" else np.float32
-    return arr.astype(native), end
+    return np.frombuffer(body, dtype=dtype, count=count, offset=offset), end
 
 
 def _decode_name(body: bytes, offset: int) -> tuple[str, int]:

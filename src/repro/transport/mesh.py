@@ -64,9 +64,10 @@ modelled link bandwidth (Table 3, wire-scaled, sped up by the run's
 wall-clock factor) is enforced on the real transport — the shm lane
 changes a frame's transport cost, never its modelled bandwidth.
 Transfers are recorded through the shared ``obs`` surfaces:
-``transport_*`` metric families, ``transport/connect`` /
-``transport/send_bytes`` profiler scopes, and per-transfer spans on the
-worker's ``net-out`` trace thread.
+``transport_*`` metric families and per-transfer spans on the worker's
+``net-out`` trace thread. Under ``--profile``, :meth:`PeerMesh.send` is
+the ``mesh.send`` layer; the sender coroutines are not timed, so what
+the event loop runs while a write drains keeps its own layer.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from dataclasses import dataclass
 from typing import Awaitable, Callable, Iterable, Mapping
 
 from repro.core.run_metrics import TransportMetrics
-from repro.obs import profile as _profile
 from repro.obs.trace import NULL_TRACER, TID_NET
 from repro.transport.codec import (
     Bye,
@@ -564,14 +564,13 @@ class PeerMesh:
                     return False
             else:
                 try:
-                    with _profile.scope("transport/send_bytes"):
-                        if len(batch) > 1:
-                            link.writer.writelines([it[0] for it in batch])
-                        else:
-                            link.writer.write(batch[0][0])
-                        await asyncio.wait_for(
-                            link.writer.drain(), self.cfg.send_timeout_s
-                        )
+                    if len(batch) > 1:
+                        link.writer.writelines([it[0] for it in batch])
+                    else:
+                        link.writer.write(batch[0][0])
+                    await asyncio.wait_for(
+                        link.writer.drain(), self.cfg.send_timeout_s
+                    )
                 except (ConnectionError, OSError, asyncio.TimeoutError):
                     self._drop_writer(link)
                     continue  # re-enter the connect/retry path
@@ -618,9 +617,8 @@ class PeerMesh:
         backoff = _POLL_MIN_S
         while True:
             try:
-                with _profile.scope("transport/send_bytes"):
-                    if link.ring.push_many(frames):
-                        return True
+                if link.ring.push_many(frames):
+                    return True
             except ShmRingError:
                 await self._demote_to_tcp(link)
                 return False
@@ -681,34 +679,33 @@ class PeerMesh:
             return True
         if link.dst in self._dead or self._closing:
             return False
-        with _profile.scope("transport/connect"):
-            for attempt in range(self.cfg.retry_attempts):
-                if self._closing or self._superseded(link):
-                    return False
-                try:
-                    host, port = link.addr
-                    _, writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port),
-                        self.cfg.connect_timeout_s,
-                    )
-                    writer.write(encode_message(Hello(self.worker_id, link.channel)))
-                    await writer.drain()
-                    link.writer = writer
-                    if self._m:
-                        self._m.connects.inc(1, self.worker_id, link.dst)
-                        if link.ever_connected:
-                            self._m.reconnects.inc(1, self.worker_id, link.dst)
-                    link.ever_connected = True
-                    return True
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    if self._m:
-                        self._m.retries.inc(1, self.worker_id, link.dst)
-                    # Exponential backoff with jitter.
-                    delay = min(
-                        self.cfg.retry_max_s,
-                        self.cfg.retry_base_s * (2.0 ** attempt),
-                    ) * (0.5 + self._rng.random())
-                    await asyncio.sleep(delay)
+        for attempt in range(self.cfg.retry_attempts):
+            if self._closing or self._superseded(link):
+                return False
+            try:
+                host, port = link.addr
+                _, writer = await asyncio.wait_for(
+                    asyncio.open_connection(host, port),
+                    self.cfg.connect_timeout_s,
+                )
+                writer.write(encode_message(Hello(self.worker_id, link.channel)))
+                await writer.drain()
+                link.writer = writer
+                if self._m:
+                    self._m.connects.inc(1, self.worker_id, link.dst)
+                    if link.ever_connected:
+                        self._m.reconnects.inc(1, self.worker_id, link.dst)
+                link.ever_connected = True
+                return True
+            except (ConnectionError, OSError, asyncio.TimeoutError):
+                if self._m:
+                    self._m.retries.inc(1, self.worker_id, link.dst)
+                # Exponential backoff with jitter.
+                delay = min(
+                    self.cfg.retry_max_s,
+                    self.cfg.retry_base_s * (2.0 ** attempt),
+                ) * (0.5 + self._rng.random())
+                await asyncio.sleep(delay)
         if not self._superseded(link):
             self._declare_dead(link.dst)
         return False

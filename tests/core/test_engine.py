@@ -86,8 +86,8 @@ class TestEngineBasics:
         res = engine.run(10.0)
         seconds = res.metrics.get("profile_seconds_total")
         calls = res.metrics.get("profile_calls_total")
-        for scope in ("maxn/plan", "maxn/histograms", "maxn/select_payload"):
-            n, total = prof.totals()[scope]
+        for scope in ("transmission.plan", "nn.loss_and_grads", "simclock.dispatch"):
+            n, total = prof.rows()[scope]
             assert calls.value(scope) == n
             assert seconds.value(scope) == pytest.approx(total)
 

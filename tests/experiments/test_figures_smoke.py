@@ -7,6 +7,7 @@ unit suite rather than an hour-long benchmark run.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,15 @@ def test_table_drivers(driver):
     fig = driver()
     assert fig.rows
     assert "==" in fig.render()
+
+
+@pytest.mark.parametrize("driver", CHEAP_TABLES, ids=lambda d: d.__name__)
+def test_static_table_equals_its_archive(driver):
+    """What ``benchmarks/bench_figures.py`` would write is the tracked file."""
+    fig = driver()
+    slug = fig.figure.lower().replace(" ", "").replace(".", "")
+    archive = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    assert fig.render() + "\n" == (archive / f"{slug}.txt").read_text()
 
 
 @pytest.mark.parametrize("driver", DRIVERS, ids=lambda d: d.__name__)

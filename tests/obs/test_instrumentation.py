@@ -91,12 +91,46 @@ class TestProfiledRun:
         TrainingEngine(
             fast_config, tiny_topology, seed=0, profiler=prof
         ).run(10.0)
-        totals = prof.totals()
-        assert "simclock/dispatch" in totals
-        assert "nn/loss_and_grads" in totals
-        assert "maxn/plan" in totals
-        calls, seconds = totals["nn/loss_and_grads"]
+        totals = prof.rows()
+        assert "simclock.dispatch" in totals
+        assert "nn.loss_and_grads" in totals
+        assert "transmission.plan" in totals
+        calls, seconds = totals["nn.loss_and_grads"]
         assert calls > 0 and seconds > 0.0
+
+    def test_self_seconds_sum_to_the_dispatch_root(self, fast_config, tiny_topology):
+        ticks = []
+
+        def clock():
+            ticks.append(len(ticks))
+            return ticks[-1]
+
+        prof = Profiler(clock=clock)
+        TrainingEngine(
+            fast_config, tiny_topology, seed=0, profiler=prof
+        ).run(10.0)
+        rows = prof.rows()
+        assert rows["simclock.dispatch"][0] == 1
+        # run_until is the only root: the first and last readings are
+        # its own, and every tick between belongs to exactly one layer.
+        assert sum(s for _, s in rows.values()) == ticks[-1] - ticks[0]
+
+    def test_profiling_moves_no_trace_byte(self):
+        from repro.experiments.runner import RunSpec, run_experiment
+
+        spec = RunSpec(environment="Homo B", system="dlion", seed=3, horizon=8.0)
+        dumps = []
+        for profiler in (None, Profiler()):
+            tracer, metrics = Tracer(), MetricsRegistry()
+            run_experiment(spec, tracer=tracer, metrics=metrics, profiler=profiler)
+            dumps.append((tracer.dumps(), metrics.to_dict()))
+        (plain_trace, plain), (profiled_trace, profiled) = dumps
+        assert profiled_trace == plain_trace
+        families = {"profile_seconds_total", "profile_calls_total"}
+        assert {k: v for k, v in profiled.items() if k not in families} == {
+            k: v for k, v in plain.items() if k not in families
+        }
+        assert profiled["profile_calls_total"] != plain["profile_calls_total"]
 
 
 class TestMeanAccuracySeries:

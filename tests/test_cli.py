@@ -124,7 +124,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace          :" in out
-        assert "simclock/dispatch" in out  # the profile table
+        assert "simclock.dispatch" in out  # the profile table
         trace = json.loads(trace_path.read_text())
         names = {e["name"] for e in trace["traceEvents"]}
         assert "compute" in names

@@ -55,12 +55,13 @@ def sim_result(setup):
 
 @pytest.fixture(scope="module")
 def live_run(setup):
-    """One full live run with tracing and metrics attached."""
+    """One full live run with tracing, metrics and the profiler attached."""
     config, topo = setup
     tracer = Tracer()
     metrics = MetricsRegistry()
     engine = LiveEngine(
-        config, topo, seed=0, speedup=SPEEDUP, tracer=tracer, metrics=metrics
+        config, topo, seed=0, speedup=SPEEDUP, tracer=tracer, metrics=metrics,
+        profile=True,
     )
     result = engine.run(HORIZON)
     return result, tracer, metrics
@@ -138,6 +139,16 @@ class TestByteAccounting:
         iters = metrics.get("iterations_total")
         for w in range(N_WORKERS):
             assert iters.value(w) == result.iterations[w]
+
+
+class TestProfileMerge:
+    def test_merged_profile_holds_training_and_mesh(self, live_run):
+        _, _, metrics = live_run
+        seconds = metrics.get("profile_seconds_total")
+        calls = metrics.get("profile_calls_total")
+        for layer in ("nn.loss_and_grads", "mesh.send"):
+            assert calls.value(layer) > 0, layer
+            assert seconds.value(layer) > 0.0, layer
 
 
 class TestTraceMerge:
