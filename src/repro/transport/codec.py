@@ -34,9 +34,11 @@ reusable :class:`FrameBuffer` with ``struct.pack_into`` and
 ``np.copyto`` into ``np.frombuffer`` views — no ``tobytes()`` copies,
 no ``b"".join``, zero steady-state allocations per frame. The wire
 bytes are bit-identical to the historical list-of-parts encoder.
-Decode hands back read-only ``np.frombuffer`` views into the received
-body, typed with the explicit little-endian wire dtype, instead of
-``.astype`` copies; all consumers treat received arrays as immutable.
+Decode takes any read-only bytes-like body (``bytes``, or the mesh's
+read-only ``memoryview`` of a frame's own receive buffer) and hands
+back read-only ``np.frombuffer`` views into it, typed with the explicit
+little-endian wire dtype, instead of ``.astype`` copies; all consumers
+treat received arrays as immutable.
 """
 
 from __future__ import annotations
@@ -436,7 +438,7 @@ def _decode_name(body: bytes, offset: int) -> tuple[str, int]:
     if n > MAX_NAME_BYTES:
         raise CodecError(f"variable name too long on wire: {n}")
     raw, offset = _take(body, offset, n)
-    return raw.decode("utf-8"), offset
+    return str(raw, "utf-8"), offset
 
 
 def _decode_sparse_vars(body: bytes, offset: int, n_vars: int) -> dict:
@@ -495,9 +497,9 @@ def _decode_control(body: bytes):
     sender, kind_len, payload_len = _CONTROL_PREFIX.unpack_from(body)
     offset = _CONTROL_PREFIX.size
     raw, offset = _take(body, offset, kind_len)
-    kind = raw.decode("utf-8")
+    kind = str(raw, "utf-8")
     raw, offset = _take(body, offset, payload_len)
-    return ControlMessage(sender=sender, kind=kind, payload=json.loads(raw))
+    return ControlMessage(sender=sender, kind=kind, payload=json.loads(bytes(raw)))
 
 
 _DECODERS = {
@@ -514,8 +516,11 @@ _DECODERS = {
 }
 
 
-def decode_body(msg_type: int, body: bytes):
-    """Decode one frame body given its header's message type."""
+def decode_body(msg_type: int, body):
+    """Decode one frame body given its header's message type.
+
+    ``body`` is any bytes-like object; array payloads come back as views
+    of it, read-only when ``body`` is."""
     decoder = _DECODERS.get(msg_type)
     if decoder is None:
         raise CodecError(f"unknown message type {msg_type}")

@@ -7,6 +7,7 @@ no pytest-asyncio dependency, no mocks of the transport itself.
 """
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ from repro.cluster.messages import (
     WeightMessage,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.transport.codec import (
+    FRAME_HEADER,
+    MAGIC,
+    T_WEIGHTS,
+    VERSION,
+    Hello,
+    encode_message,
+)
 from repro.transport.mesh import (
     CHANNEL_CONTROL,
     CHANNEL_DATA,
@@ -417,6 +426,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TransportConfig(outbox_capacity=0)
 
+    def test_new_fields_validated(self):
+        with pytest.raises(ValueError):
+            TransportConfig(coalesce_max_bytes=0)
+        with pytest.raises(ValueError):
+            TransportConfig(shm_min_mbps=-1.0)
+        with pytest.raises(ValueError):
+            TransportConfig(shm_ring_bytes=100)
+
 
 class TestCoalescing:
     def test_backlogged_frames_batch_into_one_write(self):
@@ -608,11 +625,61 @@ class TestShmLane:
         asyncio.run(run())
 
 
-class TestConfigValidation:
-    def test_new_fields_validated(self):
-        with pytest.raises(ValueError):
-            TransportConfig(coalesce_max_bytes=0)
-        with pytest.raises(ValueError):
-            TransportConfig(shm_min_mbps=-1.0)
-        with pytest.raises(ValueError):
-            TransportConfig(shm_ring_bytes=100)
+def _rss_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestForeignInput:
+    def test_garbage_closes_only_its_own_connection(self):
+        """Raw clients send a bad magic, a first frame that is not
+        Hello, and a header announcing 256 MiB followed by 64 KiB. Each
+        loses only its own connection, nothing reaches ``on_error`` or
+        the loop's exception handler, the lying header costs no resident
+        memory for the bytes that never came, and the real link keeps
+        delivering."""
+        async def run():
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
+            a, b = Endpoint(0), Endpoint(1)
+            try:
+                await _start_pair(a, b)
+                port = b.mesh._server.sockets[0].getsockname()[1]
+
+                async def rejected(payload: bytes) -> None:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(payload)
+                    # The server closes its side: EOF, nothing echoed.
+                    assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                    writer.close()
+
+                await rejected(b"XX" + bytes(6))
+                await rejected(encode_message(
+                    LossShareMessage(sender=9, iteration=0, avg_loss=1.0)
+                ))
+
+                _, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_message(Hello(9, CHANNEL_DATA)))
+                writer.write(FRAME_HEADER.pack(MAGIC, VERSION, T_WEIGHTS, 256 << 20))
+                rss0 = _rss_bytes()
+                writer.write(bytes(64 << 10))
+                await writer.drain()
+                await _wait_for(lambda: any(
+                    getattr(t.get_protocol(), "got", 0) == 64 << 10
+                    for t in b.mesh._inbound
+                ))
+                grown = _rss_bytes() - rss0
+                writer.close()
+                await _wait_for(lambda: len(b.mesh._inbound) == 2)
+
+                assert a.mesh.send(1, CHANNEL_DATA, _grad(0, 5))
+                await _wait_for(lambda: len(b.received) == 1)
+            finally:
+                await asyncio.gather(a.mesh.close(), b.mesh.close())
+            assert grown < 32 << 20
+            assert [(p, m.iteration) for p, _, m in b.received] == [(0, 5)]
+            assert not a.errors and not b.errors and not loop_errors
+            assert a.dead == [] and b.dead == []
+
+        asyncio.run(run())
