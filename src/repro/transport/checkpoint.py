@@ -118,8 +118,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     Raises ``OSError``/``ValueError`` on a missing, truncated, or
     corrupt file (zip CRC mismatch included).
     """
+    # The file is opened here, not by np.load: on a truncated archive
+    # np.load raises with its own handle still open.
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if _META_KEY not in data:
                 raise ValueError(f"{path}: no meta record")
             meta = pickle.loads(data[_META_KEY].tobytes())

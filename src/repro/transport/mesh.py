@@ -45,11 +45,13 @@ Performance mechanics (docs/architecture.md, "Transport lanes"):
   of it; the buffer returns to the pool once the frame is written (or
   dropped), so the steady state allocates nothing per frame;
 * **frame coalescing** — each sender drains whatever its outbox holds
-  (up to ``coalesce_max_bytes``) and issues one batched write:
-  ``writelines`` + a single ``drain()`` on TCP, one ``push_many`` on a
-  ring. The token bucket is charged the batch's full byte count in one
-  ``throttle`` call, so ``transport_stall_seconds_total`` stays
-  truthful per link; per-frame histograms still observe every frame;
+  (up to ``coalesce_max_bytes``) and issues one batched write: on TCP
+  the frame views go to the kernel in one non-blocking ``sendmsg``
+  (per ``_IOV_MAX`` frames), awaiting only for what it would not take
+  yet; on a ring, one ``push_many``. The token bucket is charged the
+  batch's full byte count in one ``throttle`` call, so
+  ``transport_stall_seconds_total`` stays truthful per link; per-frame
+  histograms still observe every frame;
 * **zero-copy receive** — each accepted connection is an
   :class:`asyncio.BufferedProtocol` that parses frames where the kernel
   put them and dispatches them synchronously, with no per-connection
@@ -83,6 +85,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import random
+import socket
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Iterable, Mapping
 
@@ -129,6 +132,35 @@ _POOL_MAX = 64
 _STAGE_BYTES = 1 << 16
 _DIRECT_MIN_BYTES = 1 << 12
 
+# Send side: one sendmsg takes at most IOV_MAX buffers (Linux: 1024).
+_IOV_MAX = 1024
+
+
+def _send_views(sock: socket.socket, views: list) -> list:
+    """Write ``views`` (a list this reuses) with non-blocking ``sendmsg``
+    calls of at most ``_IOV_MAX`` buffers, until the kernel would block;
+    returns what it did not take, the first view trimmed past what it did."""
+    i = 0
+    while i < len(views):
+        try:
+            sent = sock.sendmsg(views[i:i + _IOV_MAX])
+        except BlockingIOError:
+            break
+        while i < len(views) and sent >= len(views[i]):
+            sent -= len(views[i])
+            i += 1
+        if sent:
+            views[i] = memoryview(views[i])[sent:]
+    return views[i:]
+
+
+async def _send_rest(sock: socket.socket, views: list) -> None:
+    """Slow path: await the head view, then send on what goes at once."""
+    loop = asyncio.get_running_loop()
+    while views:
+        await loop.sock_sendall(sock, views[0])
+        views = _send_views(sock, views[1:])
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -170,10 +202,12 @@ class TransportConfig:
 
 
 class _OutLink:
-    """One outgoing (peer, channel) lane with its FIFO outbox."""
+    """One outgoing (peer, channel) lane with its FIFO outbox. Its
+    sender task owns ``sock`` and closes it on exit; anyone else severs
+    it with ``shutdown`` (:meth:`PeerMesh._sever`), never ``close``."""
 
     __slots__ = (
-        "dst", "channel", "queue", "writer", "ring", "task", "addr",
+        "dst", "channel", "queue", "sock", "ring", "task", "addr",
         "ever_connected", "high_water",
     )
 
@@ -181,7 +215,7 @@ class _OutLink:
         self.dst = dst
         self.channel = channel
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
-        self.writer: asyncio.StreamWriter | None = None
+        self.sock: socket.socket | None = None  # non-blocking TCP
         self.ring: ShmRing | None = None  # shm lane, else TCP
         self.task: asyncio.Task | None = None
         self.addr: tuple[str, int] | None = None
@@ -425,12 +459,14 @@ class PeerMesh:
             _, pending = await asyncio.wait(tasks, timeout=drain_timeout_s)
             for t in pending:
                 t.cancel()
+            if pending:
+                # Let each run its finally, which closes its socket.
+                await asyncio.wait(pending, timeout=drain_timeout_s)
         for t in self._ring_tasks:
             t.cancel()
         for link in self._out.values():
-            if link.writer is not None:
-                link.writer.close()
-                link.writer = None
+            if link.task is None:  # connect() never got to start it
+                self._close_sock(link)
             if link.ring is not None:
                 link.ring.close()
                 link.ring = None
@@ -523,7 +559,7 @@ class PeerMesh:
             old = self._out.get((peer, channel))
             if old is not None:
                 self._put_close(old)
-                self._drop_writer(old)
+                self._sever(old)
                 if old.ring is not None:
                     old.ring.close()
                     old.ring = None
@@ -579,50 +615,53 @@ class PeerMesh:
     async def _sender(self, link: _OutLink) -> None:
         loop = asyncio.get_event_loop()
         carry = None  # dequeued head whose injected delay hasn't elapsed
-        while True:
-            if carry is not None:
-                item, carry = carry, None
-            else:
-                item = await link.queue.get()
-            if item is _CLOSE:
-                return  # already balanced by _put_close
-            if item[2]:
-                # Injected latency: hold the FIFO head back, so ordering
-                # is preserved (later frames queue behind the delay).
-                pause = item[2] - loop.time()
-                if pause > 0:
-                    await asyncio.sleep(pause)
-            # Coalesce: drain whatever else is already queued into one
-            # batched write, bounded by coalesce_max_bytes. A delayed
-            # frame ends the batch (it must wait; order is preserved by
-            # carrying it into the next round).
-            batch = [item]
-            batch_bytes = len(item[0])
-            close_after = False
-            while batch_bytes < self.cfg.coalesce_max_bytes:
-                try:
-                    nxt = link.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _CLOSE:
-                    close_after = True
-                    break
-                if nxt[2] and nxt[2] > loop.time():
-                    carry = nxt
-                    break
-                batch.append(nxt)
-                batch_bytes += len(nxt[0])
-            ok = await self._send_batch(link, batch, batch_bytes)
-            for it in batch:
-                link.queue.task_done()
-                self._release(it[4])
-            if not ok:
+        try:
+            while True:
                 if carry is not None:
+                    item, carry = carry, None
+                else:
+                    item = await link.queue.get()
+                if item is _CLOSE:
+                    return  # already balanced by _put_close
+                if item[2]:
+                    # Injected latency: hold the FIFO head back, so ordering
+                    # is preserved (later frames queue behind the delay).
+                    pause = item[2] - loop.time()
+                    if pause > 0:
+                        await asyncio.sleep(pause)
+                # Coalesce: drain whatever else is already queued into one
+                # batched write, bounded by coalesce_max_bytes. A delayed
+                # frame ends the batch (it must wait; order is preserved by
+                # carrying it into the next round).
+                batch = [item]
+                batch_bytes = len(item[0])
+                close_after = False
+                while batch_bytes < self.cfg.coalesce_max_bytes:
+                    try:
+                        nxt = link.queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
+                    if nxt is _CLOSE:
+                        close_after = True
+                        break
+                    if nxt[2] and nxt[2] > loop.time():
+                        carry = nxt
+                        break
+                    batch.append(nxt)
+                    batch_bytes += len(nxt[0])
+                ok = await self._send_batch(link, batch, batch_bytes)
+                for it in batch:
                     link.queue.task_done()
-                    self._release(carry[4])
-                return  # dead / superseded / closing; outbox abandoned
-            if close_after:
-                return
+                    self._release(it[4])
+                if not ok:
+                    if carry is not None:
+                        link.queue.task_done()
+                        self._release(carry[4])
+                    return  # dead / superseded / closing; outbox abandoned
+                if close_after:
+                    return
+        finally:
+            self._close_sock(link)
 
     async def _send_batch(self, link: _OutLink, batch: list, batch_bytes: int) -> bool:
         """Write ``batch`` (one or more frames) as a single transport
@@ -647,17 +686,19 @@ class PeerMesh:
                     if link.ring is None:
                         continue  # demoted to TCP mid-batch; resend there
                     return False
+            elif link.sock is None:
+                continue  # the ring was retired while the batch was throttled
             else:
                 try:
-                    if len(batch) > 1:
-                        link.writer.writelines([it[0] for it in batch])
-                    else:
-                        link.writer.write(batch[0][0])
-                    await asyncio.wait_for(
-                        link.writer.drain(), self.cfg.send_timeout_s
-                    )
+                    # The common case: the kernel takes the whole batch
+                    # straight from the encode buffers, with no await.
+                    rest = _send_views(link.sock, [it[0] for it in batch])
+                    if rest:
+                        await asyncio.wait_for(
+                            _send_rest(link.sock, rest), self.cfg.send_timeout_s
+                        )
                 except (ConnectionError, OSError, asyncio.TimeoutError):
-                    self._drop_writer(link)
+                    self._close_sock(link)
                     continue  # re-enter the connect/retry path
             break
         if self._m:
@@ -701,6 +742,8 @@ class PeerMesh:
         frames = [it[0] for it in batch]
         backoff = _POLL_MIN_S
         while True:
+            if link.ring is None:
+                return False  # revive() retired the ring during the backoff
             try:
                 if link.ring.push_many(frames):
                     return True
@@ -744,13 +787,22 @@ class PeerMesh:
         else:
             raise exc
 
-    def _drop_writer(self, link: _OutLink) -> None:
-        if link.writer is not None:
+    @staticmethod
+    def _close_sock(link: _OutLink) -> None:
+        """Close ``link``'s socket; only its own sender may do this."""
+        if link.sock is not None:
+            link.sock.close()
+            link.sock = None
+
+    @staticmethod
+    def _sever(link: _OutLink) -> None:
+        """Break ``link``'s connection: a blocked send fails at once, and
+        its sender closes the socket, never while the loop watches the fd."""
+        if link.sock is not None:
             try:
-                link.writer.close()
-            except Exception:
+                link.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
-            link.writer = None
 
     def _superseded(self, link: _OutLink) -> bool:
         """Whether ``link`` was replaced by :meth:`revive` — its retry
@@ -760,7 +812,7 @@ class PeerMesh:
     async def _ensure_connected(self, link: _OutLink) -> bool:
         if self._superseded(link):
             return False
-        if link.writer is not None:
+        if link.sock is not None:
             return True
         if link.dst in self._dead or self._closing:
             return False
@@ -768,14 +820,7 @@ class PeerMesh:
             if self._closing or self._superseded(link):
                 return False
             try:
-                host, port = link.addr
-                _, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port),
-                    self.cfg.connect_timeout_s,
-                )
-                writer.write(encode_message(Hello(self.worker_id, link.channel)))
-                await writer.drain()
-                link.writer = writer
+                link.sock = await self._dial(link)
                 if self._m:
                     self._m.connects.inc(1, self.worker_id, link.dst)
                     if link.ever_connected:
@@ -794,6 +839,22 @@ class PeerMesh:
         if not self._superseded(link):
             self._declare_dead(link.dst)
         return False
+
+    async def _dial(self, link: _OutLink) -> socket.socket:
+        """Connect a non-blocking ``TCP_NODELAY`` socket to ``link.addr``
+        and send the ``Hello``; the socket is closed if either fails."""
+        loop = asyncio.get_running_loop()
+        sock = socket.socket(socket.AF_INET6 if ":" in link.addr[0] else socket.AF_INET)
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            await asyncio.wait_for(loop.sock_connect(sock, link.addr),
+                                   self.cfg.connect_timeout_s)
+            await loop.sock_sendall(sock, encode_message(Hello(self.worker_id, link.channel)))
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     def _declare_dead(self, peer: int) -> None:
         if peer in self._dead:
@@ -815,7 +876,7 @@ class PeerMesh:
                     dropped, self.worker_id, peer, CHANNEL_NAMES[channel]
                 )
             self._put_close(link)
-            self._drop_writer(link)
+            self._sever(link)
         graceful = peer in self._graceful or self._closing or self._draining
         if self.tracer.enabled:
             self.tracer.instant(

@@ -105,7 +105,8 @@ class TestRetention:
 class TestCorruption:
     def test_truncated_file_raises(self, tmp_path):
         path = write_checkpoint(str(tmp_path), 0, _arrays(), _meta())
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="corrupt"):

@@ -7,10 +7,15 @@ no pytest-asyncio dependency, no mocks of the transport itself.
 """
 
 import asyncio
+import errno
 import os
+import random
+import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.messages import (
     GradientMessage,
@@ -27,10 +32,12 @@ from repro.transport.codec import (
     encode_message,
 )
 from repro.transport.mesh import (
+    _IOV_MAX,
     CHANNEL_CONTROL,
     CHANNEL_DATA,
     PeerMesh,
     TransportConfig,
+    _send_views,
 )
 
 # Fast-failure config so death-detection tests finish in well under a
@@ -299,11 +306,11 @@ class TestTransientDisconnect:
             a, b = Endpoint(0), Endpoint(1)
             try:
                 await _start_pair(a, b)
-                # Warm the link so a writer exists, then sever it.
+                # Warm the link so a socket exists, then sever it.
                 assert a.mesh.send(1, CHANNEL_DATA, _grad(0, 0))
                 await _wait_for(lambda: len(b.received) == 1)
                 link = a.mesh._out[(1, CHANNEL_DATA)]
-                link.writer.transport.abort()
+                link.sock.shutdown(socket.SHUT_RDWR)
                 for i in range(1, 16):
                     assert a.mesh.send(1, CHANNEL_DATA, _grad(0, i))
                 await _wait_for(lambda: len(b.received) == 16)
@@ -360,7 +367,7 @@ class TestTelemetry:
                 reconnects = registry.get("transport_reconnect_total")
                 assert reconnects.value(0, 1) == 0
                 link = a.mesh._out[(1, CHANNEL_DATA)]
-                link.writer.transport.abort()
+                link.sock.shutdown(socket.SHUT_RDWR)
                 assert a.mesh.send(1, CHANNEL_DATA, _grad(0, 1))
                 await _wait_for(lambda: len(b.received) == 2)
             finally:
@@ -536,7 +543,7 @@ class TestShmLane:
                 await _start_pair(a, b)
                 link = a.mesh._out[(1, CHANNEL_DATA)]
                 assert link.ring is not None  # shm lane selected
-                assert link.writer is None  # no TCP dial for data
+                assert link.sock is None  # no TCP dial for data
                 lane = registry.get("transport_lane")
                 assert lane.value(0, 1, "shm") == 1.0
                 assert lane.value(0, 1, "tcp") == 0.0
@@ -624,6 +631,49 @@ class TestShmLane:
 
         asyncio.run(run())
 
+    def test_revive_during_ring_backoff(self):
+        """The peer's consumer stops popping, so the ring fills and the
+        sender backs off; ``revive`` retires the ring meanwhile. The old
+        sender must unwind quietly and the revived (TCP) link deliver."""
+        async def run():
+            from repro.transport.shm import ring_name, sweep_ring
+
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
+            token = f"rev{id(loop) & 0xFFFF:x}"
+            cfg = TransportConfig(
+                connect_timeout_s=1.0, send_timeout_s=1.0,
+                retry_base_s=0.01, retry_max_s=0.05, retry_attempts=3,
+                heartbeat_interval_s=5.0, shm_ring_bytes=4096,
+            )
+            a = Endpoint(0, config=cfg, shm_out={1}, shm_in={1}, shm_token=token)
+            b = Endpoint(1, config=cfg, shm_out={0}, shm_in={0}, shm_token=token)
+            b2 = Endpoint(1, config=cfg)
+            try:
+                await _start_pair(a, b)
+                for task in b.mesh._ring_tasks:
+                    task.cancel()  # the consumer stops popping
+                link = a.mesh._out[(1, CHANNEL_DATA)]
+                for i in range(100):  # 64-byte frames: 4 KiB holds 60
+                    assert a.mesh.send(1, CHANNEL_DATA, _grad(0, i))
+                    await asyncio.sleep(0.001)
+                assert link.ring.pending_bytes() > 0 and link.queue.qsize() > 0
+                old_task = link.task
+                a.mesh.revive(1, ("127.0.0.1", await b2.mesh.start()))
+                await asyncio.wait([old_task], timeout=cfg.send_timeout_s)
+                assert old_task.done() and old_task.exception() is None
+                assert a.mesh.send(1, CHANNEL_DATA, _grad(0, 99))
+                await _wait_for(lambda: len(b2.received) == 1)
+            finally:
+                await asyncio.gather(a.mesh.close(), b.mesh.close(), b2.mesh.close())
+            assert [m.iteration for _, _, m in b2.received] == [99]
+            assert not a.errors and not loop_errors
+            for src, dst in ((0, 1), (1, 0)):
+                sweep_ring(ring_name(token, src, dst))
+
+        asyncio.run(run())
+
 
 def _rss_bytes() -> int:
     with open("/proc/self/statm") as f:
@@ -681,5 +731,155 @@ class TestForeignInput:
             assert [(p, m.iteration) for p, _, m in b.received] == [(0, 5)]
             assert not a.errors and not b.errors and not loop_errors
             assert a.dead == [] and b.dead == []
+
+        asyncio.run(run())
+
+
+class _FakeSocket:
+    """``sendmsg`` that takes a random number of bytes (often just one),
+    sometimes would block, and refuses more than ``_IOV_MAX`` buffers
+    the way the kernel does."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.received = bytearray()
+
+    def sendmsg(self, buffers):
+        if len(buffers) > _IOV_MAX:
+            raise OSError(errno.EMSGSIZE, "Message too long")
+        if self.rng.random() < 0.3:
+            raise BlockingIOError(errno.EAGAIN, "would block")
+        offered = b"".join(bytes(b) for b in buffers)
+        take = self.rng.choice([1, self.rng.randint(1, max(1, len(offered)))])
+        take = min(take, len(offered))
+        self.received += offered[:take]
+        return take
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestSendPath:
+    """The TCP send path: a batch goes to the kernel with non-blocking
+    ``sendmsg`` calls straight from the encode buffers."""
+
+    @given(
+        # Short batches and batches past one sendmsg's buffer limit.
+        count=st.one_of(st.integers(1, 40), st.integers(_IOV_MAX + 1, 2600)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_partial_write_delivers_the_batch_in_order(self, count, seed):
+        rng = random.Random(seed)
+        frames = [memoryview(bytearray(rng.randbytes(rng.randint(0, 48))))
+                  for _ in range(count)]
+        sock = _FakeSocket(seed)
+        rest = list(frames)
+        while rest:  # what the slow path does once the socket is writable
+            rest = _send_views(sock, rest)
+        assert bytes(sock.received) == b"".join(frames)
+
+    def test_burst_past_iov_max_arrives_complete_and_in_order(self):
+        """2,000 control frames with no await in between coalesce into
+        one batch: more buffers than one sendmsg may carry."""
+        async def run():
+            a, b = Endpoint(0), Endpoint(1)
+            try:
+                await _start_pair(a, b)
+                for i in range(2000):
+                    assert a.mesh.send(
+                        1, CHANNEL_CONTROL,
+                        LossShareMessage(sender=0, iteration=i, avg_loss=0.5),
+                    )
+                await _wait_for(lambda: len(b.received) == 2000)
+            finally:
+                await asyncio.gather(a.mesh.close(), b.mesh.close())
+            assert [m.iteration for _, _, m in b.received] == list(range(2000))
+            assert not a.errors and a.dead == []
+
+        asyncio.run(run())
+
+    def test_outbound_sockets_set_nodelay(self):
+        async def run():
+            a, b = Endpoint(0), Endpoint(1)
+            try:
+                await _start_pair(a, b)
+                links = [*a.mesh._out.values(), *b.mesh._out.values()]
+                assert len(links) == 4
+                for link in links:
+                    assert link.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                await asyncio.gather(a.mesh.close(), b.mesh.close())
+
+        asyncio.run(run())
+
+    def test_revive_severs_a_blocked_link(self):
+        """A's peer accepts but never reads, so A's data sender blocks
+        with the socket full. ``revive`` to a real peer must fail that
+        send at once (the send timeout alone would take 5 s), with no
+        error surfaced and every socket closed by its owner."""
+        async def run():
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
+            fds0 = _open_fds()
+            cfg = TransportConfig(
+                connect_timeout_s=1.0, send_timeout_s=5.0,
+                retry_base_s=0.01, retry_max_s=0.05, retry_attempts=3,
+                heartbeat_interval_s=5.0,
+            )
+            registry = MetricsRegistry()
+            a = Endpoint(0, config=cfg, metrics=registry)
+            b = Endpoint(1, config=cfg)
+            listener = socket.create_server(("127.0.0.1", 0))
+            listener.setblocking(False)
+            accepted = []
+
+            async def accept_and_never_read():
+                while True:
+                    accepted.append((await loop.sock_accept(listener))[0])
+
+            acceptor = asyncio.ensure_future(accept_and_never_read())
+            try:
+                await a.mesh.start()
+                await a.mesh.connect({1: listener.getsockname()})
+                link = a.mesh._out[(1, CHANNEL_DATA)]
+                big = WeightMessage(
+                    sender=0, iteration=0,
+                    weights={"w": np.ones(1 << 17, dtype=np.float32)},  # 512 KiB
+                )
+                for _ in range(32):  # 16 MiB: more than both socket buffers
+                    assert a.mesh.send(1, CHANNEL_DATA, big)
+                sent = registry.get("transport_send_msgs_total")
+                last = -1.0
+                while sent.value(0, 1, "data") != last:  # until the sender stalls
+                    last = sent.value(0, 1, "data")
+                    await asyncio.sleep(0.2)
+                assert last < 32  # blocked in the kernel, not done
+
+                old_tasks = [link.task, a.mesh._out[(1, CHANNEL_CONTROL)].task]
+                t0 = loop.time()
+                a.mesh.revive(1, ("127.0.0.1", await b.mesh.start()))
+                await asyncio.wait(old_tasks, timeout=cfg.send_timeout_s)
+                assert loop.time() - t0 < 1.0
+                assert all(t.done() and t.exception() is None for t in old_tasks)
+                assert a.mesh.send(1, CHANNEL_DATA, _grad(0, 7))
+                assert a.mesh.send(
+                    1, CHANNEL_CONTROL,
+                    LossShareMessage(sender=0, iteration=8, avg_loss=0.5),
+                )
+                await _wait_for(lambda: len(b.received) == 2)
+                for new in a.mesh._out.values():
+                    assert new.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                await asyncio.gather(a.mesh.close(), b.mesh.close())
+                acceptor.cancel()
+                for conn in accepted:
+                    conn.close()
+                listener.close()
+            assert sorted(m.iteration for _, _, m in b.received) == [7, 8]
+            assert not a.errors and not b.errors and not loop_errors
+            await _wait_for(lambda: _open_fds() == fds0)
 
         asyncio.run(run())
