@@ -10,19 +10,43 @@ only the largest entry. This is the reading consistent with all three of
 the paper's statements about N (see DESIGN.md §2). Each weight variable
 is filtered independently because "each weight variable has their own
 value distribution and convergence speed".
+
+:func:`keep_threshold` is the one place that threshold is written; every
+Max-N selection and count compares against it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
-__all__ = ["select_max_n", "select_payload", "selection_count"]
+__all__ = ["keep_threshold", "select_max_n", "select_payload"]
 
 
-def _threshold(max_abs: float, n_percent: float) -> float:
-    return (1.0 - n_percent / 100.0) * max_abs
+@functools.cache
+def _smallest_positive(dtype: np.dtype) -> float:
+    return float(np.finfo(dtype).smallest_subnormal)
+
+
+def keep_threshold(max_abs: float, n_percent: float, dtype: np.dtype) -> float:
+    """The Max-N keep threshold ``(1 − N/100)·max|g|`` for ``|g|`` of ``dtype``.
+
+    NumPy casts a python-float threshold to the gradient's dtype before
+    comparing, so a threshold below that dtype's smallest positive value
+    would compare as zero and keep the variable's zero entries too. For
+    N < 100 such a threshold is raised to that smallest value: a nonzero
+    maximum never selects a zero entry, as the normalise-first histogram
+    in :mod:`repro.core.transmission` already assumes. Any threshold that
+    does not underflow is returned unchanged. Pure python after the first
+    call per dtype: the planner's warm probes call it once per variable.
+    """
+    thr = (1.0 - n_percent / 100.0) * max_abs
+    floor = _smallest_positive(dtype)
+    if thr < floor and n_percent < 100.0:
+        return floor
+    return thr
 
 
 def select_max_n(grad: np.ndarray, n_percent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -39,20 +63,8 @@ def select_max_n(grad: np.ndarray, n_percent: float) -> tuple[np.ndarray, np.nda
     if max_abs == 0.0:
         # A zero gradient carries no information; send nothing.
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=flat.dtype)
-    idx = np.nonzero(mags >= _threshold(max_abs, n_percent))[0]
+    idx = np.nonzero(mags >= keep_threshold(max_abs, n_percent, flat.dtype))[0]
     return idx.astype(np.int64), flat[idx]
-
-
-def selection_count(sorted_norm_mags: np.ndarray, n_percent: float) -> int:
-    """Entries Max N would keep, given ascending-sorted ``|g|/max|g|``.
-
-    Used by the transmission-speed-assurance module to evaluate payload
-    sizes for many candidate N without re-scanning the gradient.
-    """
-    if sorted_norm_mags.size == 0:
-        return 0
-    thr = 1.0 - n_percent / 100.0
-    return int(sorted_norm_mags.size - np.searchsorted(sorted_norm_mags, thr, side="left"))
 
 
 def select_payload(

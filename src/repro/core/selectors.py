@@ -7,9 +7,11 @@ point. A :class:`GradientSelector` answers two questions per weight
 variable:
 
 * ``select(grad, level)`` — which entries ship at quality ``level``;
-* ``count_at(grad_stats, level)`` — how many entries that is, cheaply,
-  so the transmission-speed-assurance bisection can size payloads
-  without re-scanning the gradient.
+* ``count_at_levels(grad, levels)`` — how many entries that is at every
+  level of a grid, in one pass over the variable, so the
+  transmission-speed-assurance grid fit can price a whole level grid.
+  ``count_at(grad, level)`` is the ground truth those counts must match:
+  the size of the selection itself.
 
 ``level`` generalizes Max N's N: it always lives in ``(0, 100]`` and
 larger levels ship more data. Implementations:
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.core.maxn import keep_threshold, select_max_n
 
 __all__ = [
     "GradientSelector",
@@ -50,10 +54,10 @@ class GradientSelector:
         raise NotImplementedError
 
     def count_at(self, grad: np.ndarray, level: float) -> int:
-        """How many entries :meth:`select` would keep (no allocation).
+        """How many entries :meth:`select` keeps: the size of the selection.
 
-        Used by the transmission-speed-assurance bisection; the default
-        falls back to running the selection.
+        The reference bisection ``fit_level_to_budget`` reads it, and
+        every :meth:`count_at_levels` must agree with it.
         """
         return int(self.select(grad, level)[0].size)
 
@@ -64,10 +68,8 @@ class GradientSelector:
         whole level grid through this in one pass per variable.
         Overrides must return counts exactly equal to ``count_at`` at
         every level and monotone non-decreasing in level. This base
-        implementation merely loops — the transmission planner treats a
-        selector that does not override it as unbatchable and falls
-        back to per-link bisection, so the loop only ever runs in
-        tests and one-off calls.
+        implementation merely loops over the selection; every selector
+        below overrides it.
         """
         return np.array(
             [self.count_at(grad, lv) for lv in levels], dtype=np.int64
@@ -86,20 +88,12 @@ class GradientSelector:
         return levels
 
 
-def _fraction_counts(size: int, levels: np.ndarray) -> np.ndarray:
-    """Entries kept by a keep-``level``-percent rule (at least one)."""
-    k = np.ceil(size * levels / 100.0).astype(np.int64)
-    return np.minimum(size, np.maximum(1, k))
-
-
 class MaxNSelector(GradientSelector):
     """The paper's Max N: entries within the top-N% magnitude band."""
 
     name = "maxn"
 
     def select(self, grad, level):
-        from repro.core.maxn import select_max_n
-
         return select_max_n(grad, level)
 
     def count_at_levels(self, grad, levels):
@@ -108,12 +102,14 @@ class MaxNSelector(GradientSelector):
         mx = float(mags.max(initial=0.0))
         if mx == 0.0:
             return np.zeros(levels.size, dtype=np.int64)
-        # One sort, then every level is a searchsorted over it. The
-        # thresholds are cast to the gradient dtype so the comparison
-        # matches select_max_n's ``mags >= thr`` exactly (NumPy casts a
-        # python-float threshold to the array dtype before comparing).
+        # One sort, then every level is a searchsorted over it, against
+        # select_max_n's own thresholds cast to the gradient dtype (as
+        # NumPy casts a python-float threshold before comparing).
         order = np.sort(mags)
-        thr = ((1.0 - levels / 100.0) * mx).astype(mags.dtype, copy=False)
+        thr = np.array(
+            [keep_threshold(mx, lv, mags.dtype) for lv in levels.tolist()],
+            dtype=mags.dtype,
+        )
         below = np.searchsorted(order, thr, side="left")
         return (mags.size - below).astype(np.int64)
 
@@ -141,18 +137,13 @@ class TopKSelector(GradientSelector):
             idx = np.sort(idx).astype(np.int64)
         return idx, flat[idx]
 
-    def count_at(self, grad, level):
-        self._validate(level)
-        size = grad.size
-        if size == 0 or float(np.abs(grad).max(initial=0.0)) == 0.0:
-            return 0
-        return min(size, max(1, math.ceil(size * level / 100.0)))
-
     def count_at_levels(self, grad, levels):
         levels = self._validate_levels(levels)
         if grad.size == 0 or float(np.abs(grad).max(initial=0.0)) == 0.0:
             return np.zeros(levels.size, dtype=np.int64)
-        return _fraction_counts(grad.size, levels)
+        # keep-``level``-percent, at least one entry
+        k = np.ceil(grad.size * levels / 100.0).astype(np.int64)
+        return np.minimum(grad.size, np.maximum(1, k))
 
 
 class RandomKSelector(GradientSelector):
@@ -182,18 +173,8 @@ class RandomKSelector(GradientSelector):
             )
         return idx, flat[idx]
 
-    def count_at(self, grad, level):
-        self._validate(level)
-        size = grad.size
-        if size == 0 or float(np.abs(grad).max(initial=0.0)) == 0.0:
-            return 0
-        return min(size, max(1, math.ceil(size * level / 100.0)))
-
-    def count_at_levels(self, grad, levels):
-        levels = self._validate_levels(levels)
-        if grad.size == 0 or float(np.abs(grad).max(initial=0.0)) == 0.0:
-            return np.zeros(levels.size, dtype=np.int64)
-        return _fraction_counts(grad.size, levels)
+    # the same count as top-k: only which entries ship differs
+    count_at_levels = TopKSelector.count_at_levels
 
 
 class ThresholdSelector(GradientSelector):
@@ -224,14 +205,6 @@ class ThresholdSelector(GradientSelector):
             idx = np.array([int(np.argmax(mags))], dtype=np.int64)
         return idx, flat[idx]
 
-    def count_at(self, grad, level):
-        self._validate(level)
-        mags = np.abs(grad.reshape(-1))
-        if float(mags.max(initial=0.0)) == 0.0:
-            return 0
-        thr = self.base_threshold * (100.0 / level - 1.0 + 1e-9)
-        return max(1, int(np.count_nonzero(mags >= thr)))
-
     def count_at_levels(self, grad, levels):
         levels = self._validate_levels(levels)
         mags = np.abs(grad.reshape(-1))
@@ -240,7 +213,7 @@ class ThresholdSelector(GradientSelector):
         order = np.sort(mags)
         thr = self.base_threshold * (100.0 / levels - 1.0 + 1e-9)
         # Cast to the gradient dtype so the comparison matches
-        # count_at's ``mags >= thr`` exactly (including overflow of a
+        # select's ``mags >= thr`` exactly (including overflow of a
         # huge float64 threshold to float32 inf — count 0, floored to 1).
         thr = thr.astype(mags.dtype, copy=False)
         below = np.searchsorted(order, thr, side="left")

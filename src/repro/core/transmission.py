@@ -17,11 +17,10 @@ per variable (one O(n) pass over the gradient map, total) and folds the
 suffix-cumulative counts of all variables into a single
 bytes-at-every-bin-edge array (O(BINS) extra), *rounding each
 per-variable count up* to bin granularity so a candidate judged
-feasible is guaranteed feasible exactly. Every destination budget is
-then answered by one vectorized ``searchsorted`` over that array —
-no per-link re-evaluation, no bisection loop. The planner additionally
-shares one payload per resolved bin index (links whose budgets land in
-the same bin ship the same bytes).
+feasible is guaranteed feasible exactly. Every destination budget —
+one or many — is then answered by one vectorized ``searchsorted`` over
+that array (:meth:`GradientHistograms.fit_many`): no per-link
+re-evaluation, no bisection loop.
 
 In steady state the histogram build itself disappears: for a plan with
 one distinct budget (uniform bandwidths) the planner guesses the edge
@@ -29,10 +28,15 @@ by a ``searchsorted`` into the *previous* iteration's fold and
 verifies with a couple of exact-count secant probes on the current
 gradients (:meth:`GradientHistograms.fit_warm`), rebuilding the
 histograms only on a probe miss. Warm answers stay exactly feasible —
-probes are exact counts — and sit at most a few bins (``slack``, ≲0.1
+probes are exact counts — and sit at most ``_WARM_SLACK`` bins (≲0.1
 N) below the certified optimum. All planners also share one
 process-wide scratch pool so the hot buffers stay cache-warm when
 many simulated workers take turns planning.
+
+A non-default selector (:mod:`repro.core.selectors`) is fit on a level
+grid instead (:func:`fit_levels_to_budgets`). Either fit gives every
+destination a ``(level, key)``; equal keys mean equal levels, and the
+planner builds one payload per distinct key.
 
 Exactness invariant (asserted by the property suite in
 ``tests/properties/test_prop_transmission.py``): whenever the chosen N
@@ -41,6 +45,7 @@ exceeds ``n_min``, the exact encoded payload at that N fits the budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Mapping, Sequence
 
@@ -48,8 +53,8 @@ import numpy as np
 
 from repro.cluster.messages import VARIABLE_HEADER_BYTES
 from repro.core.config import MaxNConfig
-from repro.core.maxn import select_payload
-from repro.core.selectors import GradientSelector
+from repro.core.maxn import keep_threshold, select_payload
+from repro.core.selectors import make_selector
 
 __all__ = [
     "GradientHistograms",
@@ -60,6 +65,13 @@ __all__ = [
 ]
 
 _BINS = 4096
+
+# The warm probe's budget: at most this many exact counts per plan, and
+# a feasible edge at most this many bins above the certified optimum is
+# accepted. One probe (~60us) is far cheaper than the fold rebuild a
+# miss forces (~340us), so probes are spent generously.
+_WARM_PROBES = 8
+_WARM_SLACK = 4
 
 
 def _build_n_at_edge() -> np.ndarray:
@@ -84,15 +96,15 @@ _N_AT_EDGE = _build_n_at_edge()
 
 
 class _Scratch:
-    """Reusable per-planner buffers for the per-iteration gradient view.
+    """Reusable buffers for the per-iteration gradient view.
 
-    The view's working arrays (concatenated values, magnitudes, the
-    selection mask, the quantization scratch) are each a few hundred KB
-    — past glibc's mmap threshold, so allocating them fresh every
-    iteration means page-faulting the memory in every time. One planner
-    plans every iteration with the same model, so the buffers are
-    allocated once and reused; they are resized only when the model (or
-    gradient dtype) changes.
+    The view's working arrays (magnitudes, the selection mask, the
+    quantization scratch) are each a few hundred KB — past glibc's mmap
+    threshold, so allocating them fresh every iteration means
+    page-faulting the memory in every time. Planners plan every
+    iteration with the same model, so the buffers are allocated once
+    and reused; they are resized only when the model (or gradient
+    dtype) changes.
     """
 
     __slots__ = (
@@ -159,11 +171,10 @@ class GradientHistograms:
     warm-start verification, and ``select_payload`` reuses the cached
     magnitudes.
 
-    The working arrays are each a few hundred KB — past glibc's mmap
-    threshold — so a planner that builds one view per iteration passes
-    a :class:`_Scratch` pool and the concatenation, magnitude, mask and
-    quantization buffers are reused across iterations instead of being
-    page-faulted in fresh every time.
+    The magnitude, mask and quantization buffers live in a
+    :class:`_Scratch` pool. The planner passes the process-wide pool,
+    so they are reused across iterations; a view built without one gets
+    a private pool, so two standalone views never share buffers.
 
     Gradient maps with mixed dtypes (or non-float gradients) cannot be
     concatenated without changing comparison semantics; construction
@@ -178,7 +189,7 @@ class GradientHistograms:
         "_mags",
         "_offsets",
         "_bounds",
-        "_maxes64",
+        "_maxes",
         "_zero_entries",
         "_nnz",
         "_rev_bytes",
@@ -199,10 +210,7 @@ class GradientHistograms:
     ) -> None:
         self._rev_bytes: np.ndarray | None = None
         self._exact_cache: dict[float, int] = {}
-        self._mask: np.ndarray | None = None
         self._mask_n: float | None = None
-        self._scale: np.ndarray | None = None
-        self._quant: np.ndarray | None = None
         names: list[str] = []
         flats: list[np.ndarray] = []
         for name, g in grads.items():
@@ -213,7 +221,7 @@ class GradientHistograms:
         if not flats:
             self._names = []
             self._flats = self._mags = self._offsets = self._bounds = None
-            self._maxes64 = None
+            self._maxes = None
             self._zero_entries = self._nnz = 0
             self._rev_bytes = np.zeros(_BINS + 1, dtype=np.int64)
             return
@@ -227,7 +235,9 @@ class GradientHistograms:
         self._names = names
         self._flats = flats  # per-variable views of the caller's arrays
         sizes = [f.size for f in flats]
-        if scratch is not None and scratch.names == names and scratch.sizes == sizes:
+        if scratch is None:
+            scratch = _Scratch()
+        if scratch.names == names and scratch.sizes == sizes:
             # same model layout as last iteration: reuse the offsets
             offsets = scratch.offsets
             bounds = scratch.bounds
@@ -238,23 +248,18 @@ class GradientHistograms:
             bounds = [
                 (int(offsets[i]), int(offsets[i + 1])) for i in range(len(flats))
             ]
-            if scratch is not None:
-                scratch.names = list(names)
-                scratch.sizes = sizes
-                scratch.offsets = offsets
-                scratch.bounds = bounds
+            scratch.names = list(names)
+            scratch.sizes = sizes
+            scratch.offsets = offsets
+            scratch.bounds = bounds
         self._offsets = offsets
         self._bounds = bounds
         total = bounds[-1][1]
-        if scratch is not None:
-            scratch.ensure(total, flats[0].dtype)
-            self._mags = scratch.mags[:total]
-            self._mask = scratch.mask[:total]
-            self._mask_n = None  # buffer contents belong to a prior view
-            self._scale = scratch.scale[:total]
-            self._quant = scratch.quant[:total]
-        else:
-            self._mags = np.empty(total, dtype=flats[0].dtype)
+        scratch.ensure(total, flats[0].dtype)
+        self._mags = scratch.mags[:total]
+        self._mask = scratch.mask[:total]
+        self._scale = scratch.scale[:total]
+        self._quant = scratch.quant[:total]
         # magnitudes of all variables, packed into one buffer segment
         # by segment — never a concatenated copy of the values
         # themselves (payload gathers index the caller's arrays).
@@ -262,19 +267,14 @@ class GradientHistograms:
         for i, flat in enumerate(flats):
             a, b = bounds[i]
             np.abs(flat, out=mags[a:b])
-        maxes = np.maximum.reduceat(mags, offsets[:-1])
-        # float64 maxima: per-variable thresholds are computed in
+        # python-float maxima: per-variable thresholds are computed in
         # float64 and cast back to the gradient dtype, matching
         # select_max_n's python-float threshold exactly.
-        self._maxes64 = maxes.astype(np.float64)
-        nonzero = self._maxes64 > 0.0
-        self._nnz = int(np.count_nonzero(nonzero))
-        if self._nnz == len(flats):
-            self._zero_entries = 0
-        else:
-            self._zero_entries = int(
-                sum(s for s, nz in zip(sizes, nonzero) if not nz)
-            )
+        self._maxes = np.maximum.reduceat(mags, offsets[:-1]).tolist()
+        self._nnz = sum(mx > 0.0 for mx in self._maxes)
+        self._zero_entries = sum(
+            s for s, mx in zip(sizes, self._maxes) if mx == 0.0
+        )
 
     @property
     def folded(self) -> np.ndarray | None:
@@ -301,22 +301,20 @@ class GradientHistograms:
         (warm-probe a level, then select the payload at that same
         level) builds the mask once.
         """
-        if self._mask is not None and self._mask_n == n_percent:
-            return self._mask
-        if self._mask is None:
-            self._mask = np.empty(self._mags.size, dtype=bool)
         mask = self._mask
-        frac = 1.0 - n_percent / 100.0
-        for i, (a, b) in enumerate(self._bounds):
-            seg = mask[a:b]
-            mx = float(self._maxes64[i])
+        if self._mask_n == n_percent:
+            return mask
+        mags = self._mags
+        dtype = mags.dtype
+        for (a, b), mx in zip(self._bounds, self._maxes):
             if mx == 0.0:
                 # all-zero variables select nothing at any level
-                seg[:] = False
+                mask[a:b] = False
             else:
-                # python-float threshold: identical promotion to
-                # select_max_n's `mags >= (1 - n/100) * max` compare
-                np.greater_equal(self._mags[a:b], frac * mx, out=seg)
+                # the threshold select_max_n compares against
+                np.greater_equal(
+                    mags[a:b], keep_threshold(mx, n_percent, dtype), out=mask[a:b]
+                )
         self._mask_n = n_percent
         return mask
 
@@ -349,10 +347,7 @@ class GradientHistograms:
         # fold (entries at exactly the max land in bin _BINS)
         # avoid a full-array clip pass.
         scale = self._scale
-        if scale is None:
-            scale = np.empty(self._mags.size, dtype=self._mags.dtype)
-        for i, (a, b) in enumerate(self._bounds):
-            mx = float(self._maxes64[i])
+        for (a, b), mx in zip(self._bounds, self._maxes):
             if mx == 0.0:
                 # zero variables land in bin 0, subtracted
                 # out again below
@@ -360,8 +355,6 @@ class GradientHistograms:
             else:
                 np.divide(self._mags[a:b], mx, out=scale[a:b])
         quant = self._quant
-        if quant is None:
-            quant = np.empty(scale.size, dtype=np.intp)
         # one fused pass: the float multiply (exact — _BINS is
         # a power of two) C-cast-truncates straight into the
         # intp buffer bincount ingests copy-free; values are
@@ -426,70 +419,34 @@ class GradientHistograms:
         )
         return chosen, edge
 
-    def fit_edge(
-        self, budget_bytes: float, *, n_min: float = 0.85, n_max: float = 100.0
-    ) -> tuple[float, int]:
-        """Scalar twin of :meth:`fit_many` for a single budget.
-
-        Same searchsorted-and-clamp logic without the array round
-        trips; returns the same ``(chosen_n, edge)`` the batched path
-        would. The planner uses it on uniform-bandwidth plans, where
-        every destination shares one budget.
-        """
-        if not 0 < n_min <= n_max <= 100.0:
-            raise ValueError("need 0 < n_min <= n_max <= 100")
-        rev = self._ensure_hist()
-        fits = int(np.searchsorted(rev, budget_bytes, side="right")) - 1
-        i_star = _BINS - max(fits, 0)
-        idx_cap = int((1.0 - n_max / 100.0) * _BINS)
-        idx_floor = int((1.0 - n_min / 100.0) * _BINS)
-        edge = min(max(i_star, idx_cap), idx_floor + 1)
-        if edge <= idx_cap:
-            return n_max, edge
-        if edge > idx_floor:
-            return n_min, edge
-        return float(_N_AT_EDGE[edge]), edge
-
-    def fit(
-        self, budget_bytes: float, *, n_min: float = 0.85, n_max: float = 100.0
-    ) -> float:
-        """Single-budget convenience wrapper over :meth:`fit_edge`."""
-        return self.fit_edge(budget_bytes, n_min=n_min, n_max=n_max)[0]
-
     def fit_warm(
         self,
         budget_bytes: float,
         guess_edge: int,
         *,
+        slope_hint: float,
         n_min: float = 0.85,
         n_max: float = 100.0,
-        max_probes: int = 4,
-        slope_hint: float | None = None,
-        slack: int = 0,
     ) -> tuple[float, int] | None:
         """Try to resolve one budget from a previous iteration's fold.
 
         Each probe is one **exact** vectorized count (no histogram
         build); every returned edge is therefore exactly feasible.
-        Without ``slope_hint`` the search walks the guess one edge at a
-        time — right for guesses already at the answer. Minibatch
-        gradient distributions, however, shift the optimal edge by tens
-        of bins per iteration, so the planner passes ``slope_hint``
-        (bytes per bin near the guess, read off the previous fold):
-        each miss then takes a secant step sized by the exact byte
-        error, which lands within a few bins of the true boundary.
+        Minibatch gradient distributions shift the optimal edge by tens
+        of bins per iteration, so each miss takes a secant step sized
+        by the exact byte error over ``slope_hint`` (bytes per bin near
+        the guess, read off the previous fold), which lands within a few
+        bins of the true boundary.
 
         The search keeps a bracket — the best feasible edge found and
-        the largest edge known infeasible — and certifies the answer
-        optimal when the bracket closes. ``slack`` loosens that:
-        a feasible edge at most ``slack`` bins above the certified
-        bracket is accepted as-is (``slack`` bins = ``100·slack/4096``
+        the largest edge known infeasible — and accepts a feasible edge
+        at most ``_WARM_SLACK`` bins above it (``100·_WARM_SLACK/4096``
         of N below the true optimum, at worst). Returns ``None`` after
-        ``max_probes`` counts without an acceptable edge — the caller
+        ``_WARM_PROBES`` counts without an acceptable edge — the caller
         falls back to the batched :meth:`fit_many`. Because probes use
         exact counts while the histogram overcounts, a warm answer may
-        sit above the batched one even at ``slack=0``; both are within
-        one bin of the true optimum and exactly feasible.
+        sit above the batched one; both are within one bin of the true
+        optimum and exactly feasible.
         """
         if not 0 < n_min <= n_max <= 100.0:
             raise ValueError("need 0 < n_min <= n_max <= 100")
@@ -509,27 +466,23 @@ class GradientHistograms:
         edge = min(max(int(guess_edge), idx_cap), hi)
         best: tuple[float, int] | None = None  # smallest feasible so far
         inf_below = idx_cap - 1  # largest edge known infeasible
-        for _ in range(max_probes):
+        for _ in range(_WARM_PROBES):
             bytes_at = self.exact_bytes_at(n_at(edge))
             if bytes_at <= budget_bytes:
                 if best is None or edge < best[1]:
                     best = (n_at(edge), edge)
-                if edge - (inf_below + 1) <= slack:
+                if edge - (inf_below + 1) <= _WARM_SLACK:
                     # bracket closed (or within the accepted slack):
                     # the winning probe ran last, so its selection
                     # mask is the one left cached for select_payload
                     return best
-                if slope_hint and budget_bytes - bytes_at < slope_hint * (slack + 1):
+                if budget_bytes - bytes_at < slope_hint * (_WARM_SLACK + 1):
                     # the unused budget is worth at most ~slack more
                     # bins by the slope model: accept without paying
                     # probes to close the bracket exactly
                     return best
-                if slope_hint:
-                    step = int((budget_bytes - bytes_at) / slope_hint)
-                    nxt = edge - max(step, 1)
-                else:
-                    nxt = edge - 1
-                nxt = max(nxt, inf_below + 1)
+                step = int((budget_bytes - bytes_at) / slope_hint)
+                nxt = max(edge - max(step, 1), inf_below + 1)
                 if nxt >= edge:
                     return best
                 edge = nxt
@@ -539,14 +492,10 @@ class GradientHistograms:
                     # quality floor wins, same as fit_many's clamp
                     return n_min, hi
                 inf_below = max(inf_below, edge)
-                if best is not None and best[1] - (inf_below + 1) <= slack:
+                if best is not None and best[1] - (inf_below + 1) <= _WARM_SLACK:
                     return best
-                if slope_hint:
-                    step = int((bytes_at - budget_bytes) / slope_hint)
-                    nxt = edge + max(step, 1)
-                else:
-                    nxt = edge + 1
-                nxt = min(nxt, hi)
+                step = int((bytes_at - budget_bytes) / slope_hint)
+                nxt = min(edge + max(step, 1), hi)
                 if best is not None:
                     nxt = min(nxt, best[1] - 1)
                 if nxt <= edge:
@@ -592,9 +541,10 @@ def fit_n_to_budget(
     the paper ("the minimum N for max N algorithm [is] 0.85"). The
     answer is exact at histogram-bin granularity (``100/4096`` of N).
     """
-    if not 0 < n_min <= n_max <= 100.0:
-        raise ValueError("need 0 < n_min <= n_max <= 100")
-    return GradientHistograms(grads).fit(budget_bytes, n_min=n_min, n_max=n_max)
+    chosen, _ = GradientHistograms(grads).fit_many(
+        [budget_bytes], n_min=n_min, n_max=n_max
+    )
+    return float(chosen[0])
 
 
 def fit_level_to_budget(
@@ -606,13 +556,13 @@ def fit_level_to_budget(
     level_max: float = 100.0,
     precision: float = 0.01,
 ) -> float:
-    """Generic budget fit for any :class:`GradientSelector`.
+    """The reference budget fit for any :class:`GradientSelector`.
 
     Bisection over the quality level using the selector's exact
-    ``count_at``. Selectors that vectorize ``count_at_levels`` should
-    go through :func:`fit_levels_to_budgets` instead (the planner picks
-    automatically); the Max-N fast path (:func:`fit_n_to_budget`)
-    should be preferred when the selector is Max N itself.
+    ``count_at`` — the size of the selection itself. Nothing in the
+    planner calls it: it is the oracle that the grid fit
+    (:func:`fit_levels_to_budgets`) and the Max-N fold fit
+    (:func:`fit_n_to_budget`) are tested against.
     """
     if not 0 < level_min <= level_max <= 100.0:
         raise ValueError("need 0 < level_min <= level_max <= 100")
@@ -664,9 +614,8 @@ def fit_levels_to_budgets(
 
     Returns ``(levels, grid_index)``; equal grid indices mean equal
     levels and therefore shareable payloads. Requires a selector whose
-    ``count_at_levels`` is genuinely vectorized and monotone
-    non-decreasing in level (the :class:`GradientSelector` contract) —
-    the planner falls back to per-link bisection otherwise.
+    ``count_at_levels`` is monotone non-decreasing in level (the
+    :class:`GradientSelector` contract).
     """
     if not 0 < level_min <= level_max <= 100.0:
         raise ValueError("need 0 < level_min <= level_max <= 100")
@@ -689,26 +638,22 @@ class TransmissionPlanner:
     ``plan(grads, bandwidths_mbps, iter_time_s)`` returns, per
     destination, the chosen N and the sparse payload. A fixed-N config
     (Fig. 7 / Fig. 16 studies) bypasses the budget fit *and* the
-    payload cache entirely. When the config names a non-default
-    selector, the batched generic fit over that selector replaces the
-    Max-N histogram fast path (or per-link bisection, for selectors
-    without a vectorized ``count_at_levels``).
-
-    Payload caching: destinations whose budgets resolve to the same
-    histogram bin share one payload object — strictly more reuse than
-    caching by bandwidth value, since distinct bandwidths frequently
-    land in the same bin.
+    payload sharing entirely. Otherwise every destination gets a
+    ``(level, key)`` from one of two fits — the Max-N fold (warm probe
+    first) for the default selector, the level-grid fit for the others
+    — and destinations with equal keys share one payload object:
+    strictly more reuse than sharing by bandwidth value, since distinct
+    bandwidths frequently land in the same bin.
     """
 
-    def __init__(self, config: MaxNConfig, *, selector=None):
+    def __init__(self, config: MaxNConfig):
         self.config = config
-        if selector is None and config.selector != "maxn":
-            from repro.core.selectors import make_selector
-
-            selector = make_selector(
-                config.selector, rng=np.random.default_rng(0)
-            )
-        self.selector = selector  # None = the Max-N fast path
+        # None = the Max-N fold fit
+        self.selector = (
+            None
+            if config.selector == "maxn"
+            else make_selector(config.selector, rng=np.random.default_rng(0))
+        )
         # most recent bytes-at-edge fold: the warm-start *guess* source
         # for later iterations (guesses need no freshness — every warm
         # answer is verified by exact counts on the current gradients).
@@ -718,11 +663,6 @@ class TransmissionPlanner:
         # too fast per iteration) and only re-probes occasionally.
         self._stale_fold: np.ndarray | None = None
         self._warm_miss = 0
-        # the process-wide buffer pool: planners across all simulated
-        # workers take turns over the same working arrays, keeping them
-        # cache-warm (a per-planner pool would go cold between any one
-        # worker's iterations while the other workers train)
-        self._scratch = _SHARED_SCRATCH
 
     def budget_bytes(self, bandwidth_mbps: float, iter_time_s: float) -> float:
         """``BW_net_j / Iter_com_i`` expressed in bytes per iteration.
@@ -760,52 +700,26 @@ class TransmissionPlanner:
         budgets = [
             self.budget_bytes(bandwidths_mbps[dst], iter_time_s) for dst in dsts
         ]
-
         if self.selector is None:
-            hist = GradientHistograms(grads, scratch=self._scratch)
+            # the process-wide buffer pool: planners across all
+            # simulated workers take turns over the same working arrays,
+            # keeping them cache-warm (a per-planner pool would go cold
+            # between any one worker's iterations while the others train)
+            hist = GradientHistograms(grads, scratch=_SHARED_SCRATCH)
             fits = self._fit_budgets(hist, budgets)
-            shared: dict[int, dict] = {}
-            for dst, (n, edge) in zip(dsts, fits):
-                payload = shared.get(edge)
-                if payload is None:
-                    payload = hist.select_payload(n)
-                    shared[edge] = payload
-                plans[dst] = (n, payload)
-            return plans
-
-        if (
-            type(self.selector).count_at_levels
-            is GradientSelector.count_at_levels
-        ):
-            # Documented fallback: this selector has no vectorized count
-            # path, so each distinct budget is fit by bisection (and the
-            # payload shared across links with equal budgets).
-            cache: dict[float, tuple[float, dict]] = {}
-            for dst, budget in zip(dsts, budgets):
-                hit = cache.get(budget)
-                if hit is None:
-                    level = fit_level_to_budget(
-                        self.selector,
-                        grads,
-                        budget,
-                        level_min=cfg.n_min,
-                        level_max=cfg.n_max,
-                    )
-                    hit = cache[budget] = (level, self._select(grads, level))
-                plans[dst] = hit
-            return plans
-
-        levels, indices = fit_levels_to_budgets(
-            self.selector, grads, budgets, level_min=cfg.n_min, level_max=cfg.n_max
-        )
-        shared = {}
-        for dst, level, idx in zip(dsts, levels, indices):
-            key = int(idx)
+            select = hist.select_payload
+        else:
+            levels, keys = fit_levels_to_budgets(
+                self.selector, grads, budgets, level_min=cfg.n_min, level_max=cfg.n_max
+            )
+            fits = zip(levels.tolist(), keys.tolist())
+            select = functools.partial(self._select, grads)
+        shared: dict[int, dict] = {}
+        for dst, (level, key) in zip(dsts, fits):
             payload = shared.get(key)
             if payload is None:
-                payload = self._select(grads, float(level))
-                shared[key] = payload
-            plans[dst] = (float(level), payload)
+                payload = shared[key] = select(level)
+            plans[dst] = (level, payload)
         return plans
 
     def _fit_budgets(
@@ -839,35 +753,24 @@ class TransmissionPlanner:
                 k1 = max(k - 64, 0)
                 k2 = min(k + 64, _BINS)
                 slope = float(stale[k2] - stale[k1]) / max(k2 - k1, 1)
-                # 8 probes, not the default 4: one extra probe
-                # (~60us) is far cheaper than the fold rebuild a
-                # miss forces (~340us), so spend probes generously
                 warm = hist.fit_warm(
                     budgets[0],
                     guess,
+                    slope_hint=max(slope, 8.0),
                     n_min=cfg.n_min,
                     n_max=cfg.n_max,
-                    max_probes=8,
-                    slope_hint=max(slope, 8.0),
-                    slack=4,
                 )
                 if warm is not None:
                     self._warm_miss = 0
                     return [warm] * len(budgets)
             self._warm_miss += 1
-        if uniform:
-            fits = [
-                hist.fit_edge(budgets[0], n_min=cfg.n_min, n_max=cfg.n_max)
-            ] * len(budgets)
-        else:
-            chosen, edges = hist.fit_many(budgets, n_min=cfg.n_min, n_max=cfg.n_max)
-            fits = [(float(n), int(e)) for n, e in zip(chosen, edges)]
+        chosen, edges = hist.fit_many(budgets, n_min=cfg.n_min, n_max=cfg.n_max)
         # kept per planner, so kept narrow: int32 holds every fold below
         # 268M gradient entries, and the warm start's searchsorted and
         # slope read the same numbers off it
         fold = hist.folded
         self._stale_fold = fold.astype(np.int32) if fold[-1] < 2**31 else fold
-        return fits
+        return list(zip(chosen.tolist(), edges.tolist()))
 
     def _select(self, grads: Mapping[str, np.ndarray], level: float) -> dict:
         if self.selector is None:

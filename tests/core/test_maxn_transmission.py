@@ -7,8 +7,10 @@ import pytest
 
 from repro.cluster.messages import sparse_payload_bytes
 from repro.core.config import MaxNConfig
-from repro.core.maxn import select_max_n, select_payload, selection_count
+from repro.core.maxn import select_max_n, select_payload
+from repro.core.selectors import MaxNSelector
 from repro.core.transmission import (
+    _BINS,
     GradientHistograms,
     TransmissionPlanner,
     fit_n_to_budget,
@@ -55,12 +57,25 @@ class TestSelectMaxN:
         assert sizes == sorted(sizes)
         assert sizes[-1] == 500
 
-    def test_selection_count_matches_select(self, rng):
-        g = rng.normal(size=300)
-        mags = np.abs(g)
-        sorted_norm = np.sort(mags / mags.max())
-        for n in (0.5, 5.0, 37.0, 100.0):
-            assert selection_count(sorted_norm, n) == select_max_n(g, n)[0].size
+    @pytest.mark.parametrize(
+        "tiny", [np.float64(5e-324), np.float32(1e-45)], ids=["float64", "float32"]
+    )
+    def test_subnormal_max_never_keeps_zeros(self, tiny):
+        """At a subnormal maximum ``(1 − N/100)·max`` underflows to zero in
+        the gradient's dtype; below N = 100 the zero entries still stay
+        out, and every Max-N selection and count agrees on that."""
+        g = np.array([tiny, 0.0, -tiny, 0.0], dtype=tiny.dtype)
+        hist = GradientHistograms({"w": g})
+        for n in (60.0, 100.0 - 100.0 / _BINS):
+            want = [0, 2]
+            assert select_max_n(g, n)[0].tolist() == want
+            assert hist.select_payload(n)["w"][0].tolist() == want
+            assert hist.exact_bytes_at(n) == 24 + 8 * len(want)
+            assert MaxNSelector().count_at_levels(g, np.array([n])).tolist() == [2]
+        # N = 100 is whole-gradient exchange: the zeros ship too
+        assert select_max_n(g, 100.0)[0].tolist() == [0, 1, 2, 3]
+        assert hist.exact_bytes_at(100.0) == 24 + 8 * 4
+        assert MaxNSelector().count_at_levels(g, np.array([100.0])).tolist() == [4]
 
 
 class TestSelectPayload:
@@ -234,9 +249,11 @@ class TestGradientHistograms:
         grads = {"w": rng.normal(size=10_000)}
         hist = GradientHistograms(grads)
         budgets = [50.0, 1e3, 2e4, 7e4, 1e9]
-        chosen, _ = hist.fit_many(budgets)
-        for budget, n in zip(budgets, chosen):
-            assert float(n) == hist.fit(budget)
+        chosen, edges = hist.fit_many(budgets)
+        for budget, n, edge in zip(budgets, chosen, edges):
+            one_n, one_edge = hist.fit_many([budget])
+            assert (one_n[0], one_edge[0]) == (n, edge)
+            assert fit_n_to_budget(grads, budget) == float(n)
 
     def test_fit_many_invalid_bounds(self, rng):
         hist = GradientHistograms({"w": rng.normal(size=10)})
@@ -246,7 +263,7 @@ class TestGradientHistograms:
     def test_all_zero_gradients(self):
         hist = GradientHistograms({"z": np.zeros(100)})
         assert hist.bytes_at(100.0) == 0
-        assert hist.fit(1.0) == 100.0
+        assert hist.fit_many([1.0])[0].tolist() == [100.0]
         assert hist.select_payload(50.0) == {}
 
     def test_zero_variable_alongside_live_ones(self, rng):
@@ -281,15 +298,45 @@ class TestGradientHistograms:
         with pytest.raises(ValueError, match="one floating dtype"):
             GradientHistograms(grads)
 
+    def test_standalone_views_do_not_share_buffers(self, rng):
+        """Two views built without a pool, alive at once, each keep
+        their own magnitudes and mask (the planner's pooled views are
+        one at a time by construction)."""
+        a = {"w": rng.normal(size=3000), "b": rng.normal(size=40)}
+        b = {"w": rng.normal(size=3000) * 50.0, "b": np.zeros(40)}
+        view_a, view_b = GradientHistograms(a), GradientHistograms(b)
+        # a's mask is built (and tagged) first; b's build must not touch it
+        assert view_a.exact_bytes_at(30.0) == sparse_payload_bytes(
+            select_payload(a, 30.0)
+        )
+        view_b.exact_bytes_at(90.0)
+        got = view_a.select_payload(30.0)
+        want = select_payload(a, 30.0)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name][0], want[name][0])
+        # magnitudes: each view folds its own gradients
+        for n in (5.0, 50.0, 100.0):
+            assert view_a.bytes_at(n) == GradientHistograms(a).bytes_at(n)
+            assert view_b.bytes_at(n) == GradientHistograms(b).bytes_at(n)
+
+
+def _slope_near(hist, edge):
+    """Bytes per bin around ``edge``, read off the fold as the planner does."""
+    k = _BINS - edge
+    k1, k2 = max(k - 64, 0), min(k + 64, _BINS)
+    rev = hist.folded
+    return max(float(rev[k2] - rev[k1]) / max(k2 - k1, 1), 8.0)
+
 
 class TestFitWarm:
     def test_agrees_with_batched_fit(self, rng):
         grads = {"w": rng.normal(size=8000)}
         hist = GradientHistograms(grads)
         for budget in (100.0, 3_000.0, 20_000.0, 1e9):
-            n_cold = hist.fit(budget)
-            _, edges = hist.fit_many([budget])
-            warm = hist.fit_warm(budget, int(edges[0]))
+            chosen, edges = hist.fit_many([budget])
+            n_cold, edge = float(chosen[0]), int(edges[0])
+            warm = hist.fit_warm(budget, edge, slope_hint=_slope_near(hist, edge))
             assert warm is not None
             n_warm, edge_warm = warm
             # exact counts can sit one edge above the overcounting
@@ -299,12 +346,15 @@ class TestFitWarm:
                 assert hist.exact_bytes_at(n_warm) <= budget
 
     def test_distant_guess_gives_up(self, rng):
+        """A guess 500 bins on the infeasible side with a slope hint far
+        too large walks one bin per probe and runs out of probes."""
         grads = {"w": rng.normal(size=8000)}
         hist = GradientHistograms(grads)
         budget = 3_000.0
         _, edges = hist.fit_many([budget])
-        distant = int(edges[0]) + 500
-        assert hist.fit_warm(budget, distant, max_probes=3) is None
+        distant = int(edges[0]) - 500
+        assert distant > 0
+        assert hist.fit_warm(budget, distant, slope_hint=1e12) is None
 
     def test_planner_warm_starts_across_epochs(self, rng):
         """Second iteration with uniform bandwidths resolves by exact
@@ -339,7 +389,7 @@ class TestFitWarm:
         planner = TransmissionPlanner(MaxNConfig())
         planner.plan(grads, links, 0.05)
         hist = GradientHistograms(grads)
-        hist.fit(1.0)
+        hist.fit_many([1.0])
         assert hist.folded.dtype == np.int64
         assert planner._stale_fold.dtype == np.int32
         np.testing.assert_array_equal(planner._stale_fold, hist.folded)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.config import MaxNConfig
 from repro.core.selectors import (
-    GradientSelector,
     MaxNSelector,
     RandomKSelector,
     ThresholdSelector,
@@ -50,8 +49,9 @@ class TestTopK:
 
     def test_count_matches_select(self, grad):
         sel = TopKSelector()
-        for level in (0.5, 7.0, 55.0, 100.0):
-            assert sel.count_at(grad, level) == sel.select(grad, level)[0].size
+        levels = np.array([0.5, 7.0, 55.0, 100.0])
+        counts = sel.count_at_levels(grad, levels)
+        assert counts.tolist() == [sel.select(grad, lv)[0].size for lv in levels]
 
     def test_zero_gradient(self):
         idx, _ = TopKSelector().select(np.zeros(10), 50.0)
@@ -74,7 +74,7 @@ class TestRandomK:
 
     def test_count_matches(self, grad, rng):
         sel = RandomKSelector(rng)
-        assert sel.count_at(grad, 30.0) == 150
+        assert sel.count_at_levels(grad, np.array([30.0])).tolist() == [150]
 
 
 class TestThreshold:
@@ -91,8 +91,9 @@ class TestThreshold:
 
     def test_count_matches_select(self, grad):
         sel = ThresholdSelector(base_threshold=0.3)
-        for level in (5.0, 50.0, 99.0):
-            assert sel.count_at(grad, level) == sel.select(grad, level)[0].size
+        levels = np.array([5.0, 50.0, 99.0])
+        counts = sel.count_at_levels(grad, levels)
+        assert counts.tolist() == [sel.select(grad, lv)[0].size for lv in levels]
 
     def test_invalid_base(self):
         with pytest.raises(ValueError):
@@ -149,14 +150,6 @@ class TestGenericBudgetFit:
             MaxNConfig(selector="dct")
 
 
-class _LoopedTopK(TopKSelector):
-    """A top-k selector *without* a vectorized count path: inherits the
-    base class's looping ``count_at_levels``, which the planner treats
-    as unbatchable (per-link bisection fallback)."""
-
-    count_at_levels = GradientSelector.count_at_levels
-
-
 def _spy(name):
     """Count the planner's calls of ``transmission.<name>``, still running it."""
     fn = getattr(transmission, name)
@@ -176,7 +169,7 @@ class TestCountAtLevels:
         levels = np.array([0.85, 1.0, 7.5, 33.0, 60.0, 99.0, 100.0])
         for sel in self._selectors():
             batched = sel.count_at_levels(grad, levels)
-            looped = [sel.count_at(grad, lv) for lv in levels]
+            looped = [sel.select(grad, lv)[0].size for lv in levels]
             assert batched.tolist() == looped, type(sel).__name__
 
     def test_matches_count_at_float32(self, rng):
@@ -184,7 +177,7 @@ class TestCountAtLevels:
         levels = np.linspace(0.85, 100.0, 97)
         for sel in self._selectors():
             batched = sel.count_at_levels(g, levels)
-            looped = [sel.count_at(g, lv) for lv in levels]
+            looped = [sel.select(g, lv)[0].size for lv in levels]
             assert batched.tolist() == looped, type(sel).__name__
 
     def test_zero_gradient_all_zero_counts(self):
@@ -251,27 +244,3 @@ class TestBatchedGenericFit:
         # equal budgets share one payload object on the generic path too
         assert plans[1][1] is plans[2][1]
         assert plans[1][1] is not plans[3][1]
-
-    def test_planner_falls_back_for_unvectorized_selector(self, rng):
-        planner = TransmissionPlanner(MaxNConfig(), selector=_LoopedTopK())
-        grads = {"w": rng.normal(size=3000)}
-        with _spy("fit_levels_to_budgets") as batched, _spy(
-            "fit_level_to_budget"
-        ) as bisection:
-            plans = planner.plan(grads, {1: 50.0, 2: 50.0, 3: 0.5}, 0.01)
-        assert bisection.call_count == 2  # one per *distinct* budget, cached by value
-        assert not batched.called
-        assert plans[1][1] is plans[2][1]
-
-    def test_fallback_agrees_with_batched_planner(self, rng):
-        grads = {"w": rng.normal(size=3000)}
-        bws = {1: 20.0, 2: 1.0}
-        batched = TransmissionPlanner(MaxNConfig(selector="topk")).plan(
-            grads, bws, 0.01
-        )
-        fallback = TransmissionPlanner(
-            MaxNConfig(), selector=_LoopedTopK()
-        ).plan(grads, bws, 0.01)
-        step = (100.0 - 0.85) / 4096
-        for dst in bws:
-            assert abs(batched[dst][0] - fallback[dst][0]) <= step + 0.01 + 1e-9

@@ -44,7 +44,8 @@ def test_all_selectors_return_valid_indices_and_values(g, level):
 @settings(max_examples=120, deadline=None)
 def test_count_at_matches_select_for_deterministic_selectors(g, level):
     for sel in (MaxNSelector(), TopKSelector(), ThresholdSelector(0.5)):
-        assert sel.count_at(g, level) == sel.select(g, level)[0].size
+        count = sel.count_at_levels(g, np.array([level]))
+        assert count.tolist() == [sel.select(g, level)[0].size]
 
 
 @given(g=grads, l1=levels, l2=levels)

@@ -20,7 +20,7 @@ this suite pins down the invariants the replacement must preserve:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -95,6 +95,10 @@ def test_chosen_n_in_bounds(grads, budget):
 
 @given(grads=grad_dicts, budget=st.floats(1.0, 1e7))
 @settings(max_examples=500, deadline=None)
+# A subnormal maximum: (1 - N/100) * max underflows to zero in the
+# gradient's dtype, which must not let the zero entry in.
+@example(grads={"w1": np.array([5e-324, 0.0])}, budget=32.0)
+@example(grads={"w1": np.array([1e-45, 0.0], dtype=np.float32)}, budget=32.0)
 def test_payload_fits_budget_unless_floored(grads, budget):
     """The fitted N's exact payload never exceeds the budget, except
     when the quality floor n_min forces a minimum payload."""

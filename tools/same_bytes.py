@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """One sha256 line per simulator run, for "same bytes as the parent" claims.
 
-Runs sixteen short seeded simulations — the eleven presets of
+Runs twenty short seeded simulations — the eleven presets of
 ``tests/obs/test_scheduler_parity.py`` plus Dynamic SYS B, a shared-egress
-cluster, a bandwidth square wave, a square wave behind shared egress and an
-env-file document with a bandwidth step — and prints
+cluster, a bandwidth square wave, a square wave behind shared egress, an
+env-file document with a bandwidth step, the top-k, random-k and threshold
+selectors on Hetero NET A and a fixed N on Homo B — and prints
 ``sha256(trace bytes + sorted metrics dump)`` for each. The simulator is
 byte-deterministic, so two trees behave identically on these runs exactly
 when the outputs ``diff`` clean::
@@ -46,13 +47,22 @@ PRESETS = [
     ("Dynamic SYS B", "dlion", None),
 ]
 
+# (environment, label, MaxNConfig keyword arguments): the planner's
+# level-grid fit for each non-default selector, and its fixed-N path.
+MAXN_RUNS = [
+    ("Hetero NET A", "selector topk", {"selector": "topk"}),
+    ("Hetero NET A", "selector randomk", {"selector": "randomk"}),
+    ("Hetero NET A", "selector threshold", {"selector": "threshold"}),
+    ("Homo B", "fixed N 10", {"fixed_n": 10.0}),
+]
+
 
 def _digest(tracer, metrics) -> str:
     dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)
     return hashlib.sha256(tracer.dumps().encode() + dump.encode()).hexdigest()
 
 
-def _preset(environment, system, overlay) -> str:
+def _preset(environment, system, overlay, config_overrides=None) -> str:
     from repro.experiments.runner import RunSpec, run_experiment
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
@@ -61,6 +71,7 @@ def _preset(environment, system, overlay) -> str:
     spec = RunSpec(
         environment=environment, system=system, seed=SEED,
         horizon=HORIZON, overlay=overlay,
+        config_overrides=config_overrides or {},
     )
     run_experiment(spec, tracer=tracer, metrics=metrics)
     return _digest(tracer, metrics)
@@ -132,6 +143,11 @@ def main() -> int:
         {"cores": 24, "bandwidth": b} for b in (50, [[0, 50], [5, 20]], 35)
     ]}
     print(f"{_document(step)}  env document, bandwidth step / dlion", flush=True)
+    from repro.core.config import MaxNConfig
+
+    for env, label, kwargs in MAXN_RUNS:
+        digest = _preset(env, "dlion", None, {"maxn": MaxNConfig(**kwargs)})
+        print(f"{digest}  {env} / dlion / {label}", flush=True)
     return 0
 
 
