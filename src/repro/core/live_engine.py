@@ -143,7 +143,7 @@ class LiveEngine:
         are cumulative snapshots (latest per worker wins); trace streams
         and flight events accumulate in arrival order."""
         self._delta_metrics: dict[int, dict] = {}
-        self._delta_info: dict[int, dict] = {}
+        self._delta_iteration: dict[int, int] = {}
         self._delta_trace: dict[int, list] = {}
         self._delta_flight: dict[int, list] = {}
         self._flight_tail: dict[int, collections.deque] = {}
@@ -599,11 +599,7 @@ class LiveEngine:
         c.last_iteration = payload["iteration"]
         c.last_time = payload["time"]
         self._delta_metrics[w] = payload["metrics"]
-        self._delta_info[w] = {
-            "iteration": payload["iteration"],
-            "time": payload["time"],
-            "samples_drawn": payload.get("samples_drawn", 0),
-        }
+        self._delta_iteration[w] = payload["iteration"]
         if payload.get("trace_events"):
             self._delta_trace.setdefault(w, []).extend(payload["trace_events"])
         flight = payload.get("flight") or []
@@ -720,9 +716,8 @@ class LiveEngine:
             state = self._delta_metrics.get(w)
             if state:
                 self.metrics.merge_state(state)
-            info = self._delta_info.get(w)
-            if info:
-                result.iterations[w] = info["iteration"]
+            if w in self._delta_iteration:
+                result.iterations[w] = self._delta_iteration[w]
 
         # Trace and flight streams are incremental (deltas carry events
         # past the previous cursor; the final payload carries the tail

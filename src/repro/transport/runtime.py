@@ -6,24 +6,21 @@ GBS/LBS controllers, ``TransmissionPlanner`` and DKT unchanged — and
 everything the worker calls is the host's shared code. Only the hooks
 are live:
 
-* **clock** — :class:`WallClock` maps wall time onto the modelled time
-  axis via a ``speedup`` factor, so the same horizons, GBS periods, and
-  bandwidth traces apply (a 600-s modelled run at speedup 20 takes 30
-  wall seconds);
+* **clock** — :class:`WallClock` is the simulator's event heap paced
+  to the wall via a ``speedup`` factor, so the same horizons, GBS
+  periods, and bandwidth traces apply (a 600-s modelled run at speedup
+  20 takes 30 wall seconds);
 * **delivery** — messages cross a :class:`~repro.transport.mesh.PeerMesh`
   (serialized by :mod:`repro.transport.codec`, paced by the token-bucket
   shaper) instead of the simulator's modelled links;
 * **progress** — ``global_epoch`` adds the peers' heartbeat-reported
   sample counts to the worker's own.
 
-RCP probe durations still come from the modelled compute profile (the
-paper's calibrated heterogeneity), exactly like the simulator, so the
-LBS allocation is comparable across backends.
-
 Gradient/weight *math* is real — the worker draws real minibatches and
-applies real gradients — while iteration *timing* follows the modelled
-compute profile, preserving the calibrated compute/communication
-balance that DLion's controllers react to.
+applies real gradients — while iteration timing and RCP probe durations
+follow the modelled compute profile (the paper's calibrated
+heterogeneity) exactly like the simulator: the real step runs at its
+event's due time and never shifts the modelled schedule.
 
 ``run_live_worker`` is the child-process entry point: it performs the
 port-exchange handshake with :class:`~repro.core.live_engine.LiveEngine`
@@ -54,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.chaos import ChaosPlan, LinkFaultInjector
+from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
 from repro.core.host import MESSAGE_HANDLERS, RunResult, WorkerHost
@@ -83,23 +81,28 @@ _WORKER_SCALARS = (
 _GBS_SCALARS = ("gbs", "phase", "_last_growth_epoch")
 
 
-class WallClock:
-    """Wall time mapped onto the modelled time axis.
+class WallClock(SimClock):
+    """The simulator's event heap, paced to the wall.
 
-    ``now`` reads ``(loop_time - t0) * speedup`` modelled seconds;
-    ``schedule_in(d, fn)`` fires ``fn`` after ``d / speedup`` wall
-    seconds. Callback exceptions are routed to ``error_handler`` (set by
-    the runtime) instead of being swallowed by the event loop.
+    Modelled events run on :class:`SimClock`'s ``(time, seq)`` heap with
+    the simulator's semantics: inside a callback ``now`` is its *due*
+    time, so ``schedule_in(d)`` lands at due + ``d`` however much wall
+    time the callback's real work took. The live additions are an anchor
+    mapping loop time onto the modelled axis (:meth:`wall_now`) and
+    :meth:`arrive`, which books an event from outside the heap — a mesh
+    message, a peer death, a supervisor command — and wakes the pacer
+    (:meth:`LiveWorkerRuntime.wait_horizon`), the one loop that pumps
+    the heap up to the wall.
     """
 
     def __init__(self, speedup: float):
         if speedup <= 0:
             raise ValueError("speedup must be positive")
+        super().__init__()
         self.speedup = float(speedup)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
-        self.events_processed = 0
-        self.error_handler = None
+        self._wake = asyncio.Event()
 
     def start(self, loop: asyncio.AbstractEventLoop, *, offset: float = 0.0) -> None:
         """Anchor the clock so the current loop time reads ``offset``
@@ -107,29 +110,35 @@ class WallClock:
         started at the cluster's current modelled time)."""
         self._loop = loop
         self._t0 = loop.time() - offset / self.speedup
+        self.run_until(offset)
 
-    @property
-    def now(self) -> float:
-        """Current modelled time in seconds (0.0 before :meth:`start`)."""
+    def wall_now(self) -> float:
+        """The modelled time the wall has reached (``now`` before
+        :meth:`start`)."""
         if self._loop is None:
-            return 0.0
+            return self.now
         return (self._loop.time() - self._t0) * self.speedup
 
-    def schedule_in(self, delay: float, fn, *args) -> None:
-        """Run ``fn(*args)`` after ``delay`` modelled seconds."""
-        if self._loop is None:
-            raise RuntimeError("clock not started")
-        self._loop.call_later(max(delay, 0.0) / self.speedup, self._guard, fn, args)
+    def arrive(self, fn, *args) -> None:
+        """Book ``fn(*args)`` at ``max(now, wall_now())`` and wake the
+        pacer: an arrival is never stamped into the modelled past."""
+        self.schedule(max(self.now, self.wall_now()), fn, *args)
+        self._wake.set()
 
-    def _guard(self, fn, args) -> None:
-        self.events_processed += 1
+    async def idle(self, until: float) -> None:
+        """Sleep until the wall reaches the next event (or ``until`` if
+        sooner), at most 50 ms, or until :meth:`arrive` wakes it."""
+        head = self.peek_time()
+        self._wake.clear()
+        due = until if head is None else min(head, until)
+        delay = min(0.05, (due - self.wall_now()) / self.speedup)
+        if delay <= 0.0:
+            await asyncio.sleep(0)  # behind the wall: let the transport run
+            return
         try:
-            fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - must surface to parent
-            if self.error_handler is not None:
-                self.error_handler(exc)
-            else:
-                raise
+            await asyncio.wait_for(self._wake.wait(), delay)
+        except asyncio.TimeoutError:
+            pass
 
 
 @dataclass(frozen=True)
@@ -189,10 +198,9 @@ class LiveWorkerRuntime(WorkerHost):
         self.worker_id = worker_id
         self.spec = spec
         self._failure: BaseException | None = None
-        clock = WallClock(spec.speedup)
-        clock.error_handler = self.fail
         super().__init__(
-            spec.config, spec.topology, clock, seed=spec.seed, hosted=(worker_id,),
+            spec.config, spec.topology, WallClock(spec.speedup),
+            seed=spec.seed, hosted=(worker_id,),
             tracer=Tracer() if spec.trace else None,
             profiler=Profiler() if spec.profile else None,
         )
@@ -214,7 +222,7 @@ class LiveWorkerRuntime(WorkerHost):
         # _child_main); lets the parent time chaos kills deterministically
         # and compute lost-iteration counts.
         self.progress_conn = None
-        self._last_progress_wall: float = 0.0
+        self._last_progress_wall = self._last_ship_wall = float("-inf")
         # Iteration count restored from a checkpoint (0 = fresh start);
         # reported to the supervisor so it can compute lost iterations.
         self.restored_iteration = 0
@@ -226,13 +234,12 @@ class LiveWorkerRuntime(WorkerHost):
         # is always on — it is the black box when tracing is disabled.
         self.flight = FlightRecorder(worker_id)
         self._trace_cursor = 0
-        self._last_ship_wall = 0.0
 
         shm_peers = self._shm_lane_peers(resume)
         self.mesh = PeerMesh(
             worker_id,
             on_message=self._on_mesh_message,
-            on_peer_dead=self._on_peer_dead,
+            on_peer_dead=lambda peer: self.clock.arrive(self._on_peer_dead, peer),
             on_error=self.fail,
             on_heartbeat=self._on_heartbeat,
             rate_fn=self._link_rate_bytes,
@@ -288,7 +295,7 @@ class LiveWorkerRuntime(WorkerHost):
         return mbps * 1e6 / 8.0 * self.spec.speedup
 
     def fail(self, exc: BaseException) -> None:
-        """Record the first callback failure; the run loop re-raises it."""
+        """Record the first transport failure; the pacer re-raises it."""
         if self._failure is None:
             self._failure = exc
 
@@ -305,15 +312,12 @@ class LiveWorkerRuntime(WorkerHost):
     # Incoming traffic (mesh callbacks; all on the event-loop thread)
     # ------------------------------------------------------------------
     def _on_mesh_message(self, src: int, channel: int, msg) -> None:
-        if self.stopped:
-            return  # the local model is finalized; late traffic is dropped
-        try:
-            # Unknown payloads are ignored (forward compatibility).
-            name = MESSAGE_HANDLERS.get(type(msg))
-            if name is not None:
-                getattr(self.worker, name)(msg)
-        except BaseException as exc:  # noqa: BLE001 - must surface to parent
-            self.fail(exc)
+        """Book a worker message as a modelled arrival. Unknown payloads
+        are ignored (forward compatibility), and so is traffic after
+        the local model is finalized."""
+        name = MESSAGE_HANDLERS.get(type(msg))
+        if name is not None and not self.stopped:
+            self.clock.arrive(getattr(self.worker, name), msg)
 
     def _on_heartbeat(self, hb: Heartbeat) -> None:
         self._peer_samples[hb.sender] = hb.samples_drawn
@@ -347,10 +351,7 @@ class LiveWorkerRuntime(WorkerHost):
     def _apply_membership(self) -> None:
         """Book a change of ``active`` and tell the worker."""
         self._membership_changed()
-        try:
-            self.worker.on_membership_change(self.active)
-        except BaseException as exc:  # noqa: BLE001 - must surface to parent
-            self.fail(exc)
+        self.worker.on_membership_change(self.active)
 
     # ------------------------------------------------------------------
     # Fault injection (chaos plan)
@@ -369,16 +370,11 @@ class LiveWorkerRuntime(WorkerHost):
         every blackout window this worker sends into."""
         if self.spec.chaos is None:
             return
+        now = self.clock.now
         for f in self.spec.chaos.blackout_windows():
-            srcs = {f.src} | ({f.dst} if f.bidirectional else set())
-            if self.worker_id not in srcs:
-                continue
-            self.clock.schedule_in(
-                max(f.start - self.clock.now, 0.0), self._blackout_edge, f, +1
-            )
-            self.clock.schedule_in(
-                max(f.end - self.clock.now, 0.0), self._blackout_edge, f, -1
-            )
+            if self.worker_id in ({f.src, f.dst} if f.bidirectional else {f.src}):
+                self.clock.schedule(max(f.start, now), self._blackout_edge, f, +1)
+                self.clock.schedule(max(f.end, now), self._blackout_edge, f, -1)
 
     def _blackout_edge(self, fault, delta: int) -> None:
         self.flight.record(
@@ -532,34 +528,36 @@ class LiveWorkerRuntime(WorkerHost):
         return drawn / self.dataset.train_size
 
     def record_loss(self, worker: int, loss: float) -> None:
-        """Record one iteration's loss, then leave a flight record and
-        report progress to the supervisor."""
+        """Record one iteration's loss, then leave a flight record."""
         super().record_loss(worker, loss)
         self.flight.record(
             "iteration", self.clock.now,
             {"iteration": self.worker.iteration, "loss": round(float(loss), 5)},
         )
-        self._report_progress()
 
-    def _report_progress(self) -> None:
-        """Throttled ``("progress", w, iteration, t)`` to the supervisor.
+    def _housekeep(self, wall: float) -> None:
+        """The pacer's wall-cadence chores (``wall`` in seconds).
 
-        Cheap (a few dozen bytes, at most ~4 Hz wall) and what lets the
-        parent gate chaos kills on real progress and account for lost
-        iterations after a crash.
+        A throttled ``("progress", w, iteration, t)`` to the supervisor
+        — cheap (a few dozen bytes, at most ~4 Hz wall) and what lets
+        the parent gate chaos kills on real progress and account for
+        lost iterations after a crash — and a telemetry delta every
+        ``ship_interval_s``.
         """
-        if self.progress_conn is None or self.clock._loop is None:
+        if self.progress_conn is None:
             return
-        wall = self.clock._loop.time()
-        if wall - self._last_progress_wall < 0.25:
-            return
-        self._last_progress_wall = wall
-        try:
-            self.progress_conn.send(
-                ("progress", self.worker_id, self.worker.iteration, self.clock.now)
-            )
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            self.progress_conn = None
+        if wall - self._last_progress_wall >= 0.25:
+            self._last_progress_wall = wall
+            try:
+                self.progress_conn.send(
+                    ("progress", self.worker_id, self.worker.iteration, self.clock.now)
+                )
+            except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
+                self.progress_conn = None
+        interval = self.spec.ship_interval_s
+        if interval is not None and wall - self._last_ship_wall >= interval:
+            self._last_ship_wall = wall
+            self.ship_delta()
 
     # ------------------------------------------------------------------
     # Run control
@@ -583,60 +581,52 @@ class LiveWorkerRuntime(WorkerHost):
         else:
             self.clock.start(loop, offset=float(resume.get("clock_offset", 0.0)))
             w = self.worker
-            self.active = {self.worker_id} | set(resume.get("active", ()))
-            self._membership_changed()
             self._g_lbs.set(w.lbs, self.worker_id)
             self._g_gbs.set(self.gbs_controller.gbs)
             # Peers have advanced past the checkpoint; re-seed the sync
             # gate at our own (restored) iteration so neither side
             # blocks on history the other never saw.
             w.sync_state.received_from = {p: w.iteration for p in w.peers}
-            w.on_membership_change(self.active)
+            self.active = {self.worker_id} | set(resume.get("active", ()))
+            self._apply_membership()
             self._mark("worker-rejoined")
             self._bootstrap_pull(w)
             w.try_start_iteration()
         self._arm_gbs_tick()
-        if self.spec.checkpoint is not None:
-            self.clock.schedule_in(
-                self.spec.checkpoint.interval_s, self._checkpoint_tick
-            )
+        cfg = self.spec.checkpoint
+        if cfg is not None:
+            self.clock.schedule_in(cfg.interval_s, self._checkpoint_tick)
         self._schedule_blackout_markers()
 
     async def wait_horizon(self, inbox: asyncio.Queue | None = None) -> None:
-        """Sleep (in wall time) until the modelled horizon, re-raising
-        the first callback failure as soon as it is recorded, applying
-        any supervisor commands (peer revivals) that arrive, and
-        shipping telemetry deltas on their wall-clock cadence."""
-        while self.clock.now < self.spec.horizon:
+        """The pacer: run the modelled events the wall has reached, up
+        to the horizon.
+
+        Each pass books supervisor commands (peer revivals) as arrivals,
+        does the wall-cadence housekeeping, pumps every event due by the
+        wall, then idles until the next one is due or an arrival wakes
+        it. A callback exception propagates out of here, and so does the
+        first transport failure the mesh reported.
+        """
+        clock = self.clock
+        horizon = self.spec.horizon
+        while clock.now < horizon:
             if self._failure is not None:
                 raise self._failure
-            if inbox is not None:
-                while True:
-                    try:
-                        msg = inbox.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if msg and msg[0] == "revive":
-                        self.on_peer_revived(msg[1], (self.spec.host, msg[2]))
-            self._maybe_ship_delta()
-            remaining_wall = (self.spec.horizon - self.clock.now) / self.spec.speedup
-            await asyncio.sleep(min(0.05, max(remaining_wall, 0.001)))
+            while inbox is not None and not inbox.empty():
+                msg = inbox.get_nowait()
+                if msg and msg[0] == "revive":
+                    clock.arrive(self.on_peer_revived, msg[1], (self.spec.host, msg[2]))
+            due = clock.wall_now()
+            self._housekeep(due / clock.speedup)
+            clock.run_until(min(due, horizon))
+            await clock.idle(horizon)
         if self._failure is not None:
             raise self._failure
 
     # ------------------------------------------------------------------
     # Telemetry delta shipping
     # ------------------------------------------------------------------
-    def _maybe_ship_delta(self) -> None:
-        interval = self.spec.ship_interval_s
-        if interval is None or self.progress_conn is None or self.clock._loop is None:
-            return
-        wall = self.clock._loop.time()
-        if wall - self._last_ship_wall < interval:
-            return
-        self._last_ship_wall = wall
-        self.ship_delta()
-
     def ship_delta(self) -> None:
         """Ship one incremental telemetry delta to the supervisor.
 
@@ -655,8 +645,6 @@ class LiveWorkerRuntime(WorkerHost):
         payload = {
             "iteration": self.worker.iteration,
             "time": self.clock.now,
-            "samples_drawn": self.worker.sampler.samples_drawn,
-            "restored_iteration": self.restored_iteration,
             "metrics": self.metrics.dump_state(),
             "trace_events": trace_events,
             "flight": self.flight.drain(),

@@ -1,7 +1,7 @@
 """Live-backend integration tests: sim/proc parity, bytes, churn.
 
 One real multi-process run (3 workers, truncated "Homo A", tiny MLP,
-speedup 5) is shared module-wide and compared against the simulator on
+speedup 15) is shared module-wide and compared against the simulator on
 the same config/topology/seed. A second run SIGKILLs a worker mid-run
 to exercise the reconnect → retry-budget → membership-change path.
 These are the acceptance criteria of the live-transport milestone.
@@ -23,7 +23,7 @@ from repro.transport.mesh import TransportConfig
 
 N_WORKERS = 3
 HORIZON = 30.0
-SPEEDUP = 5.0
+SPEEDUP = 15.0
 # The fast-mode MLP has three layers -> six weight variables.
 N_VARS = 6
 
@@ -82,10 +82,12 @@ class TestParity:
 
     def test_iteration_counts_same_regime(self, sim_result, live_run):
         result, _, _ = live_run
-        # Real sockets and real numpy steps cost wall time the model
-        # doesn't charge, so live lags sim slightly; it must stay in
-        # the same regime, not collapse.
-        assert min(result.iterations) >= 0.5 * min(sim_result.iterations)
+        # The live worker runs the simulator's event heap paced to the
+        # wall, so a callback's real cost never shifts the modelled
+        # schedule: every worker keeps the simulator's iteration count
+        # up to the odd straggler cut at the horizon.
+        for live, sim in zip(result.iterations, sim_result.iterations):
+            assert live >= 0.97 * sim
 
     def test_cluster_series_merged(self, live_run):
         result, _, _ = live_run

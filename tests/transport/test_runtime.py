@@ -1,6 +1,7 @@
 """Direct tests of LiveWorkerRuntime, in-process: no mesh.start(), no
-child process. Checkpoint round trip, the format gate, and the
-behaviour the live backend now inherits from the shared WorkerHost."""
+child process. Checkpoint round trip, the format gate, the behaviour the
+live backend now inherits from the shared WorkerHost, and the pacer that
+runs the simulator's event heap against a (here: fake) wall clock."""
 
 import asyncio
 
@@ -10,7 +11,12 @@ import pytest
 from repro.cluster.messages import GradientMessage
 from repro.experiments.environments import get_environment
 from repro.experiments.runner import build_config, build_topology, workload_for
-from repro.transport.runtime import CHECKPOINT_FORMAT, LiveRunSpec, LiveWorkerRuntime
+from repro.transport.runtime import (
+    CHECKPOINT_FORMAT,
+    LiveRunSpec,
+    LiveWorkerRuntime,
+    WallClock,
+)
 
 N_WORKERS = 3
 
@@ -151,3 +157,85 @@ class TestSharedHostBehaviour:
     def test_foreign_worker_is_rejected(self, runtime):
         with pytest.raises(ValueError, match="not held"):
             runtime.evaluate_worker(1)
+
+
+class FakeLoop:
+    """Just the ``time()`` a clock anchors to; tests move it by hand."""
+
+    def __init__(self, t: float = 100.0):
+        self.t = t
+
+    def time(self) -> float:
+        return self.t
+
+
+class TestPacer:
+    SPEEDUP = 5.0
+
+    @pytest.fixture
+    def paced(self):
+        loop = FakeLoop()
+        clock = WallClock(self.SPEEDUP)
+        clock.start(loop)
+        return clock, loop
+
+    def test_callback_sees_its_due_time(self, paced):
+        clock, loop = paced
+        seen = []
+        clock.schedule_in(2.0, lambda: seen.append(clock.now))
+        loop.t += 10.0  # the wall is far past the event
+        clock.run_until(clock.wall_now())
+        assert seen == [2.0]
+        assert clock.now == 10.0 * self.SPEEDUP
+
+    def test_wall_cost_does_not_shift_the_next_event(self, paced):
+        clock, loop = paced
+        seen = []
+
+        def slow():
+            loop.t += 5.0  # real work: 25 modelled seconds of wall
+            clock.schedule_in(1.0, lambda: seen.append(clock.now))
+
+        clock.schedule_in(1.0, slow)
+        loop.t += 1.0
+        clock.run_until(clock.wall_now())
+        assert seen == [2.0]
+
+    def test_arrival_is_stamped_at_the_wall_never_in_the_past(self, paced):
+        clock, loop = paced
+        loop.t += 3.0 / self.SPEEDUP
+        clock.arrive(lambda: None)
+        assert clock.peek_time() == pytest.approx(3.0)
+        clock.run_until(5.0)  # the heap ran ahead of this (fake) wall
+        clock.arrive(lambda: None)
+        assert clock.peek_time() == 5.0
+
+    def test_start_resumes_at_the_offset(self):
+        clock = WallClock(self.SPEEDUP)
+        clock.start(FakeLoop(), offset=12.0)
+        assert clock.now == 12.0
+        assert clock.wall_now() == pytest.approx(12.0)
+        clock.schedule_in(1.0, lambda: None)
+        assert clock.peek_time() == 13.0
+
+    def test_callback_exception_surfaces_from_wait_horizon(self, runtime):
+        def boom():
+            raise RuntimeError("boom")
+
+        runtime.clock.start(FakeLoop())
+        runtime.clock.arrive(boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            asyncio.run(runtime.wait_horizon())
+
+    def test_pacer_stops_at_the_horizon(self, runtime, spec):
+        loop = FakeLoop()
+        runtime.clock.start(loop)
+        loop.t += spec.horizon / spec.speedup
+        asyncio.run(runtime.wait_horizon())
+        assert runtime.clock.now == spec.horizon
+
+    def test_training_runs_in_process_without_a_loop(self, runtime):
+        runtime.start_training(FakeLoop())
+        runtime.clock.run_until(5.0)
+        assert runtime.worker.iteration > 0
+        assert runtime.result.iterations[0] == runtime.worker.iteration
