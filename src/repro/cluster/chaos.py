@@ -11,11 +11,11 @@ A :class:`ChaosPlan` scripts *what goes wrong and when* in one place:
 
 The simulator lowers crash/restart events onto the existing
 :class:`~repro.cluster.membership.MembershipSchedule` machinery (leave +
-join with the DKT bootstrap pull) and consults a
-:class:`LinkFaultInjector` on every simulated delivery, so a plan is
-seed-deterministic. The live backend schedules the same plan on the
-wall clock: the supervisor SIGKILLs and respawns worker processes, and
-each worker's mesh consults the injector at send time.
+join with the DKT bootstrap pull), so a plan is seed-deterministic. The
+live backend schedules the same plan on the wall clock: the supervisor
+SIGKILLs and respawns worker processes. On both, the worker host's one
+send path (``WorkerHost._send``) consults a :class:`LinkFaultInjector`
+on every worker message.
 
 All times are **modelled seconds** on both backends (the live backend
 divides by ``--speedup`` to place them on the wall clock), so one plan

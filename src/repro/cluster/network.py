@@ -13,10 +13,9 @@ spec: there is no O(n²) object graph, which is what makes 1,000-worker
 clusters feasible. A link whose bandwidth varies keeps its trace beside
 the arrays, read once at transfer start; the optional shared-egress
 model puts one :class:`EgressQueue` per worker in front of the links.
-:class:`Link` is a view onto one cell of those arrays. The scalar
-:meth:`BandwidthMatrix.enqueue_transfer` and the same-instant batch
-:meth:`BandwidthMatrix.enqueue_transfers` perform the same IEEE-754
-operations per transfer, so they are bit-identical.
+:class:`Link` is a view onto one cell of those arrays, and
+:meth:`BandwidthMatrix.enqueue_transfer` is the one transfer the
+simulator's sends go through.
 
 The module also ships the paper's Table 2: measured inter-region
 bandwidth (Mbps) between six Amazon regions, used to emulate WAN
@@ -222,39 +221,14 @@ class BandwidthMatrix:
         return float(end + self._latency)
 
     def enqueue_transfers(self, src: int, dsts, nbytes, t: float) -> np.ndarray:
-        """Same-instant batch: queue one transfer from ``src`` to each
-        of ``dsts`` (distinct destinations) at time ``t``; returns the
-        per-destination delivery times.
-
-        Element for element this performs the same IEEE-754 operations
-        as calling :meth:`enqueue_transfer` per destination, so the
-        batch is bit-identical to the sequential loop. Distinct links
-        are independent and run as one array expression (a traced link
-        adds one trace read); behind a NIC queue the transfers leave
-        the interface one after another, so the batch *is* the in-order
-        loop.
-        """
-        dsts = np.asarray(dsts, dtype=np.intp)
-        if dsts.size and bool((dsts == src).any()):
-            raise KeyError(f"no self-link for worker {src}")
-        sizes = np.asarray(nbytes, dtype=np.int64)
-        if sizes.size and int(sizes.min()) < 0:
-            raise ValueError("negative payload")
-        if self.egress is not None:
-            pairs = zip(dsts.tolist(), sizes.tolist())
-            return np.array([self.enqueue_transfer(src, d, s, t) for d, s in pairs])
-        starts = np.maximum(self._busy[src, dsts], t)
-        mbps = self._bw[src, dsts]
-        if self._traces:
-            for k, d in enumerate(dsts.tolist()):
-                trace = self._traces.get((src, d))
-                if trace is not None:
-                    mbps[k] = trace.value_at(starts[k])
-        ends = starts + (sizes * 8.0) / (mbps * 1e6)
-        self._busy[src, dsts] = ends
-        self._bytes[src, dsts] += sizes
-        self._xfers[src, dsts] += 1
-        return ends + self._latency
+        """Queue one transfer from ``src`` to each of ``dsts`` at time
+        ``t``, in order; returns the per-destination delivery times."""
+        # No caller in src/: kept only because the ledger's span list
+        # (benchmarks/e2e/spans.py) wraps it; ROADMAP item 4(A)(d).
+        return np.array(
+            [self.enqueue_transfer(src, d, s, t) for d, s in zip(dsts, nbytes)],
+            dtype=float,
+        )
 
     @classmethod
     def from_worker_capacity(

@@ -2,10 +2,11 @@
 
 :class:`TrainingEngine` is a :class:`~repro.core.host.WorkerHost` that
 holds every worker and adds only what is simulation: a
-:class:`SimClock`, delivery of every message through the modelled links
-(:class:`BandwidthMatrix` plus the chaos fault injector), the vectorised
-same-instant gradient fan-out, scripted membership events and chaos
-markers, and run control.
+:class:`SimClock`, the physics of a send (the message's transfer on its
+modelled :class:`BandwidthMatrix` link, then its arrival as a scheduled
+event), scripted membership events and chaos recovery markers, and run
+control. Which messages are sent at all — membership, the chaos
+verdict — is the host's :meth:`~repro.core.host.WorkerHost._send`.
 
 The engine is deterministic for a ``(config, topology, seed)`` triple —
 every random stream derives from the seed through :class:`RngPool`, and
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from repro.cluster.chaos import ChaosPlan, LinkFaultInjector
 from repro.cluster.membership import MembershipSchedule
-from repro.cluster.messages import GradientMessage
 from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
@@ -58,9 +58,8 @@ class TrainingEngine(WorkerHost):
         # Unified chaos plan (docs/robustness.md): crash/restart events
         # lower onto the membership machinery (leave + join with the DKT
         # bootstrap pull), so recovery is seed-deterministic; link faults
-        # are injected at delivery time through ``_deliver``.
+        # are judged by the host's ``_send``.
         self.chaos = chaos
-        self._fault_injector: LinkFaultInjector | None = None
         if chaos is not None:
             chaos.validate(self.n_workers)
             crash_events = chaos.membership_events()
@@ -93,103 +92,17 @@ class TrainingEngine(WorkerHost):
     # ------------------------------------------------------------------
     # Message transport (everything crosses the simulated links)
     # ------------------------------------------------------------------
-    def _deliver(
-        self, src: int, dst: int, nbytes: int, handler, msg, *, kind: str = "msg"
-    ) -> None:
-        if dst not in self.active:
-            return  # destination is offline; the message is lost
-        extra = 0.0
-        if self._fault_injector is not None:
-            verdict = self._fault_injector.on_send(src, dst, self.clock.now)
-            if verdict is None:
-                self._c_chaos_dropped.inc(1, src, dst)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "chaos-drop", src, TID_NET, self.clock.now,
-                        cat="chaos", args={"dst": dst, "kind": kind},
-                    )
-                return
-            extra = verdict
-        arrival = extra + self.topology.network.enqueue_transfer(
-            src, dst, nbytes, self.clock.now
-        )
+    def _deliver(self, src, dst, nbytes, msg, kind, delay) -> None:
+        now = self.clock.now
+        arrival = delay + self.topology.network.enqueue_transfer(src, dst, nbytes, now)
         if self.tracer.enabled:
             # One span per transfer on the source worker's net-out
             # thread: enqueue -> delivery (queueing + serialization).
             self.tracer.complete(
-                f"{kind}->{dst}",
-                src,
-                TID_NET,
-                self.clock.now,
-                arrival - self.clock.now,
-                cat="net",
-                args={"dst": dst, "bytes": int(nbytes)},
+                f"{kind}->{dst}", src, TID_NET, now, arrival - now,
+                cat="net", args={"dst": dst, "bytes": int(nbytes)},
             )
-        # Membership can change while the message is in flight; check
-        # again at delivery time.
-        self.clock.schedule(arrival, self._deliver_checked, dst, handler, msg)
-
-    def _deliver_checked(self, dst: int, handler, msg) -> None:
-        if dst in self.active:
-            handler(msg)
-
-    def send_gradients_batch(
-        self, src: int, items: list[tuple[int, GradientMessage, float | None]]
-    ) -> None:
-        """Ship one worker's same-instant gradient fan-out as a batch.
-
-        ``items`` is ``[(dst, msg, chosen_n), ...]`` in destination
-        order. Unless a fault injector is armed, the link arithmetic
-        for every live destination runs as one
-        :meth:`BandwidthMatrix.enqueue_transfers` call; trace spans,
-        delivery scheduling, and link stats still run per destination
-        in the original order, so traces, metrics, and event sequence
-        numbers are byte-identical to the sequential path. Chaos
-        faults, which the batch cannot express, fall back to
-        :meth:`send_gradients` per item.
-        """
-        network = self.topology.network
-        if len(items) < 2 or self._fault_injector is not None:
-            return super().send_gradients_batch(src, items)
-        now = self.clock.now
-        active = self.active
-        sizes = [msg.wire_bytes() for _dst, msg, _n in items]
-        live = [i for i, (dst, _msg, _n) in enumerate(items) if dst in active]
-        if live:
-            arrivals = network.enqueue_transfers(
-                src,
-                [items[i][0] for i in live],
-                [sizes[i] for i in live],
-                now,
-            )
-        tracer = self.tracer
-        tracing = tracer.enabled
-        schedule = self.clock.schedule
-        workers = self.workers
-        k = 0
-        for i, (dst, msg, chosen_n) in enumerate(items):
-            nbytes = sizes[i]
-            if dst in active:
-                arrival = float(arrivals[k])
-                k += 1
-                if tracing:
-                    tracer.complete(
-                        f"grad->{dst}",
-                        src,
-                        TID_NET,
-                        now,
-                        arrival - now,
-                        cat="net",
-                        args={"dst": dst, "bytes": int(nbytes)},
-                    )
-                schedule(
-                    arrival,
-                    self._deliver_checked,
-                    dst,
-                    workers[dst].on_gradient_message,
-                    msg,
-                )
-            self._record_link(src, dst, nbytes, msg, chosen_n, now)
+        self.clock.schedule(arrival, self._receive, dst, msg)
 
     # ------------------------------------------------------------------
     # Elastic membership (extension)
@@ -230,9 +143,7 @@ class TrainingEngine(WorkerHost):
     # Chaos bookkeeping (gauge flips + recovery accounting)
     # ------------------------------------------------------------------
     def _schedule_chaos_markers(self) -> None:
-        for f in self.chaos.blackout_windows():
-            self.clock.schedule(f.start, self._blackout_edge, f, +1)
-            self.clock.schedule(f.end, self._blackout_edge, f, -1)
+        self._schedule_blackout_markers(self.chaos)
         for c in self.chaos.crashes:
             if c.restart_after is not None:
                 self.clock.schedule(

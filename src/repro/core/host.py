@@ -3,11 +3,16 @@
 A :class:`WorkerHost` builds the workers it holds (shards, models,
 strategies) and owns everything they call that does not depend on how
 time passes or how bytes move, recording into one :class:`RunResult`.
-A backend supplies three hooks:
+Every worker message leaves through :meth:`WorkerHost._send` — the
+membership check and the chaos verdict are judged there, once for both
+backends — and arrives through :meth:`WorkerHost._receive`, which hands
+it to the destination worker's handler. A backend supplies three hooks:
 
 * ``clock`` — ``now``, ``schedule_in`` and ``events_processed``;
-* ``_deliver(src, dst, nbytes, handler, msg, *, kind)`` — move one
-  message towards worker ``dst``;
+* ``_deliver(src, dst, nbytes, msg, kind, delay)`` — the physics of one
+  send that survived the verdict: move ``msg`` towards worker ``dst``,
+  ``delay`` modelled seconds later than the link alone would, so that
+  ``_receive(dst, msg)`` runs where ``dst`` is held;
 * ``global_epoch()`` — cluster-wide progress (default: the workers held
   here; a host that holds a subset adds what it hears of the rest).
 
@@ -47,7 +52,7 @@ from repro.nn.datasets import MinibatchSampler, SyntheticImageDataset
 from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import activate
-from repro.obs.trace import NULL_TRACER, THREAD_NAMES, TID_SYNC
+from repro.obs.trace import NULL_TRACER, THREAD_NAMES, TID_NET, TID_SYNC
 from repro.utils.metrics import TimeSeries, accuracy_at_time
 from repro.utils.rng import RngPool
 
@@ -249,8 +254,8 @@ class WorkerHost:
 
     ``hosted`` names the worker ids this host runs (default: all of
     them). ``workers`` lists them in id order; a message for any other
-    id is handed to ``_deliver`` without a handler, because the host
-    that holds the destination looks it up on receipt.
+    id is handed to ``_deliver`` all the same, and the host that holds
+    the destination passes it to ``_receive``.
     """
 
     def __init__(
@@ -288,6 +293,9 @@ class WorkerHost:
 
         self.active: set[int] = set(range(self.n_workers))
         self._active_blackouts = 0
+        # A backend arms a LinkFaultInjector here when its chaos plan
+        # has link faults; ``_send`` consults it on every message.
+        self._fault_injector = None
         # Partial exchange overlay (extension; None = all-to-all).
         self.peer_graph = peer_graph
         if peer_graph is not None and peer_graph.n_workers != self.n_workers:
@@ -466,12 +474,32 @@ class WorkerHost:
         self._g_active.set(len(self.active))
 
     # ------------------------------------------------------------------
-    # Message sends (everything crosses ``_deliver``)
+    # Message sends (everything leaves through ``_send``)
     # ------------------------------------------------------------------
-    def _handler(self, dst: int, name: str):
-        """Worker ``dst``'s bound handler; None when another host holds it."""
-        worker = self._hosted.get(dst)
-        return None if worker is None else getattr(worker, name)
+    def _send(self, src: int, dst: int, nbytes: int, msg, kind: str) -> None:
+        """The one way out: drop a message for an inactive worker or one
+        the chaos injector condemns (counted and traced), else hand it
+        to the backend's ``_deliver`` with the injected delay."""
+        if dst not in self.active:
+            return  # destination is offline; the message is lost
+        delay = 0.0
+        if self._fault_injector is not None:
+            delay = self._fault_injector.on_send(src, dst, self.clock.now)
+            if delay is None:
+                self._c_chaos_dropped.inc(1, src, dst)
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        "chaos-drop", src, TID_NET, self.clock.now,
+                        cat="chaos", args={"dst": dst, "kind": kind},
+                    )
+                return
+        self._deliver(src, dst, nbytes, msg, kind, delay)
+
+    def _receive(self, dst: int, msg) -> None:
+        """The one way in: hand ``msg`` to held worker ``dst``'s handler,
+        unless ``dst`` left while the message was in flight."""
+        if dst in self.active:
+            getattr(self._hosted[dst], MESSAGE_HANDLERS[type(msg)])(msg)
 
     def _record_link(self, src, dst, nbytes, msg, chosen_n, now) -> None:
         """Per-link accounting of one gradient message (estimate-based,
@@ -493,10 +521,7 @@ class WorkerHost:
     ) -> None:
         """Ship a gradient message, recording the link stats."""
         nbytes = msg.wire_bytes()
-        self._deliver(
-            src, dst, nbytes, self._handler(dst, "on_gradient_message"), msg,
-            kind="grad",
-        )
+        self._send(src, dst, nbytes, msg, "grad")
         self._record_link(src, dst, nbytes, msg, chosen_n, self.clock.now)
 
     def send_gradients_batch(
@@ -508,22 +533,16 @@ class WorkerHost:
             self.send_gradients(src, dst, msg, chosen_n=chosen_n)
 
     def send_control(self, src: int, dst: int, msg) -> None:
-        """Route a control message to the destination worker's handler."""
-        name = CONTROL_HANDLERS.get(type(msg))
-        if name is None:
+        """Ship a control message (DKT request, loss/RCP share, control)."""
+        if type(msg) not in CONTROL_HANDLERS:
             raise TypeError(f"not a control message: {type(msg).__name__}")
-        self._deliver(
-            src, dst, msg.wire_bytes(), self._handler(dst, name), msg, kind="ctrl"
-        )
+        self._send(src, dst, msg.wire_bytes(), msg, "ctrl")
 
     def send_weights(self, src: int, dst: int, msg: WeightMessage) -> None:
         """Ship a full weight snapshot (DKT payload)."""
         nbytes = msg.wire_bytes()
         self._c_weight_bytes.inc(nbytes, src, dst)
-        self._deliver(
-            src, dst, nbytes, self._handler(dst, "on_weight_message"), msg,
-            kind="weights",
-        )
+        self._send(src, dst, nbytes, msg, "weights")
 
     def broadcast_rcp(self, src: int, rcp: float) -> None:
         """Share a worker's measured RCP with every active peer."""
@@ -551,6 +570,16 @@ class WorkerHost:
                 wid, target,
                 DktRequestMessage(sender=wid, iteration=worker.iteration),
             )
+
+    def _schedule_blackout_markers(self, plan) -> None:
+        """Schedule both edges of every blackout window whose sender this
+        host holds (``src``, or either end of a bidirectional window),
+        at the edge's time or now, whichever is later."""
+        now = self.clock.now
+        for f in plan.blackout_windows():
+            if f.src in self._hosted or (f.bidirectional and f.dst in self._hosted):
+                self.clock.schedule(max(f.start, now), self._blackout_edge, f, +1)
+                self.clock.schedule(max(f.end, now), self._blackout_edge, f, -1)
 
     def _blackout_edge(self, fault, delta: int) -> None:
         """A chaos blackout window opened (+1) or closed (-1)."""

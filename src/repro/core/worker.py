@@ -356,12 +356,9 @@ class Worker:
     # Partial gradients generation + send_data
     # ------------------------------------------------------------------
     def enqueue(self, grads: dict[str, np.ndarray]) -> None:
-        """The DLion ``enqueue`` API: plan payloads and ship them.
-
-        The whole fan-out happens at one simulated instant, so it ships
-        through the engine's batched send — one array link-state
-        update instead of per-destination scalar arithmetic — with
-        byte-identical results (see ``send_gradients_batch``)."""
+        """The DLion ``enqueue`` API: plan payloads and ship them, one
+        gradient message per destination, through the host's
+        ``send_gradients_batch``."""
         plans = self.strategy.generate_partial_gradients(self, grads)
         items = []
         for dst, pg in plans.items():

@@ -64,7 +64,6 @@ LAYERS = [
     ("compute_pool", "repro.core.compute_pool:ComputePool.collect"),
     ("compute_pool", "repro.core.compute_pool:ComputePool.prefetch"),
     ("engine.send", "repro.core.engine:TrainingEngine.send_gradients"),
-    ("engine.send", "repro.core.engine:TrainingEngine.send_gradients_batch"),
     ("engine.send", "repro.core.engine:TrainingEngine.send_control"),
     ("engine.send", "repro.core.engine:TrainingEngine.send_weights"),
     ("engine.send", "repro.core.engine:TrainingEngine.broadcast_rcp"),
@@ -72,7 +71,6 @@ LAYERS = [
     ("engine.deliver", "repro.core.engine:TrainingEngine._deliver"),
     ("engine.evaluate_worker", "repro.core.engine:TrainingEngine.evaluate_worker"),
     ("network.enqueue", "repro.cluster.network:BandwidthMatrix.enqueue_transfer"),
-    ("network.enqueue", "repro.cluster.network:BandwidthMatrix.enqueue_transfers"),
     ("simclock.schedule", "repro.cluster.simclock:SimClock.schedule"),
     ("simclock.dispatch", "repro.cluster.simclock:SimClock.run_until"),
     ("mesh.send", "repro.transport.mesh:PeerMesh.send"),

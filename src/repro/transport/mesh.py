@@ -21,9 +21,10 @@ Reliability mechanics:
   peer is declared dead and surfaced through ``on_peer_dead`` — the
   runtime turns that into a membership change
   (:meth:`repro.core.worker.Worker.on_membership_change`), exactly like
-  the simulator's churn events. A peer that announced
-  :class:`~repro.transport.codec.Bye` first is treated as a graceful
-  departure and produces no callback;
+  the simulator's churn events. A
+  :class:`~repro.transport.codec.Bye` is a graceful departure: the
+  peer is declared dead at once, without a callback, so its outboxes
+  are abandoned (and counted as dropped) instead of redialled;
 * **resurrection** — :meth:`PeerMesh.revive` clears a peer's dead
   state, installs fresh outgoing links at its (new) address, and resets
   the reconnect episode — the supervisor's rejoin path after a crashed
@@ -31,12 +32,12 @@ Reliability mechanics:
   loop can never declare the revived peer dead again. Revived links are
   always TCP: the old ring segment's positions are unknowable after a
   crash, so the shm lane is not rebuilt;
-* **fault injection** — an optional ``fault_fn(dst, channel)`` is
-  consulted on every send: ``None`` silently drops the frame (blackout
-  / drop windows of a chaos plan), a positive value delays the actual
-  write by that many wall seconds. The delay is applied by the link's
-  FIFO sender task, so ordering is preserved (head-of-line blocking,
-  exactly like real added latency on one TCP stream).
+* **held-back frames** — ``send(delay_s=)`` delays a frame's write by
+  that many wall seconds (a chaos plan's delay window; the verdicts are
+  the worker host's, so transport frames are never faulted). The delay
+  is applied by the link's FIFO sender task, so ordering is preserved
+  (head-of-line blocking, exactly like real added latency on one TCP
+  stream).
 
 Performance mechanics (docs/architecture.md, "Transport lanes"):
 
@@ -314,7 +315,6 @@ class PeerMesh:
         tracer=NULL_TRACER,
         now_fn: Callable[[], float] | None = None,
         progress_fn: Callable[[], int] | None = None,
-        fault_fn: Callable[[int, int], float | None] | None = None,
         seed: int = 0,
         host: str = "127.0.0.1",
         shm_out: Iterable[int] = (),
@@ -331,7 +331,6 @@ class PeerMesh:
         self._rate_fn = rate_fn
         self._now_fn = now_fn
         self._progress_fn = progress_fn
-        self._fault_fn = fault_fn
         self.tracer = tracer
         self._rng = random.Random(seed * 7919 + worker_id)
 
@@ -482,28 +481,27 @@ class PeerMesh:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, dst: int, channel: int, msg, *, trace_name: str | None = None) -> bool:
-        """Enqueue ``msg`` for ``dst`` on ``channel`` (FIFO per link).
+    def send(
+        self, dst: int, channel: int, msg, *, trace_name: str | None = None,
+        delay_s: float = 0.0,
+    ) -> bool:
+        """Enqueue ``msg`` for ``dst`` on ``channel`` (FIFO per link),
+        to be written no sooner than ``delay_s`` wall seconds from now.
 
-        Returns ``False`` — and counts a drop — when the peer is dead,
-        the mesh is closing, or the link's outbox is full
-        (backpressure); ``True`` means the message is queued, with
-        delivery subject to the retry budget.
+        Returns ``False`` when the mesh is closing, the link is unknown,
+        the peer is dead or the link's outbox is full (backpressure) —
+        the last two count a drop; ``True`` means the message is
+        queued, with delivery subject to the retry budget.
         """
-        if dst in self._dead or self._closing:
+        if self._closing:
             return False
         link = self._out.get((dst, channel))
         if link is None:
             return False
-        not_before = 0.0
-        if self._fault_fn is not None:
-            verdict = self._fault_fn(dst, channel)
-            if verdict is None:
-                # Injected loss (blackout / drop window): the frame
-                # vanishes exactly as the simulator's _deliver drops it.
-                return False
-            if verdict > 0.0:
-                not_before = asyncio.get_event_loop().time() + verdict
+        if dst in self._dead:
+            if self._m:
+                self._m.dropped.inc(1, self.worker_id, dst, CHANNEL_NAMES[channel])
+            return False
         if isinstance(msg, (bytes, bytearray, memoryview)):
             frame, fbuf = bytes(msg), None
         else:
@@ -514,6 +512,7 @@ class PeerMesh:
                 self._release(fbuf)
                 raise
         t_enq = asyncio.get_event_loop().time()
+        not_before = t_enq + delay_s if delay_s > 0.0 else 0.0
         try:
             link.queue.put_nowait((frame, trace_name, not_before, t_enq, fbuf))
         except asyncio.QueueFull:
@@ -817,7 +816,7 @@ class PeerMesh:
         if link.dst in self._dead or self._closing:
             return False
         for attempt in range(self.cfg.retry_attempts):
-            if self._closing or self._superseded(link):
+            if self._closing or self._superseded(link) or link.dst in self._dead:
                 return False
             try:
                 link.sock = await self._dial(link)
@@ -936,7 +935,7 @@ class PeerMesh:
     def _receive(self, peer: int, channel: int, msg) -> None:
         """Handle one decoded frame from an accepted connection."""
         if isinstance(msg, Heartbeat):
-            if msg.wall:
+            if msg.wall and msg.sender not in self._dead:
                 # Echo the sender's wall timestamp so it can measure a
                 # full round trip (its clock, both ends — no
                 # cross-process clock comparison).
@@ -952,6 +951,9 @@ class PeerMesh:
                 if rtt >= 0:
                     self._m.hb_rtt.set(rtt, self.worker_id, msg.sender)
         elif isinstance(msg, Bye):
+            # A departed peer's outboxes are abandoned now, not redialled
+            # until close()'s drain timeout; no on_peer_dead (graceful).
             self._graceful.add(msg.sender)
+            self._declare_dead(msg.sender)
         elif not isinstance(msg, Hello):
             self._on_message(peer, channel, msg)

@@ -10,9 +10,11 @@ are live:
   to the wall via a ``speedup`` factor, so the same horizons, GBS
   periods, and bandwidth traces apply (a 600-s modelled run at speedup
   20 takes 30 wall seconds);
-* **delivery** — messages cross a :class:`~repro.transport.mesh.PeerMesh`
-  (serialized by :mod:`repro.transport.codec`, paced by the token-bucket
-  shaper) instead of the simulator's modelled links;
+* **delivery** — a message that survived the host's ``_send`` crosses a
+  :class:`~repro.transport.mesh.PeerMesh` (serialized by
+  :mod:`repro.transport.codec`, paced by the token-bucket shaper)
+  instead of the simulator's modelled links, and enters the receiving
+  process's heap as an arrival for the host's ``_receive``;
 * **progress** — ``global_epoch`` adds the peers' heartbeat-reported
   sample counts to the worker's own.
 
@@ -36,8 +38,9 @@ modelled clock at the offset the supervisor hands it, rejoins the
 active set, and bootstraps freshness with a DKT-style weight pull from
 a live peer. Surviving children receive ``("revive", worker, port)``
 pipe commands and re-open their mesh links to the rejoiner's new port.
-A chaos plan's link faults are injected at send time through the mesh's
-``fault_fn`` hook, with windows on the modelled clock.
+A chaos plan's link faults are judged by the host's ``_send``, as in the
+simulator, with windows on the modelled clock; an injected delay holds
+the frame back in its link's FIFO outbox (``PeerMesh.send(delay_s=)``).
 """
 
 from __future__ import annotations
@@ -209,10 +212,9 @@ class LiveWorkerRuntime(WorkerHost):
         # Peer progress, fed by heartbeats (the live GBS input).
         self._peer_samples: dict[int, int] = {}
 
-        # Fault injection (chaos plan): send-time verdicts on the
-        # modelled clock. The rng stream is per-worker so live drop
+        # Fault injection (chaos plan): the host's send-time verdicts on
+        # the modelled clock. The rng stream is per-worker so live drop
         # sampling never perturbs the shared simulator streams.
-        self._fault_injector: LinkFaultInjector | None = None
         if spec.chaos is not None and spec.chaos.link_faults:
             self._fault_injector = LinkFaultInjector(
                 spec.chaos, self.rng_pool.get(f"chaos/{worker_id}")
@@ -248,7 +250,6 @@ class LiveWorkerRuntime(WorkerHost):
             tracer=self.tracer,
             now_fn=lambda: self.clock.now,
             progress_fn=lambda: self.worker.sampler.samples_drawn,
-            fault_fn=self._mesh_fault_fn if self._fault_injector else None,
             seed=spec.seed,
             host=spec.host,
             shm_out=shm_peers,
@@ -302,11 +303,16 @@ class LiveWorkerRuntime(WorkerHost):
     # ------------------------------------------------------------------
     # Hook: delivery over the mesh
     # ------------------------------------------------------------------
-    def _deliver(self, src, dst, nbytes, handler, msg, *, kind="msg") -> None:
+    def _deliver(self, src, dst, nbytes, msg, kind, delay) -> None:
         """Queue ``msg`` on the mesh link to ``dst`` (control traffic on
-        the control channel); the receiving process finds the handler."""
+        the control channel), held back ``delay / speedup`` wall seconds
+        for an injected modelled ``delay``; the receiving process books
+        it for ``_receive``."""
         channel = CHANNEL_CONTROL if kind == "ctrl" else CHANNEL_DATA
-        self.mesh.send(dst, channel, msg, trace_name=f"{kind}->{dst}")
+        self.mesh.send(
+            dst, channel, msg, trace_name=f"{kind}->{dst}",
+            delay_s=delay / self.spec.speedup,
+        )
 
     # ------------------------------------------------------------------
     # Incoming traffic (mesh callbacks; all on the event-loop thread)
@@ -315,9 +321,8 @@ class LiveWorkerRuntime(WorkerHost):
         """Book a worker message as a modelled arrival. Unknown payloads
         are ignored (forward compatibility), and so is traffic after
         the local model is finalized."""
-        name = MESSAGE_HANDLERS.get(type(msg))
-        if name is not None and not self.stopped:
-            self.clock.arrive(getattr(self.worker, name), msg)
+        if type(msg) in MESSAGE_HANDLERS and not self.stopped:
+            self.clock.arrive(self._receive, self.worker_id, msg)
 
     def _on_heartbeat(self, hb: Heartbeat) -> None:
         self._peer_samples[hb.sender] = hb.samples_drawn
@@ -354,28 +359,8 @@ class LiveWorkerRuntime(WorkerHost):
         self.worker.on_membership_change(self.active)
 
     # ------------------------------------------------------------------
-    # Fault injection (chaos plan)
+    # Chaos bookkeeping (the flight record of blackout edges)
     # ------------------------------------------------------------------
-    def _mesh_fault_fn(self, dst: int, channel: int) -> float | None:
-        """Send-time chaos verdict: None drops, >0 is extra wall delay."""
-        verdict = self._fault_injector.on_send(self.worker_id, dst, self.clock.now)
-        if verdict is None:
-            self._c_chaos_dropped.inc(1, self.worker_id, dst)
-            return None
-        # The injector speaks modelled seconds; the mesh sleeps in wall.
-        return verdict / self.spec.speedup
-
-    def _schedule_blackout_markers(self) -> None:
-        """Pre-schedule partition-gauge flips and trace instants for
-        every blackout window this worker sends into."""
-        if self.spec.chaos is None:
-            return
-        now = self.clock.now
-        for f in self.spec.chaos.blackout_windows():
-            if self.worker_id in ({f.src, f.dst} if f.bidirectional else {f.src}):
-                self.clock.schedule(max(f.start, now), self._blackout_edge, f, +1)
-                self.clock.schedule(max(f.end, now), self._blackout_edge, f, -1)
-
     def _blackout_edge(self, fault, delta: int) -> None:
         self.flight.record(
             "blackout-start" if delta > 0 else "blackout-end",
@@ -596,7 +581,8 @@ class LiveWorkerRuntime(WorkerHost):
         cfg = self.spec.checkpoint
         if cfg is not None:
             self.clock.schedule_in(cfg.interval_s, self._checkpoint_tick)
-        self._schedule_blackout_markers()
+        if self.spec.chaos is not None:
+            self._schedule_blackout_markers(self.spec.chaos)
 
     async def wait_horizon(self, inbox: asyncio.Queue | None = None) -> None:
         """The pacer: run the modelled events the wall has reached, up

@@ -310,3 +310,44 @@ class TestSimIntegration:
             )
 
         assert run() == run()
+
+
+class TestLiveness:
+    """The guarantee that holds for DLion (bounded staleness, backup 0):
+    a one-way blackout, a drop window or a delay window costs at most a
+    tenth of any worker's iterations. A *bidirectional* blackout between
+    two workers can leave each waiting for the other's gradient for the
+    rest of the run, so it is not covered (docs/robustness.md)."""
+
+    HORIZON = 30.0
+
+    @staticmethod
+    def _iterations(doc):
+        from repro.experiments.environments import get_environment
+        from repro.experiments.runner import build_config, build_topology, workload_for
+
+        env = get_environment("Homo A")
+        workload = workload_for(env)
+        engine = TrainingEngine(
+            build_config("dlion", workload),
+            build_topology(env, workload, n_workers=3),
+            seed=0, chaos=ChaosPlan.from_dict(doc) if doc else None,
+        )
+        return engine.run(TestLiveness.HORIZON).iterations
+
+    @pytest.fixture(scope="class")
+    def fault_free(self):
+        return self._iterations(None)
+
+    @pytest.mark.parametrize("fault", [
+        {"kind": "blackout", "start": 5.0, "duration": 4.0, "src": 0, "dst": 1},
+        {"kind": "drop", "start": 5.0, "duration": 10.0, "src": 0, "dst": 1,
+         "probability": 0.5},
+        {"kind": "delay", "start": 12.0, "duration": 10.0, "src": 1, "dst": 2,
+         "delay_s": 0.2},
+    ], ids=["one-way blackout", "drop", "delay"])
+    def test_every_worker_keeps_training(self, fault, fault_free):
+        faulted = self._iterations({"link_faults": [fault]})
+        assert all(n >= 0.9 * base for n, base in zip(faulted, fault_free)), (
+            faulted, fault_free,
+        )

@@ -3,15 +3,19 @@ and the one RunResult state both backends serialise through."""
 
 import inspect
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.chaos import ChaosPlan, LinkFaultInjector
+from repro.cluster.messages import GradientMessage, RcpShareMessage
 from repro.cluster.simclock import SimClock
 from repro.core.engine import TrainingEngine
 from repro.core.host import RunResult, WorkerHost
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.runtime import LiveWorkerRuntime
+from repro.obs.trace import Tracer
+from repro.transport.runtime import LiveRunSpec, LiveWorkerRuntime
 from repro.utils.metrics import TimeSeries
 
 
@@ -25,9 +29,9 @@ class InMemoryHost(WorkerHost):
         self.delivered = []
         self._record_start()
 
-    def _deliver(self, src, dst, nbytes, handler, msg, *, kind="msg"):
+    def _deliver(self, src, dst, nbytes, msg, kind, delay):
         self.delivered.append((kind, src, dst, msg))
-        self.clock.schedule_in(self.DELAY, handler, msg)
+        self.clock.schedule_in(self.DELAY + delay, self._receive, dst, msg)
 
     def run(self, horizon):
         self._arm_gbs_tick()
@@ -101,6 +105,75 @@ class TestInMemoryHost:
         host = InMemoryHost(fast_config, two_workers)
         with pytest.raises(TypeError, match="not a control message"):
             host.send_control(0, 1, object())
+
+
+# -- the one verdict site ----------------------------------------------
+
+# 0 -> 1 is blacked out and 0 -> 2 delayed by 0.5 s for the whole test.
+_PLAN = ChaosPlan.from_dict({"link_faults": [
+    {"kind": "blackout", "start": 0.0, "duration": 10.0, "src": 0, "dst": 1},
+    {"kind": "delay", "start": 0.0, "duration": 10.0, "src": 0, "dst": 2,
+     "delay_s": 0.5},
+]})
+_SPEEDUP = 4.0
+
+
+@pytest.fixture(params=["in-memory", "live"])
+def chaotic_host(request, fast_config, tiny_topology, monkeypatch):
+    """A host holding worker 0 under ``_PLAN``, its ``_deliver`` calls
+    recorded; the live one's mesh is a stub that records each send."""
+    if request.param == "in-memory":
+        host = InMemoryHost(fast_config, tiny_topology, tracer=Tracer())
+        host._fault_injector = LinkFaultInjector(_PLAN, np.random.default_rng(0))
+        host.mesh_sends = None
+    else:
+        host = LiveWorkerRuntime(0, LiveRunSpec(
+            config=fast_config, topology=tiny_topology, seed=0, horizon=10.0,
+            speedup=_SPEEDUP, trace=True, chaos=_PLAN,
+        ))
+        host.mesh_sends = []
+        monkeypatch.setattr(
+            host.mesh, "send",
+            lambda dst, channel, msg, **kw: host.mesh_sends.append((dst, kw)),
+        )
+    host.deliveries = []
+    deliver = host._deliver
+
+    def recording_deliver(*args):
+        host.deliveries.append(args)
+        deliver(*args)
+
+    host._deliver = recording_deliver
+    return host
+
+
+class TestOneVerdictSite:
+    def test_blackout_drops_before_deliver(self, chaotic_host):
+        host = chaotic_host
+        grad = GradientMessage(
+            sender=0, iteration=1, lbs=8, dense={"w": np.ones(4, np.float32)}
+        )
+        host.send_gradients(0, 1, grad, chosen_n=None)
+        host.send_control(0, 1, RcpShareMessage(sender=0, rcp=1.0))
+        assert host.deliveries == []
+        assert host.mesh_sends in (None, [])
+        assert host.metrics.get("chaos_dropped_total").value(0, 1) == 2
+        drops = [e for e in host.tracer.events() if e.get("name") == "chaos-drop"]
+        assert [e["args"] for e in drops] == [
+            {"dst": 1, "kind": "grad"}, {"dst": 1, "kind": "ctrl"},
+        ]
+
+    def test_delay_window_reaches_deliver(self, chaotic_host):
+        host = chaotic_host
+        host.send_control(0, 2, RcpShareMessage(sender=0, rcp=1.0))
+        [(src, dst, _nbytes, _msg, kind, delay)] = host.deliveries
+        assert (src, dst, kind, delay) == (0, 2, "ctrl", 0.5)
+        if host.mesh_sends is None:
+            assert host.clock.peek_time() == InMemoryHost.DELAY + 0.5
+        else:
+            [(sent_to, kw)] = host.mesh_sends
+            assert sent_to == 2 and kw["delay_s"] == 0.5 / _SPEEDUP
+        assert host.metrics.get("chaos_dropped_total").value(0, 2) == 0
 
 
 class TestSurface:

@@ -240,13 +240,13 @@ class TestLayerTable:
         from repro.core.host import WorkerHost
 
         assert "send_gradients" not in TrainingEngine.__dict__
-        batch = TrainingEngine.__dict__["send_gradients_batch"]
+        deliver = TrainingEngine.__dict__["_deliver"]
         with activate(Profiler()):
             assert "send_gradients" in TrainingEngine.__dict__
-            assert TrainingEngine.__dict__["send_gradients_batch"] is not batch
+            assert TrainingEngine.__dict__["_deliver"] is not deliver
         assert "send_gradients" not in TrainingEngine.__dict__
         assert TrainingEngine.send_gradients is WorkerHost.send_gradients
-        assert TrainingEngine.__dict__["send_gradients_batch"] is batch
+        assert TrainingEngine.__dict__["_deliver"] is deliver
 
     def test_every_layer_resolves(self):
         for _name, path in LAYERS + ASYNC_LAYERS:

@@ -169,6 +169,34 @@ class TestDeath:
 
         asyncio.run(run())
 
+    def test_bye_abandons_the_departed_peers_outbox(self):
+        """Frames for a peer that said Bye are dropped and counted, not
+        redialled until close()'s drain timeout runs out."""
+        slow_retries = TransportConfig(
+            connect_timeout_s=1.0, send_timeout_s=1.0, retry_base_s=0.5,
+            retry_max_s=1.0, retry_attempts=6, heartbeat_interval_s=0.05,
+        )
+
+        async def run():
+            registry = MetricsRegistry()
+            a = Endpoint(0, config=slow_retries, metrics=registry)
+            b = Endpoint(1)
+            await _start_pair(a, b)
+            await b.mesh.close(bye=True)
+            await _wait_for(lambda: 1 in a.mesh._graceful)
+            for i in range(5):
+                a.mesh.send(1, CHANNEL_DATA, _grad(0, i))
+                await asyncio.sleep(0.01)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            await a.mesh.close(drain_timeout_s=2.0)
+            assert loop.time() - t0 < 0.5
+            dropped = registry.get("transport_dropped_total")
+            assert dropped.value(0, 1, "data") == 5
+            assert a.dead == [] and a.errors == []
+
+        asyncio.run(run())
+
     def test_crash_fires_dead_callback_after_retries(self):
         async def run():
             a, b = Endpoint(0), Endpoint(1)
@@ -444,20 +472,17 @@ class TestConfigValidation:
 
 class TestCoalescing:
     def test_backlogged_frames_batch_into_one_write(self):
-        """Hold the FIFO head back with an injected delay; everything
+        """Hold the FIFO head back with a send delay; everything
         queued behind it must go out as one coalesced write."""
         async def run():
             registry = MetricsRegistry()
-            delays = iter([0.15])
-            a = Endpoint(
-                0, metrics=registry,
-                fault_fn=lambda dst, ch: next(delays, 0.0),
-            )
+            a = Endpoint(0, metrics=registry)
             b = Endpoint(1)
             try:
                 await _start_pair(a, b)
                 for i in range(10):
-                    assert a.mesh.send(1, CHANNEL_DATA, _grad(0, i))
+                    delay = 0.15 if i == 0 else 0.0
+                    assert a.mesh.send(1, CHANNEL_DATA, _grad(0, i), delay_s=delay)
                 await _wait_for(lambda: len(b.received) == 10)
             finally:
                 await asyncio.gather(a.mesh.close(), b.mesh.close())

@@ -128,7 +128,7 @@ class TestSharedHostBehaviour:
         sent = []
         monkeypatch.setattr(
             runtime.mesh, "send",
-            lambda dst, channel, msg, trace_name=None: sent.append((dst, msg)),
+            lambda dst, channel, msg, **kw: sent.append((dst, msg)),
         )
         runtime.broadcast_rcp(0, 1.5)
         runtime.broadcast_loss_share(0, 4, 0.5)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """One sha256 line per simulator run, for "same bytes as the parent" claims.
 
-Runs twenty short seeded simulations — the eleven presets of
+Runs twenty-two short seeded simulations — the eleven presets of
 ``tests/obs/test_scheduler_parity.py`` plus Dynamic SYS B, a shared-egress
 cluster, a bandwidth square wave, a square wave behind shared egress, an
 env-file document with a bandwidth step, the top-k, random-k and threshold
-selectors on Hetero NET A and a fixed N on Homo B — and prints
+selectors on Hetero NET A, a fixed N on Homo B, and two chaos plans (link
+faults; a crash with restart) on Hetero SYS A — and prints
 ``sha256(trace bytes + sorted metrics dump)`` for each. The simulator is
 byte-deterministic, so two trees behave identically on these runs exactly
 when the outputs ``diff`` clean::
@@ -56,6 +57,27 @@ MAXN_RUNS = [
     ("Homo B", "fixed N 10", {"fixed_n": 10.0}),
 ]
 
+# (label, ChaosPlan.from_dict document) for DLion on Hetero SYS A: every
+# link-fault kind (drop windows draw from the "chaos" stream, a delay
+# and a blackout each way), then a crash with a restart under drops.
+CHAOS_RUNS = [
+    ("drop + delay + blackout", {"link_faults": [
+        {"kind": "drop", "start": 2.0, "duration": 6.0,
+         "src": 0, "dst": 1, "probability": 0.5},
+        {"kind": "delay", "start": 3.0, "duration": 6.0,
+         "src": 1, "dst": 2, "delay_s": 0.3, "bidirectional": True},
+        {"kind": "blackout", "start": 4.0, "duration": 3.0,
+         "src": 3, "dst": 4, "bidirectional": True},
+    ]}),
+    ("crash + restart + drop", {
+        "crashes": [{"time": 4.0, "worker": 2, "restart_after": 3.0}],
+        "link_faults": [
+            {"kind": "drop", "start": 1.0, "duration": 9.0,
+             "src": 0, "dst": 1, "probability": 0.3},
+        ],
+    }),
+]
+
 
 def _digest(tracer, metrics) -> str:
     dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)
@@ -77,7 +99,7 @@ def _preset(environment, system, overlay, config_overrides=None) -> str:
     return _digest(tracer, metrics)
 
 
-def _run(topo) -> str:
+def _run(topo, **engine_kwargs) -> str:
     from repro.core.engine import TrainingEngine
     from repro.experiments.runner import build_config, cpu_workload
     from repro.obs.metrics import MetricsRegistry
@@ -86,9 +108,19 @@ def _run(topo) -> str:
     tracer, metrics = Tracer(), MetricsRegistry()
     TrainingEngine(
         build_config("dlion", cpu_workload()), topo, seed=SEED,
-        tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics, **engine_kwargs,
     ).run(HORIZON)
     return _digest(tracer, metrics)
+
+
+def _chaos(doc) -> str:
+    """DLion on Hetero SYS A under a chaos plan (``TrainingEngine(chaos=)``)."""
+    from repro.cluster.chaos import ChaosPlan
+    from repro.experiments.environments import get_environment
+    from repro.experiments.runner import build_topology, cpu_workload
+
+    topo = build_topology(get_environment("Hetero SYS A"), cpu_workload())
+    return _run(topo, chaos=ChaosPlan.from_dict(doc))
 
 
 def _custom(bandwidth, *, shared_egress) -> str:
@@ -148,6 +180,8 @@ def main() -> int:
     for env, label, kwargs in MAXN_RUNS:
         digest = _preset(env, "dlion", None, {"maxn": MaxNConfig(**kwargs)})
         print(f"{digest}  {env} / dlion / {label}", flush=True)
+    for label, doc in CHAOS_RUNS:
+        print(f"{_chaos(doc)}  Hetero SYS A / dlion / chaos {label}", flush=True)
     return 0
 
 
