@@ -2,7 +2,8 @@
 
 A :class:`WorkerHost` builds the workers it holds (shards, models,
 strategies) and owns everything they call that does not depend on how
-time passes or how bytes move, recording into one :class:`RunResult`.
+time passes or how bytes move, recording into its metrics registry,
+which :class:`RunResult` reads.
 Every worker message leaves through :meth:`WorkerHost._send` — the
 membership check and the chaos verdict are judged there, once for both
 backends — and arrives through :meth:`WorkerHost._receive`, which hands
@@ -28,7 +29,6 @@ shard and jitter stream whichever host builds it.
 
 from __future__ import annotations
 
-import copy
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -53,7 +53,7 @@ from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import activate
 from repro.obs.trace import NULL_TRACER, THREAD_NAMES, TID_NET, TID_SYNC
-from repro.utils.metrics import TimeSeries, accuracy_at_time
+from repro.utils.metrics import TimeSeries, accuracy_at_time, time_to_accuracy
 from repro.utils.rng import RngPool
 
 __all__ = ["WorkerHost", "RunResult", "CONTROL_HANDLERS", "MESSAGE_HANDLERS"]
@@ -76,93 +76,96 @@ MESSAGE_HANDLERS = {
     **CONTROL_HANDLERS,
 }
 
-# RunResult's series fields by shape, for to_state / absorb.
-_PER_WORKER = ("accuracy", "loss", "lbs")
-_PER_LINK = ("link_entries", "link_chosen_n")
-_CLUSTER = ("gbs", "active_workers")
-_STATE = _PER_WORKER + _PER_LINK + _CLUSTER + (
-    "iterations", "dkt_merges", "epochs", "events",
-)
-
-
-def _series(table: dict, key) -> TimeSeries:
-    """``table[key]``, created on first use (``setdefault`` would build
-    and drop a ``TimeSeries`` on every call)."""
-    series = table.get(key)
-    if series is None:
-        series = table[key] = TimeSeries()
-    return series
-
 
 @dataclass
 class RunResult:
     """Everything a run recorded, plus the paper's derived metrics.
 
-    Run accounting lives in the attached :class:`MetricsRegistry`
-    (``metrics``); the historical ``link_bytes`` / ``compute_time`` /
-    ``wait_time`` attributes are kept as properties reading from the
-    registry, so existing callers and a ``--metrics-out`` dump can
-    never disagree.
+    A read-only view over the run's :class:`MetricsRegistry`
+    (``metrics``): the series are its ``*_series`` families and the
+    counts its counters (the catalog is in docs/observability.md), so
+    ``--output``, ``--metrics-out`` and the in-process result can never
+    disagree. A series nobody recorded reads as an empty one.
     """
 
     n_workers: int
     horizon: float
-    accuracy: list[TimeSeries] = field(default_factory=list)
-    loss: list[TimeSeries] = field(default_factory=list)
-    lbs: list[TimeSeries] = field(default_factory=list)
-    gbs: TimeSeries = field(default_factory=TimeSeries)
-    # Per ordered link: entries per gradient message and the chosen N.
-    link_entries: dict[tuple[int, int], TimeSeries] = field(default_factory=dict)
-    link_chosen_n: dict[tuple[int, int], TimeSeries] = field(default_factory=dict)
-    iterations: list[int] = field(default_factory=list)
-    dkt_merges: int = 0
-    epochs: float = 0.0
-    events: int = 0
-    # Elastic-membership extension: active worker count over time.
-    active_workers: TimeSeries = field(default_factory=TimeSeries)
-    # The run's metric families (see docs/observability.md for the catalog).
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
-    @classmethod
-    def blank(
-        cls, n_workers: int, *, horizon: float = 0.0, metrics: MetricsRegistry
-    ) -> "RunResult":
-        """A result with one empty series and a zero count per worker."""
-        result = cls(n_workers=n_workers, horizon=horizon, metrics=metrics)
-        for name in _PER_WORKER:
-            setattr(result, name, [TimeSeries() for _ in range(n_workers)])
-        result.iterations = [0] * n_workers
-        return result
+    def _series(self, name: str, *labels) -> TimeSeries:
+        fam = self.metrics.get(name)
+        return fam.series(*labels) if fam is not None else TimeSeries()
 
-    def to_state(self) -> dict:
-        """A picklable copy of every recorded series and count — the
-        inverse of :meth:`absorb`. The metrics registry travels
-        separately (``MetricsRegistry.dump_state``)."""
-        return copy.deepcopy({name: getattr(self, name) for name in _STATE})
+    def _per_worker_series(self, name: str) -> list[TimeSeries]:
+        return [self._series(name, w) for w in range(self.n_workers)]
 
-    def absorb(self, state: dict) -> None:
-        """Fold a :meth:`to_state` snapshot into this (``blank``) result.
+    def _per_link_series(self, name: str) -> dict[tuple[int, int], TimeSeries]:
+        fam = self.metrics.get(name)
+        return dict(fam.items()) if fam is not None else {}
 
-        Per-worker and per-link series extend, counts add and ``epochs``
-        keeps the furthest view, so absorbing each worker's state yields
-        what one shared result would have recorded. GBS and membership
-        are cluster-wide series of which every host records its own
-        view: the first one absorbed is kept."""
-        for name in _PER_WORKER:
-            for mine, theirs in zip(getattr(self, name), state[name]):
-                mine.extend(theirs)
-        for name in _PER_LINK:
-            table = getattr(self, name)
-            for key, theirs in state[name].items():
-                _series(table, key).extend(theirs)
-        for name in _CLUSTER:
-            if not getattr(self, name):
-                getattr(self, name).extend(state[name])
-        for w, n in enumerate(state["iterations"]):
-            self.iterations[w] += n
-        self.dkt_merges += state["dkt_merges"]
-        self.events += state["events"]
-        self.epochs = max(self.epochs, state["epochs"])
+    def _per_worker(self, name: str) -> list[float]:
+        counter = self.metrics.get(name)
+        if counter is None:
+            return [0.0] * self.n_workers
+        return [counter.value(w) for w in range(self.n_workers)]
+
+    @property
+    def accuracy(self) -> list[TimeSeries]:
+        """Per-worker held-out accuracy over time."""
+        return self._per_worker_series("accuracy_series")
+
+    @property
+    def loss(self) -> list[TimeSeries]:
+        """Per-worker training loss, one sample per iteration."""
+        return self._per_worker_series("loss_series")
+
+    @property
+    def lbs(self) -> list[TimeSeries]:
+        """Per-worker local batch size over time (Fig. 6/19)."""
+        return self._per_worker_series("lbs_series")
+
+    @property
+    def gbs(self) -> TimeSeries:
+        """The global batch size over time."""
+        return self._series("gbs_series")
+
+    @property
+    def active_workers(self) -> TimeSeries:
+        """Active worker count over time (elastic membership)."""
+        return self._series("active_workers_series")
+
+    @property
+    def link_entries(self) -> dict[tuple[int, int], TimeSeries]:
+        """Per ordered link: entries per gradient message."""
+        return self._per_link_series("link_entries_series")
+
+    @property
+    def link_chosen_n(self) -> dict[tuple[int, int], TimeSeries]:
+        """Per ordered link: the Max-N value chosen per gradient message."""
+        return self._per_link_series("link_chosen_n_series")
+
+    @property
+    def iterations(self) -> list[int]:
+        """Completed iterations per worker."""
+        return [int(n) for n in self._per_worker("iterations_total")]
+
+    @property
+    def dkt_merges(self) -> int:
+        """DKT merges applied, cluster-wide."""
+        counter = self.metrics.get("dkt_merges_total")
+        return int(sum(v for _, v in counter.items())) if counter is not None else 0
+
+    @property
+    def events(self) -> int:
+        """Clock events dispatched (summed over hosts)."""
+        counter = self.metrics.get("events_processed")
+        return int(counter.value()) if counter is not None else 0
+
+    @property
+    def epochs(self) -> float:
+        """Cluster-wide epochs completed by the horizon."""
+        series = self._series("epochs_series")
+        return series.values[-1] if series else 0.0
 
     @property
     def link_bytes(self) -> dict[tuple[int, int], int]:
@@ -172,21 +175,15 @@ class RunResult:
             return {}
         return {(src, dst): int(v) for (src, dst), v in counter.items()}
 
-    def _per_worker_seconds(self, name: str) -> list[float]:
-        counter = self.metrics.get(name)
-        if counter is None:
-            return [0.0] * self.n_workers
-        return [counter.value(w) for w in range(self.n_workers)]
-
     @property
     def compute_time(self) -> list[float]:
         """Per-worker simulated seconds spent computing gradients."""
-        return self._per_worker_seconds("compute_seconds_total")
+        return self._per_worker("compute_seconds_total")
 
     @property
     def wait_time(self) -> list[float]:
         """Per-worker simulated seconds blocked on the sync gate."""
-        return self._per_worker_seconds("sync_wait_seconds_total")
+        return self._per_worker("sync_wait_seconds_total")
 
     def wait_fraction(self, worker: int) -> float:
         """Share of the horizon worker ``worker`` spent sync-blocked."""
@@ -237,12 +234,7 @@ class RunResult:
 
     def time_to_accuracy(self, target: float) -> float | None:
         """Metric 2: first time the cluster-average accuracy hits ``target``."""
-        series = self.mean_accuracy_series()
-        times, values = series.as_arrays()
-        hits = np.nonzero(values >= target - 1e-12)[0]
-        if hits.size == 0:
-            return None
-        return float(times[hits[0]])
+        return time_to_accuracy(self.mean_accuracy_series(), target)
 
     def final_mean_accuracy(self) -> float:
         """Cluster-mean accuracy at the end of the run (metric 1)."""
@@ -287,7 +279,7 @@ class WorkerHost:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler
-        self._register_metrics()
+        self.run_metrics = RunMetrics(self.metrics)
         if self.tracer.enabled:
             self._emit_trace_metadata(hosted)
 
@@ -348,38 +340,11 @@ class WorkerHost:
             self._hosted[w] = worker
         self.workers: list[Worker] = list(self._hosted.values())
 
-        self.result = RunResult.blank(self.n_workers, metrics=self.metrics)
+        self.result = RunResult(self.n_workers, 0.0, self.metrics)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _register_metrics(self) -> None:
-        """Attach the shared run metric catalog (docs/observability.md);
-        the private aliases are what workers reference on their hot paths."""
-        rm = RunMetrics(self.metrics)
-        self.run_metrics = rm
-        self._c_grad_bytes = rm.c_grad_bytes
-        self._c_grad_msgs = rm.c_grad_msgs
-        self._c_weight_bytes = rm.c_weight_bytes
-        self._h_chosen_n = rm.h_chosen_n
-        self._c_iterations = rm.c_iterations
-        self._h_iteration_s = rm.h_iteration_s
-        self._h_wait_s = rm.h_wait_s
-        self._c_wait_total = rm.c_wait_total
-        self._c_compute_total = rm.c_compute_total
-        self._c_dkt_merges = rm.c_dkt_merges
-        self._c_dkt_pulls = rm.c_dkt_pulls
-        self._g_gbs = rm.g_gbs
-        self._g_lbs = rm.g_lbs
-        self._g_queue_depth = rm.g_queue_depth
-        self._c_queue_dropped = rm.c_queue_dropped
-        self._g_active = rm.g_active
-        self._c_events = rm.c_events
-        self._c_chaos_dropped = rm.c_chaos_dropped
-        self._g_partition = rm.g_partition
-        self._c_profile_seconds = rm.c_profile_seconds
-        self._c_profile_calls = rm.c_profile_calls
-
     def _emit_trace_metadata(self, hosted) -> None:
         """Name one trace process per worker plus the cluster pseudo-process."""
         tracer = self.tracer
@@ -408,13 +373,14 @@ class WorkerHost:
 
     def _record_start(self) -> None:
         """Open every series and gauge with its value at time zero."""
-        self.result.gbs.append(0.0, self.gbs_controller.gbs)
-        self.result.active_workers.append(0.0, len(self.active))
-        self._g_gbs.set(self.gbs_controller.gbs)
-        self._g_active.set(len(self.active))
+        rm = self.run_metrics
+        rm.s_gbs.append(0.0, self.gbs_controller.gbs)
+        rm.s_active.append(0.0, len(self.active))
+        rm.g_gbs.set(self.gbs_controller.gbs)
+        rm.g_active.set(len(self.active))
         for w in self._hosted:
-            self.result.lbs[w].append(0.0, self.config.initial_lbs)
-            self._g_lbs.set(self.config.initial_lbs, w)
+            rm.s_lbs.append(0.0, self.config.initial_lbs, w)
+            rm.g_lbs.set(self.config.initial_lbs, w)
 
     def _start_workers(self) -> None:
         """Kick off every held worker (after its RCP probes, under LBS)."""
@@ -470,8 +436,8 @@ class WorkerHost:
     def _membership_changed(self) -> None:
         """Book a change of ``active``: cache, series and gauge."""
         self._active_members = None
-        self.result.active_workers.append(self.clock.now, len(self.active))
-        self._g_active.set(len(self.active))
+        self.run_metrics.s_active.append(self.clock.now, len(self.active))
+        self.run_metrics.g_active.set(len(self.active))
 
     # ------------------------------------------------------------------
     # Message sends (everything leaves through ``_send``)
@@ -486,7 +452,7 @@ class WorkerHost:
         if self._fault_injector is not None:
             delay = self._fault_injector.on_send(src, dst, self.clock.now)
             if delay is None:
-                self._c_chaos_dropped.inc(1, src, dst)
+                self.run_metrics.c_chaos_dropped.inc(1, src, dst)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "chaos-drop", src, TID_NET, self.clock.now,
@@ -504,13 +470,13 @@ class WorkerHost:
     def _record_link(self, src, dst, nbytes, msg, chosen_n, now) -> None:
         """Per-link accounting of one gradient message (estimate-based,
         so Max-N budgets compare across backends)."""
-        key = (src, dst)
-        self._c_grad_bytes.inc(nbytes, src, dst)
-        self._c_grad_msgs.inc(1, src, dst)
-        _series(self.result.link_entries, key).append(now, msg.num_entries())
+        rm = self.run_metrics
+        rm.c_grad_bytes.inc(nbytes, src, dst)
+        rm.c_grad_msgs.inc(1, src, dst)
+        rm.s_link_entries.append(now, msg.num_entries(), src, dst)
         if chosen_n is not None:
-            self._h_chosen_n.observe(chosen_n, f"{src}->{dst}")
-            _series(self.result.link_chosen_n, key).append(now, chosen_n)
+            rm.h_chosen_n.observe(chosen_n, f"{src}->{dst}")
+            rm.s_link_chosen_n.append(now, chosen_n, src, dst)
             if self.tracer.enabled:
                 self.tracer.counter(
                     f"chosen_n {src}->{dst}", src, now, {"n": round(chosen_n, 3)}
@@ -541,7 +507,7 @@ class WorkerHost:
     def send_weights(self, src: int, dst: int, msg: WeightMessage) -> None:
         """Ship a full weight snapshot (DKT payload)."""
         nbytes = msg.wire_bytes()
-        self._c_weight_bytes.inc(nbytes, src, dst)
+        self.run_metrics.c_weight_bytes.inc(nbytes, src, dst)
         self._send(src, dst, nbytes, msg, "weights")
 
     def broadcast_rcp(self, src: int, rcp: float) -> None:
@@ -584,7 +550,7 @@ class WorkerHost:
     def _blackout_edge(self, fault, delta: int) -> None:
         """A chaos blackout window opened (+1) or closed (-1)."""
         self._active_blackouts += delta
-        self._g_partition.set(self._active_blackouts)
+        self.run_metrics.g_partition.set(self._active_blackouts)
         if self.tracer.enabled:
             self.tracer.instant(
                 "blackout-start" if delta > 0 else "blackout-end",
@@ -613,8 +579,8 @@ class WorkerHost:
         old = self.gbs_controller.gbs
         new = self.gbs_controller.maybe_update(self.global_epoch())
         if new != old:
-            self.result.gbs.append(self.clock.now, new)
-            self._g_gbs.set(new)
+            self.run_metrics.s_gbs.append(self.clock.now, new)
+            self.run_metrics.g_gbs.set(new)
             if self.tracer.enabled:
                 self.tracer.counter(
                     "gbs", self.cluster_pid, self.clock.now, {"gbs": new}
@@ -634,21 +600,19 @@ class WorkerHost:
     # ------------------------------------------------------------------
     def record_loss(self, worker: int, loss: float) -> None:
         """Record one iteration's training loss (and count the iteration)."""
-        self.result.loss[worker].append(self.clock.now, loss)
-        self.result.iterations[worker] += 1
-        self._c_iterations.inc(1, worker)
+        self.run_metrics.s_loss.append(self.clock.now, loss, worker)
+        self.run_metrics.c_iterations.inc(1, worker)
 
     def record_lbs(self, worker: int, lbs: int) -> None:
         """Record a local-batch-size change for the Fig. 6/19 series."""
-        self.result.lbs[worker].append(self.clock.now, lbs)
-        self._g_lbs.set(lbs, worker)
+        self.run_metrics.s_lbs.append(self.clock.now, lbs, worker)
+        self.run_metrics.g_lbs.set(lbs, worker)
         if self.tracer.enabled:
             self.tracer.counter("lbs", worker, self.clock.now, {"lbs": lbs})
 
     def record_dkt_merge(self, worker: int) -> None:
         """Count one applied direct-knowledge-transfer merge."""
-        self.result.dkt_merges += 1
-        self._c_dkt_merges.inc(1, worker)
+        self.run_metrics.c_dkt_merges.inc(1, worker)
 
     def evaluate_worker(self, worker: int) -> None:
         """Out-of-band accuracy measurement (costs no modelled time)."""
@@ -656,7 +620,7 @@ class WorkerHost:
         if held is None:
             raise ValueError(f"worker {worker} is not held by this host")
         _, acc = held.model.evaluate(self._eval_x, self._eval_y)
-        self.result.accuracy[worker].append(self.clock.now, acc)
+        self.run_metrics.s_accuracy.append(self.clock.now, acc, worker)
 
     def finalize(self) -> RunResult:
         """Stop the run, take final accuracy samples, and close the books."""
@@ -664,6 +628,7 @@ class WorkerHost:
         # Final accuracy sample for every worker at the stop time.
         for w in self._hosted:
             self.evaluate_worker(w)
+        rm = self.run_metrics
         self.result.horizon = self.clock.now
         for w in self.workers:
             # Close out a wait interval still open at the horizon.
@@ -676,13 +641,12 @@ class WorkerHost:
                         "sync-wait", w.worker_id, TID_SYNC, w._wait_started,
                         open_wait, cat="sync",
                     )
-            self._c_wait_total.inc(wait, w.worker_id)
-            self._c_compute_total.inc(w.compute_time, w.worker_id)
-        self.result.epochs = self.global_epoch()
-        self.result.events = self.clock.events_processed
-        self._c_events.inc(self.clock.events_processed)
+            rm.c_wait_total.inc(wait, w.worker_id)
+            rm.c_compute_total.inc(w.compute_time, w.worker_id)
+        rm.s_epochs.append(self.clock.now, self.global_epoch())
+        rm.c_events.inc(self.clock.events_processed)
         if self.profiler is not None:
             for name, (calls, seconds) in self.profiler.rows().items():
-                self._c_profile_seconds.inc(seconds, name)
-                self._c_profile_calls.inc(calls, name)
+                rm.c_profile_seconds.inc(seconds, name)
+                rm.c_profile_calls.inc(calls, name)
         return self.result

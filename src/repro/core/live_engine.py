@@ -3,9 +3,9 @@
 Spawns one OS process per DLion worker (each running a
 :class:`~repro.transport.runtime.LiveWorkerRuntime` over an asyncio TCP
 :class:`~repro.transport.mesh.PeerMesh`), coordinates the port-exchange
-handshake over pipes, and merges every child's metrics, time series, and
-trace events into the same :class:`~repro.core.engine.RunResult` shape
-the simulator produces — so ``report``, ``--metrics-out``, and the
+handshake over pipes, and merges every child's metrics registry (series
+included) and trace events into the same :class:`~repro.core.engine.RunResult`
+shape the simulator produces — so ``report``, ``--metrics-out``, and the
 experiment tooling work on live runs unchanged.
 
 The engine is also the crash **supervisor** (docs/robustness.md). A
@@ -143,7 +143,6 @@ class LiveEngine:
         are cumulative snapshots (latest per worker wins); trace streams
         and flight events accumulate in arrival order."""
         self._delta_metrics: dict[int, dict] = {}
-        self._delta_iteration: dict[int, int] = {}
         self._delta_trace: dict[int, list] = {}
         self._delta_flight: dict[int, list] = {}
         self._flight_tail: dict[int, collections.deque] = {}
@@ -228,7 +227,7 @@ class LiveEngine:
             for c in children.values():
                 c.conn.send(("go",))
 
-            payloads, killed = self._supervise(
+            payloads = self._supervise(
                 ctx, spec, children, horizon, chaos, grace_s
             )
         finally:
@@ -257,7 +256,7 @@ class LiveEngine:
                     for dst in range(self.n_workers):
                         if src != dst:
                             sweep_ring(ring_name(shm_token, src, dst))
-        return self._merge(payloads, killed, horizon)
+        return self._merge(payloads, horizon)
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -349,7 +348,7 @@ class LiveEngine:
         horizon: float,
         chaos: ChaosPlan | None,
         grace_s: float,
-    ) -> tuple[dict[int, dict], set[int]]:
+    ) -> dict[int, dict]:
         """The post-go supervisor loop.
 
         Fires scripted kills, detects dead children, respawns/rejoins
@@ -497,7 +496,7 @@ class LiveEngine:
                             f"live worker {w} exited without reporting a "
                             "result" + self._stderr_tail(w)
                         )
-        return payloads, killed
+        return payloads
 
     def _on_child_message(
         self, c: _Child, w: int, msg: tuple, payloads: dict, pending: set
@@ -599,7 +598,6 @@ class LiveEngine:
         c.last_iteration = payload["iteration"]
         c.last_time = payload["time"]
         self._delta_metrics[w] = payload["metrics"]
-        self._delta_iteration[w] = payload["iteration"]
         if payload.get("trace_events"):
             self._delta_trace.setdefault(w, []).extend(payload["trace_events"])
         flight = payload.get("flight") or []
@@ -692,32 +690,24 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Result merging
     # ------------------------------------------------------------------
-    def _merge(
-        self, payloads: dict[int, dict], killed: set[int], horizon: float
-    ) -> RunResult:
-        result = RunResult.blank(
-            self.n_workers, horizon=horizon, metrics=self.metrics
-        )
-        # Ascending order: absorb keeps the first view of the cluster-wide
-        # series (GBS, membership) — the lowest surviving worker's.
+    def _merge(self, payloads: dict[int, dict], horizon: float) -> RunResult:
+        """Merge each final payload's registry in ascending worker order,
+        then the latest delta of every worker that never reported."""
+        # Ascending order: a series key keeps its first writer, so the
+        # cluster-wide series (GBS, membership, epochs) are the lowest
+        # surviving worker's view.
         for _, payload in sorted(payloads.items()):
-            result.absorb(payload["result"])
             self.metrics.merge_state(payload["metrics"])
 
         # Crash safety: a worker that never reported a final result (a
         # no-restart casualty, or one SIGKILLed mid-respawn) is restored
-        # from its newest shipped delta — its metrics and progress
+        # from its newest shipped delta — its counters and series
         # survive up to one shipping interval behind the kill. A final
         # payload supersedes every delta from the same worker (both are
         # cumulative snapshots; merging both would double-count).
-        for w in range(self.n_workers):
-            if w in payloads:
-                continue
-            state = self._delta_metrics.get(w)
-            if state:
+        for w, state in sorted(self._delta_metrics.items()):
+            if w not in payloads:
                 self.metrics.merge_state(state)
-            if w in self._delta_iteration:
-                result.iterations[w] = self._delta_iteration[w]
 
         # Trace and flight streams are incremental (deltas carry events
         # past the previous cursor; the final payload carries the tail
@@ -738,4 +728,4 @@ class LiveEngine:
                 if self.tracer.enabled:
                     self.tracer.ingest(flight)
 
-        return result
+        return RunResult(self.n_workers, horizon, self.metrics)

@@ -106,6 +106,33 @@ class RunMetrics:
         self.c_events = m.counter(
             "events_processed", "simulation events dispatched"
         )
+        # The run's history (RunResult's series; the paper's metrics are
+        # accuracy and loss over time). Exported with --output, not with
+        # --metrics-out (MetricsRegistry.to_dict skips series).
+        self.s_accuracy = m.series(
+            "accuracy_series", "held-out accuracy per evaluation", ("worker",)
+        )
+        self.s_loss = m.series(
+            "loss_series", "training loss per iteration", ("worker",)
+        )
+        self.s_lbs = m.series(
+            "lbs_series", "local batch size at each change", ("worker",)
+        )
+        self.s_gbs = m.series("gbs_series", "global batch size at each change")
+        self.s_active = m.series(
+            "active_workers_series", "active worker count at each change"
+        )
+        self.s_link_entries = m.series(
+            "link_entries_series", "entries per gradient message",
+            ("src", "dst"),
+        )
+        self.s_link_chosen_n = m.series(
+            "link_chosen_n_series", "Max-N value chosen per gradient message",
+            ("src", "dst"),
+        )
+        self.s_epochs = m.series(
+            "epochs_series", "cluster-wide epochs completed, at the horizon"
+        )
         # Crash-recovery accounting (docs/robustness.md). The live
         # backend measures recovery in wall seconds (kill detection to
         # rejoin-go); the simulator records the plan's modelled

@@ -255,7 +255,7 @@ class Worker:
         if self.waiting and self._wait_started is not None:
             waited = self.now() - self._wait_started
             self.wait_time += waited
-            self.engine._h_wait_s.observe(waited, self.worker_id)
+            self.engine.run_metrics.h_wait_s.observe(waited, self.worker_id)
             if self.tracer.enabled and waited > 0.0:
                 self.tracer.complete(
                     "sync-wait", self.worker_id, TID_SYNC,
@@ -285,7 +285,7 @@ class Worker:
         self.sync_state.iteration = self.iteration
         self.dkt.record_loss(loss)
         self.engine.record_loss(self.worker_id, loss)
-        self.engine._h_iteration_s.observe(duration, self.worker_id)
+        self.engine.run_metrics.h_iteration_s.observe(duration, self.worker_id)
         if self.tracer.enabled:
             # The compute span covers the simulated iteration duration
             # that just elapsed; it ends at the current instant.
@@ -324,7 +324,7 @@ class Worker:
                 self.engine.broadcast_loss_share(self.worker_id, self.iteration, avg)
                 target = self.dkt.pull_target()
                 if target is not None:
-                    self.engine._c_dkt_pulls.inc(1, self.worker_id)
+                    self.engine.run_metrics.c_dkt_pulls.inc(1, self.worker_id)
                     if self.tracer.enabled:
                         self.tracer.instant(
                             "dkt-pull-request", self.worker_id, TID_DKT,
@@ -390,14 +390,13 @@ class Worker:
     # ------------------------------------------------------------------
     def on_gradient_message(self, msg: GradientMessage) -> None:
         """Model update module: apply a peer's (partial) gradients (Eq. 7)."""
+        rm = self.engine.run_metrics
         accepted = self.queues.push_data(msg)
-        self.engine._g_queue_depth.set(
-            self.queues.data_depth, self.worker_id, "data"
-        )
+        rm.g_queue_depth.set(self.queues.data_depth, self.worker_id, "data")
         if not accepted:
             # Bounded queue overflow: the update is lost (backpressure),
             # exactly like a capped broker queue dropping the newest entry.
-            self.engine._c_queue_dropped.inc(1, self.worker_id, "data")
+            rm.c_queue_dropped.inc(1, self.worker_id, "data")
             return
         self.stats_grad_msgs_received += 1
         db = dynamic_batching_weight(
@@ -410,9 +409,7 @@ class Worker:
             self.model.apply_sparse_grads(msg.sparse, lr=self.config.lr, coeff=coeff)
         self.model_version += 1
         self.queues.pop_data()
-        self.engine._g_queue_depth.set(
-            self.queues.data_depth, self.worker_id, "data"
-        )
+        rm.g_queue_depth.set(self.queues.data_depth, self.worker_id, "data")
         if self.tracer.enabled:
             self.tracer.instant(
                 "apply-grads", self.worker_id, TID_ITER, self.now(),
@@ -439,12 +436,11 @@ class Worker:
         extensions can drain it. Bounded queues reject (and count)
         overflow.
         """
+        rm = self.engine.run_metrics
         accepted = self.queues.push_control(msg)
-        self.engine._g_queue_depth.set(
-            self.queues.control_depth, self.worker_id, "control"
-        )
+        rm.g_queue_depth.set(self.queues.control_depth, self.worker_id, "control")
         if not accepted:
-            self.engine._c_queue_dropped.inc(1, self.worker_id, "control")
+            rm.c_queue_dropped.inc(1, self.worker_id, "control")
 
     # ------------------------------------------------------------------
     # Model synchronization module

@@ -6,9 +6,10 @@ Three independent instruments share this package (see
 * :mod:`repro.obs.trace` — spans and instant events in **simulated**
   time, exported as Chrome-trace-format JSON (Perfetto /
   ``chrome://tracing``). Answers "what happened when" inside one run.
-* :mod:`repro.obs.metrics` — named counters, gauges, and fixed-bucket
-  histograms with labels. Answers "how much / how many" and backs the
-  :class:`~repro.core.engine.RunResult` accounting.
+* :mod:`repro.obs.metrics` — named counters, gauges, fixed-bucket
+  histograms and time series with labels. Answers "how much / how
+  many / how it went" and is what :class:`~repro.core.engine.RunResult`
+  reads.
 * :mod:`repro.obs.profile` — self seconds per ledger layer, timed by
   wrappers it installs on the layers' methods while a profiler is
   active. Answers "where does the **wall clock** go" (``--profile``).
@@ -33,6 +34,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Series,
     percentile_from_buckets,
     percentile_from_sample,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Series",
     "FlightRecorder",
     "percentile_from_buckets",
     "percentile_from_sample",

@@ -1,17 +1,17 @@
-"""Metrics registry: named counters, gauges, and histograms with labels.
+"""Metrics registry: named counters, gauges, histograms and series with labels.
 
 Prometheus-flavoured but dependency-free. A :class:`MetricsRegistry`
 owns the metric families; each family carries a fixed tuple of label
-names and stores one value (or histogram state) per observed label-value
-combination. Label values may be any hashable (worker ids stay ints
-internally); they are stringified only on export.
+names and stores one value (histogram state, time series) per observed
+label-value combination. Label values may be any hashable (worker ids
+stay ints internally); they are stringified only on export.
 
-The engine records its run accounting here — ``grad_bytes_total``,
-``sync_wait_seconds_total``, ``maxn_chosen_n``, … (the full catalog is
-in ``docs/observability.md``) — and :class:`~repro.core.engine.RunResult`
-reads its ``link_bytes`` / ``compute_time`` / ``wait_time`` accessors
-back out of the registry, so a ``--metrics-out`` dump and the in-process
-result can never disagree.
+The engine records everything a run measures here — ``grad_bytes_total``,
+``maxn_chosen_n``, the per-worker ``loss_series``, … (the full catalog
+is in ``docs/observability.md``) — and :class:`~repro.core.host.RunResult`
+is a read-only view over the registry, so a ``--metrics-out`` dump and
+the in-process result can never disagree, and one :meth:`dump_state`
+carries a worker's whole run.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ import pathlib
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
+from repro.utils.metrics import TimeSeries
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Series",
     "DEFAULT_BUCKETS",
     "percentile_from_buckets",
     "percentile_from_sample",
@@ -109,7 +112,8 @@ def percentile_from_sample(sample: dict, q: float) -> float | None:
 
 
 class _Family:
-    """Shared bookkeeping: name, help text, and the label schema."""
+    """Shared bookkeeping: name, help text, the label schema, and one
+    stored value (a number, histogram state or series) per label key."""
 
     kind = "abstract"
 
@@ -117,6 +121,7 @@ class _Family:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
+        self._values: dict[tuple, object] = {}
 
     def _key(self, labels: tuple) -> tuple:
         if len(labels) != len(self.label_names):
@@ -129,15 +134,22 @@ class _Family:
     def _label_dict(self, key: tuple) -> dict[str, str]:
         return {n: str(v) for n, v in zip(self.label_names, key)}
 
+    def items(self) -> Iterable[tuple[tuple, object]]:
+        """``(label_values, value)`` pairs in first-seen order."""
+        return self._values.items()
+
+    def samples(self) -> list[dict]:
+        """Export form: one ``{labels, value}`` record per series."""
+        return [
+            {"labels": self._label_dict(k), "value": v}
+            for k, v in self._values.items()
+        ]
+
 
 class Counter(_Family):
     """A monotonically increasing sum per label combination."""
 
     kind = "counter"
-
-    def __init__(self, name: str, help: str, label_names: Sequence[str]):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple, float] = {}
 
     def inc(self, amount: float = 1.0, *labels) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
@@ -150,26 +162,11 @@ class Counter(_Family):
         """Current sum for one label combination (0.0 if never incremented)."""
         return self._values.get(self._key(labels), 0.0)
 
-    def items(self) -> Iterable[tuple[tuple, float]]:
-        """``(label_values, value)`` pairs in first-seen order."""
-        return self._values.items()
-
-    def samples(self) -> list[dict]:
-        """Export form: one ``{labels, value}`` record per series."""
-        return [
-            {"labels": self._label_dict(k), "value": v}
-            for k, v in self._values.items()
-        ]
-
 
 class Gauge(_Family):
     """A value that can go up and down; remembers the last set value."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, label_names: Sequence[str]):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple, float] = {}
 
     def set(self, value: float, *labels) -> None:
         """Set the labelled series to ``value``."""
@@ -183,17 +180,6 @@ class Gauge(_Family):
     def value(self, *labels) -> float:
         """Last set value (0.0 if never set)."""
         return self._values.get(self._key(labels), 0.0)
-
-    def items(self) -> Iterable[tuple[tuple, float]]:
-        """``(label_values, value)`` pairs in first-seen order."""
-        return self._values.items()
-
-    def samples(self) -> list[dict]:
-        """Export form: one ``{labels, value}`` record per series."""
-        return [
-            {"labels": self._label_dict(k), "value": v}
-            for k, v in self._values.items()
-        ]
 
 
 class _HistogramState:
@@ -231,14 +217,13 @@ class Histogram(_Family):
         if len(set(edges)) != len(edges):
             raise ValueError(f"{self.name}: duplicate bucket edges")
         self.buckets = edges
-        self._states: dict[tuple, _HistogramState] = {}
 
     def observe(self, value: float, *labels) -> None:
         """Record one observation into the labelled series."""
         key = self._key(labels)
-        state = self._states.get(key)
+        state = self._values.get(key)
         if state is None:
-            state = self._states[key] = _HistogramState(len(self.buckets))
+            state = self._values[key] = _HistogramState(len(self.buckets))
         # bisect_left: the first edge >= value, so edges act as inclusive
         # upper bounds (Prometheus ``le`` semantics); past the last edge
         # the index lands on the +inf slot.
@@ -250,24 +235,20 @@ class Histogram(_Family):
 
     def count(self, *labels) -> int:
         """Number of observations for one label combination."""
-        state = self._states.get(self._key(labels))
+        state = self._values.get(self._key(labels))
         return state.count if state else 0
 
     def sum(self, *labels) -> float:
         """Sum of observations for one label combination."""
-        state = self._states.get(self._key(labels))
+        state = self._values.get(self._key(labels))
         return state.sum if state else 0.0
 
     def mean(self, *labels) -> float:
         """Mean observation (0.0 before any observation)."""
-        state = self._states.get(self._key(labels))
+        state = self._values.get(self._key(labels))
         if not state or state.count == 0:
             return 0.0
         return state.sum / state.count
-
-    def items(self) -> Iterable[tuple[tuple, _HistogramState]]:
-        """``(label_values, state)`` pairs in first-seen order."""
-        return self._states.items()
 
     def _cumulative(self, st: _HistogramState) -> list[int]:
         out, running = [], 0
@@ -278,7 +259,7 @@ class Histogram(_Family):
 
     def percentile(self, q: float, *labels) -> float | None:
         """Estimated ``q``-quantile for one series (None if empty)."""
-        state = self._states.get(self._key(labels))
+        state = self._values.get(self._key(labels))
         if state is None or state.count == 0:
             return None
         return percentile_from_buckets(
@@ -295,7 +276,7 @@ class Histogram(_Family):
         """
         pooled = [0] * (len(self.buckets) + 1)
         lo, hi, total = float("inf"), float("-inf"), 0
-        for st in self._states.values():
+        for st in self._values.values():
             for i, c in enumerate(st.bucket_counts):
                 pooled[i] += c
             total += st.count
@@ -316,7 +297,7 @@ class Histogram(_Family):
     def samples(self) -> list[dict]:
         """Export form: cumulative buckets, count/sum/min/max, p50/95/99."""
         out = []
-        for key, st in self._states.items():
+        for key, st in self._values.items():
             cumulative = self._cumulative(st)
             bucket_rows = [
                 {"le": edge, "count": c}
@@ -342,6 +323,31 @@ class Histogram(_Family):
                 )
             out.append(record)
         return out
+
+
+class Series(_Family):
+    """One append-only :class:`TimeSeries` per label combination.
+
+    Series hold a run's history (per-worker loss, the GBS schedule, …).
+    They travel in :meth:`MetricsRegistry.dump_state` but not in
+    :meth:`MetricsRegistry.to_dict`, which exports current values only.
+    """
+
+    kind = "series"
+
+    def append(self, t: float, value: float, *labels) -> None:
+        """Record ``value`` at time ``t`` in the labelled series."""
+        key = self._key(labels)
+        series = self._values.get(key)
+        if series is None:
+            series = self._values[key] = TimeSeries()
+        series.append(t, value)
+
+    def series(self, *labels) -> TimeSeries:
+        """The labelled series; an empty one, not stored, if nobody
+        recorded it (an inserted empty key would block a later merge)."""
+        series = self._values.get(self._key(labels))
+        return series if series is not None else TimeSeries()
 
 
 class MetricsRegistry:
@@ -383,6 +389,10 @@ class MetricsRegistry:
         """Get or register a histogram family."""
         return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
 
+    def series(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Series:
+        """Get or register a series family."""
+        return self._get_or_create(Series, name, help, labels)
+
     def get(self, name: str) -> _Family | None:
         """The registered family, or None."""
         return self._families.get(name)
@@ -418,6 +428,11 @@ class MetricsRegistry:
                     }
                     for key, st in fam.items()
                 }
+            elif isinstance(fam, Series):
+                entry["series"] = {
+                    key: (list(ts.times), list(ts.values))
+                    for key, ts in fam.items()
+                }
             else:
                 entry["series"] = dict(fam._values)
             out[name] = entry
@@ -427,9 +442,12 @@ class MetricsRegistry:
         """Fold a :meth:`dump_state` snapshot into this registry.
 
         Counters add, gauges take the incoming value (last writer wins),
-        and histograms merge bucket counts — so merging N worker
-        registries yields the same totals as one shared registry would
-        have recorded.
+        histograms merge bucket counts, and a series key keeps its first
+        writer — so merging N worker registries yields the same totals
+        and histories as one shared registry would have recorded (a
+        worker's series has one writer, the host that holds it; of a
+        cluster-wide series every host records its own view, and the
+        first one merged is kept).
         """
         for name, entry in state.items():
             labels = tuple(entry["labels"])
@@ -446,9 +464,9 @@ class MetricsRegistry:
                     name, entry["help"], labels, buckets=entry["buckets"]
                 )
                 for key, sdict in entry["series"].items():
-                    st = fam._states.get(tuple(key))
+                    st = fam._values.get(tuple(key))
                     if st is None:
-                        st = fam._states[tuple(key)] = _HistogramState(
+                        st = fam._values[tuple(key)] = _HistogramState(
                             len(fam.buckets)
                         )
                     for i, c in enumerate(sdict["bucket_counts"]):
@@ -457,11 +475,17 @@ class MetricsRegistry:
                     st.sum += sdict["sum"]
                     st.min = min(st.min, sdict["min"])
                     st.max = max(st.max, sdict["max"])
+            elif entry["kind"] == "series":
+                fam = self.series(name, entry["help"], labels)
+                for key, (times, values) in entry["series"].items():
+                    if key not in fam._values:
+                        fam._values[key] = TimeSeries(list(times), list(values))
             else:  # pragma: no cover - future kinds
                 raise ValueError(f"unknown metric kind {entry['kind']!r}")
 
     def to_dict(self) -> dict:
-        """JSON-serializable dump of every family and sample."""
+        """JSON-serializable dump of every counter, gauge and histogram
+        (series are history, exported with the run result instead)."""
         return {
             name: {
                 "kind": fam.kind,
@@ -470,6 +494,7 @@ class MetricsRegistry:
                 "samples": fam.samples(),
             }
             for name, fam in self._families.items()
+            if not isinstance(fam, Series)
         }
 
     def write(self, path: str | pathlib.Path) -> None:

@@ -26,8 +26,9 @@ event's due time and never shifts the modelled schedule.
 
 ``run_live_worker`` is the child-process entry point: it performs the
 port-exchange handshake with :class:`~repro.core.live_engine.LiveEngine`
-over a pipe, trains to the horizon, then ships its metrics, series, and
-trace events back for merging.
+over a pipe, trains to the horizon, then ships its metrics registry
+(counters, gauges, histograms and the recorded series) and trace events
+back for merging.
 
 Crash recovery (docs/robustness.md): when the run spec carries a
 :class:`~repro.transport.checkpoint.CheckpointConfig`, the runtime
@@ -75,7 +76,7 @@ __all__ = ["WallClock", "LiveRunSpec", "LiveWorkerRuntime", "run_live_worker"]
 
 # Version of the checkpoint ``meta`` layout. Checkpoints never outlive
 # a run, so restore_from accepts exactly this one.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 # Plain-value attributes a checkpoint saves and restores by name.
 _WORKER_SCALARS = (
     "iteration", "model_version", "lbs", "gbs", "_iter_time_ema",
@@ -423,7 +424,6 @@ class LiveWorkerRuntime(WorkerHost):
             },
             "peer_samples": dict(self._peer_samples),
             "metrics": self.metrics.dump_state(),
-            "result": self.result.to_state(),
         }
         return arrays, meta
 
@@ -476,9 +476,9 @@ class LiveWorkerRuntime(WorkerHost):
         for name in _GBS_SCALARS:
             setattr(self.gbs_controller, name, meta["gbs_controller"][name])
         self._peer_samples = dict(meta["peer_samples"])
-        # Counters add onto a fresh registry: an exact restore.
+        # Counters add onto, and series fill, a fresh registry: an exact
+        # restore.
         self.metrics.merge_state(meta["metrics"])
-        self.result.absorb(meta["result"])
         self.restored_iteration = w.iteration
 
     def _mark(self, name: str) -> None:
@@ -566,8 +566,8 @@ class LiveWorkerRuntime(WorkerHost):
         else:
             self.clock.start(loop, offset=float(resume.get("clock_offset", 0.0)))
             w = self.worker
-            self._g_lbs.set(w.lbs, self.worker_id)
-            self._g_gbs.set(self.gbs_controller.gbs)
+            self.run_metrics.g_lbs.set(w.lbs, self.worker_id)
+            self.run_metrics.g_gbs.set(self.gbs_controller.gbs)
             # Peers have advanced past the checkpoint; re-seed the sync
             # gate at our own (restored) iteration so neither side
             # blocks on history the other never saw.
@@ -617,11 +617,11 @@ class LiveWorkerRuntime(WorkerHost):
         """Ship one incremental telemetry delta to the supervisor.
 
         The metrics snapshot is *cumulative* (``dump_state`` of the
-        whole registry): the parent keeps only the latest one per
-        incarnation, so shipping is idempotent and a lost delta costs
-        one interval of staleness, never double counting. Trace events
-        ship incrementally through a cursor; flight-recorder events are
-        drained (shipped exactly once).
+        whole registry, series included): the parent keeps only the
+        latest one per incarnation, so shipping is idempotent and a lost
+        delta costs one interval of staleness, never double counting.
+        Trace events ship incrementally through a cursor; flight-recorder
+        events are drained (shipped exactly once).
         """
         if self.progress_conn is None:
             return
@@ -659,7 +659,6 @@ class LiveWorkerRuntime(WorkerHost):
             self._trace_cursor
         )
         return {
-            "result": self.result.to_state(),
             "metrics": self.metrics.dump_state(),
             "trace_events": trace_events,
             "flight": self.flight.drain(),

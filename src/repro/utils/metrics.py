@@ -49,11 +49,6 @@ class TimeSeries:
         self.times.append(float(t))
         self.values.append(float(v))
 
-    def extend(self, other: "TimeSeries") -> None:
-        """Append every sample of ``other`` (times must not decrease)."""
-        for t, v in zip(other.times, other.values):
-            self.append(t, v)
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -63,18 +58,6 @@ class TimeSeries:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The series as ``(times, values)`` float arrays."""
         return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
-    def last(self) -> tuple[float, float]:
-        """The most recent ``(time, value)`` sample."""
-        if not self.times:
-            raise IndexError("empty time series")
-        return self.times[-1], self.values[-1]
-
-    def max_value(self) -> float:
-        """Largest value observed so far."""
-        if not self.values:
-            raise IndexError("empty time series")
-        return max(self.values)
 
     def value_at(self, t: float) -> float:
         """Last-observation-carried-forward value at time ``t``."""

@@ -1,5 +1,6 @@
 """The WorkerHost seam: a third backend in 30 lines, the shared surface,
-and the one RunResult state both backends serialise through."""
+and the one run state (the metrics registry) both backends serialise
+through."""
 
 import inspect
 
@@ -13,6 +14,7 @@ from repro.cluster.messages import GradientMessage, RcpShareMessage
 from repro.cluster.simclock import SimClock
 from repro.core.engine import TrainingEngine
 from repro.core.host import RunResult, WorkerHost
+from repro.core.run_metrics import RunMetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.transport.runtime import LiveRunSpec, LiveWorkerRuntime
@@ -77,7 +79,7 @@ class TestInMemoryHost:
         for a, b in zip(host.workers, sim.workers):
             for name, arr in a.model.variables().items():
                 assert (arr == b.model.variables()[name]).all()
-        assert host.result.to_state() == sim.result.to_state()
+        assert host.metrics.dump_state() == sim.metrics.dump_state()
 
     def test_broadcast_shares_one_message(self, fast_config, tiny_topology):
         host = InMemoryHost(fast_config, tiny_topology)
@@ -198,76 +200,117 @@ class TestSurface:
             assert name not in vars(LiveWorkerRuntime)
 
 
-# -- RunResult.to_state / absorb ---------------------------------------
+# -- the run state: MetricsRegistry.dump_state / merge_state ----------
 
 N = 3
-_series = st.lists(
+_points = st.lists(
     st.tuples(st.floats(0, 1e3), st.floats(-1e6, 1e6)), max_size=6
-).map(lambda pts: TimeSeries(*map(list, zip(*sorted(pts)))) if pts else TimeSeries())
+).map(sorted)
 _links = st.dictionaries(
-    st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), _series, max_size=4
+    st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), _points, max_size=4
 )
 
 
 @st.composite
-def results(draw):
-    r = RunResult.blank(N, metrics=MetricsRegistry())
-    for name in ("accuracy", "loss", "lbs"):
-        setattr(r, name, [draw(_series) for _ in range(N)])
-    r.gbs, r.active_workers = draw(_series), draw(_series)
-    r.link_entries, r.link_chosen_n = draw(_links), draw(_links)
-    r.iterations = draw(st.lists(st.integers(0, 500), min_size=N, max_size=N))
-    r.dkt_merges = draw(st.integers(0, 50))
-    r.events = draw(st.integers(0, 10_000))
-    r.epochs = draw(st.floats(0, 100))
-    return r
+def run_registries(draw):
+    """A registry holding an arbitrary run: every series family of
+    RunMetrics plus the counters RunResult reads."""
+    metrics = MetricsRegistry()
+    rm = RunMetrics(metrics)
+    for fam in (rm.s_accuracy, rm.s_loss, rm.s_lbs):
+        for w in range(N):
+            for t, v in draw(_points):
+                fam.append(t, v, w)
+    for fam in (rm.s_gbs, rm.s_active, rm.s_epochs):
+        for t, v in draw(_points):
+            fam.append(t, v)
+    for fam in (rm.s_link_entries, rm.s_link_chosen_n):
+        for (src, dst), points in draw(_links).items():
+            for t, v in points:
+                fam.append(t, v, src, dst)
+    for w in range(N):
+        rm.c_iterations.inc(draw(st.integers(0, 500)), w)
+    rm.c_dkt_merges.inc(draw(st.integers(0, 50)), 0)
+    rm.c_events.inc(draw(st.integers(0, 10_000)))
+    return metrics
+
+
+def _view(metrics):
+    """Everything RunResult reads off a registry, as plain data."""
+    r = RunResult(N, 0.0, metrics)
+    return (
+        r.accuracy, r.loss, r.lbs, r.gbs, r.active_workers, r.link_entries,
+        r.link_chosen_n, r.iterations, r.dkt_merges, r.events, r.epochs,
+    )
 
 
 class TestRunResultState:
     @settings(deadline=None, max_examples=60)
-    @given(result=results())
-    def test_round_trip(self, result):
-        state = result.to_state()
-        back = RunResult.blank(N, metrics=MetricsRegistry())
-        back.absorb(state)
-        assert back.to_state() == state
-        assert set(back.link_entries) == set(result.link_entries)
-        assert set(back.link_chosen_n) == set(result.link_chosen_n)
-        assert back.iterations == result.iterations
-        assert back.dkt_merges == result.dkt_merges
+    @given(metrics=run_registries())
+    def test_round_trip(self, metrics):
+        state = metrics.dump_state()
+        back = MetricsRegistry()
+        back.merge_state(state)
+        assert back.dump_state() == state
+        assert _view(back) == _view(metrics)
 
     def test_state_is_a_copy(self):
-        r = RunResult.blank(2, metrics=MetricsRegistry())
-        r.loss[0].append(1.0, 0.5)
-        state = r.to_state()
-        r.loss[0].append(2.0, 0.4)
-        assert state["loss"][0].times == [1.0]
+        metrics = MetricsRegistry()
+        loss = RunMetrics(metrics).s_loss
+        loss.append(1.0, 0.5, 0)
+        state = metrics.dump_state()
+        loss.append(2.0, 0.4, 0)
+        assert state["loss_series"]["series"][(0,)] == ([1.0], [0.5])
+        back = MetricsRegistry()
+        back.merge_state(state)
+        RunMetrics(back).s_loss.append(3.0, 0.3, 0)
+        assert state["loss_series"]["series"][(0,)] == ([1.0], [0.5])
 
-    def test_absorbing_two_workers_merges_like_one_shared_result(self):
-        """The rule LiveEngine._merge applied by hand before: per-worker
-        series by index, link series by key, counts summed, epochs the
-        furthest view, cluster series from the lowest worker."""
+    def test_two_hosts_merge_like_one_shared_host(self, fast_config, two_workers):
+        """What LiveEngine._merge relies on: per-worker series by key,
+        counters summed, cluster series the first view merged."""
 
-        def child(w, gbs_at):
-            r = RunResult.blank(2, metrics=MetricsRegistry())
-            r.loss[w].append(1.0 + w, 0.9)
-            r.accuracy[w].append(2.0, 0.5 + w / 10)
-            r.lbs[w].append(0.0, 8)
-            r.gbs.append(gbs_at, 16)
-            r.active_workers.append(0.0, 2)
-            r.link_entries[(w, 1 - w)] = TimeSeries([1.0], [100.0 + w])
-            r.iterations[w] = 7 + w
-            r.dkt_merges, r.events, r.epochs = 1 + w, 40 + w, 0.5 + w
-            return r.to_state()
+        def record(host, w):
+            host.record_loss(w, 0.9 - w / 10)
+            host.record_lbs(w, 8 + w)
+            host.record_dkt_merge(w)
+            host.evaluate_worker(w)
+            grad = GradientMessage(
+                sender=w, iteration=1, lbs=8, dense={"w": np.ones(4, np.float32)}
+            )
+            host.send_gradients(w, 1 - w, grad, chosen_n=25.0 + w)
 
-        merged = RunResult.blank(2, metrics=MetricsRegistry())
-        for state in (child(0, 0.0), child(1, 0.25)):
-            merged.absorb(state)
-        assert merged.loss[0].times == [1.0] and merged.loss[1].times == [2.0]
-        assert merged.accuracy[1].values == [0.6]
-        assert merged.iterations == [7, 8]
-        assert (merged.dkt_merges, merged.events, merged.epochs) == (3, 81, 1.5)
-        assert merged.link_entries[(1, 0)].values == [101.0]
-        assert merged.gbs.times == [0.0]  # worker 0's view, not both
-        assert len(merged.active_workers) == 1
+        shared = InMemoryHost(fast_config, two_workers)
+        hosts = [InMemoryHost(fast_config, two_workers, hosted=(w,)) for w in (0, 1)]
+        for w, host in enumerate(hosts):
+            record(shared, w)
+            record(host, w)
+        merged = MetricsRegistry()
+        for host in hosts:
+            merged.merge_state(host.metrics.dump_state())
+        assert merged.dump_state() == shared.metrics.dump_state()
+        result = RunResult(2, 0.0, merged)
+        assert result.iterations == [1, 1] and result.dkt_merges == 2
+        assert result.link_chosen_n[(1, 0)].values == [26.0]
 
+        # A later host's differing view of a cluster-wide series is dropped.
+        late = MetricsRegistry()
+        RunMetrics(late).s_gbs.append(5.0, 64)
+        merged.merge_state(late.dump_state())
+        assert result.gbs == shared.result.gbs
+
+    def test_reading_an_absent_series_blocks_no_merge(self):
+        metrics = MetricsRegistry()
+        RunMetrics(metrics)
+        result = RunResult(2, 0.0, metrics)
+        assert len(result.loss[1]) == 0 and not result.gbs
+        incoming = MetricsRegistry()
+        rm = RunMetrics(incoming)
+        rm.s_loss.append(1.0, 0.5, 1)
+        rm.s_gbs.append(0.0, 16)
+        metrics.merge_state(incoming.dump_state())
+        assert result.loss[1].values == [0.5] and result.gbs.values == [16.0]
+
+        bare = MetricsRegistry()
+        assert RunResult(2, 0.0, bare).loss[0] == TimeSeries()
+        assert bare.names() == []

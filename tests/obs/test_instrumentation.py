@@ -7,7 +7,7 @@ from repro.core.engine import TrainingEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer
-from repro.utils.metrics import TimeSeries, accuracy_at_time
+from repro.utils.metrics import accuracy_at_time
 
 
 def fresh_topology():
@@ -147,10 +147,15 @@ class TestMeanAccuracySeries:
 
     def test_handles_disjoint_sample_times(self):
         from repro.core.engine import RunResult
+        from repro.core.run_metrics import RunMetrics
 
-        a = TimeSeries([1.0, 4.0], [0.2, 0.6])
-        b = TimeSeries([2.0, 3.0], [0.5, 0.55])
-        result = RunResult(n_workers=2, horizon=5.0, accuracy=[a, b])
+        metrics = MetricsRegistry()
+        accuracy = RunMetrics(metrics).s_accuracy
+        for w, points in enumerate([[(1.0, 0.2), (4.0, 0.6)],
+                                    [(2.0, 0.5), (3.0, 0.55)]]):
+            for t, v in points:
+                accuracy.append(t, v, w)
+        result = RunResult(n_workers=2, horizon=5.0, metrics=metrics)
         series = result.mean_accuracy_series()
         assert series.times == [1.0, 2.0, 3.0, 4.0]
         expected = [(0.2 + 0.0) / 2, (0.2 + 0.5) / 2,

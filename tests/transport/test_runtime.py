@@ -1,7 +1,8 @@
 """Direct tests of LiveWorkerRuntime, in-process: no mesh.start(), no
 child process. Checkpoint round trip, the format gate, the behaviour the
-live backend now inherits from the shared WorkerHost, and the pacer that
-runs the simulator's event heap against a (here: fake) wall clock."""
+live backend now inherits from the shared WorkerHost, the supervisor's
+merge of worker payloads and deltas, and the pacer that runs the
+simulator's event heap against a (here: fake) wall clock."""
 
 import asyncio
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.messages import GradientMessage
+from repro.core.live_engine import LiveEngine, _Child
 from repro.experiments.environments import get_environment
 from repro.experiments.runner import build_config, build_topology, workload_for
 from repro.transport.runtime import (
@@ -80,13 +82,19 @@ class TestCheckpointRoundTrip:
     def test_restore_reproduces_the_checkpoint(self, runtime, spec):
         _record_a_few_hooks(runtime)
         arrays, meta = runtime.checkpoint_state()
-        assert meta["format"] == CHECKPOINT_FORMAT == 3
-        assert meta["result"]["iterations"] == [3, 0, 0]
-        assert (0, 1) in meta["result"]["link_chosen_n"]
+        assert meta["format"] == CHECKPOINT_FORMAT == 4
+        assert "result" not in meta
 
         fresh = LiveWorkerRuntime(0, spec, resume=True)
         fresh.restore_from(arrays, meta)
         assert fresh.restored_iteration == 3
+        # Series and counters come back through meta["metrics"].
+        restored = fresh.result
+        assert restored.iterations == [3, 0, 0] and restored.dkt_merges == 1
+        assert restored.loss[0].values == [2.3, 2.1, 1.9]
+        assert restored.lbs[0] == runtime.result.lbs[0]
+        assert restored.accuracy[0] == runtime.result.accuracy[0]
+        assert restored.link_chosen_n[(0, 1)].values == [25.0]
         arrays2, meta2 = fresh.checkpoint_state()
         _assert_same(arrays, arrays2)
         _assert_same(meta, meta2)
@@ -152,11 +160,55 @@ class TestSharedHostBehaviour:
         runtime.record_dkt_merge(0)
         assert runtime.result.iterations == [1, 0, 0]
         assert runtime.result.dkt_merges == 1
-        assert runtime.result_payload()["result"]["iterations"] == [1, 0, 0]
+        payload = runtime.result_payload()
+        assert "result" not in payload
+        assert payload["metrics"]["iterations_total"]["series"] == {(0,): 1.0}
 
     def test_foreign_worker_is_rejected(self, runtime):
         with pytest.raises(ValueError, match="not held"):
             runtime.evaluate_worker(1)
+
+
+class _Pipe:
+    """The supervisor end of a child's pipe: keeps what it is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+
+class TestMerge:
+    def test_payloads_then_the_deltas_of_workers_that_never_reported(self, spec):
+        """LiveEngine._merge over in-process workers: 0 and 1 report a
+        final payload, 2 only ever shipped a delta (a kill)."""
+        engine = LiveEngine(spec.config, spec.topology, seed=spec.seed)
+        runtimes = [LiveWorkerRuntime(w, spec) for w in range(N_WORKERS)]
+        for w, rt in enumerate(runtimes):
+            rt.progress_conn = _Pipe()
+            rt._record_start()
+            rt.record_loss(w, 2.0 - w / 10)
+            rt.ship_delta()
+            [(_, _, delta)] = rt.progress_conn.sent
+            engine._note_delta(_Child(None, None), w, delta)
+        runtimes[0].record_loss(0, 1.5)  # past worker 0's delta
+        runtimes[1].run_metrics.s_gbs.append(1.0, 999)  # another GBS view
+        runtimes[1]._peer_samples = {0: 10_000}  # a further epoch estimate
+        payloads = {}
+        for w in (0, 1):
+            runtimes[w].finalize()
+            payloads[w] = runtimes[w].result_payload()
+            assert "result" not in payloads[w]
+
+        result = engine._merge(payloads, spec.horizon)
+        assert result.iterations == [2, 1, 1]  # a payload supersedes deltas
+        assert [len(s) for s in result.loss] == result.iterations
+        assert result.loss[2].values == [1.8]
+        assert result.lbs[2] == runtimes[2].result.lbs[2]
+        assert result.gbs == runtimes[0].result.gbs
+        assert result.epochs == runtimes[0].result.epochs
+        assert result.epochs < runtimes[1].result.epochs
 
 
 class FakeLoop:

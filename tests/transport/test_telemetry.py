@@ -91,6 +91,14 @@ class TestCrashSafeRetention:
             result.iterations[w] for w in range(N_WORKERS) if w != VICTIM
         )
 
+    def test_victim_series_survive_the_kill(self, kill_run):
+        """Series ship in the same registry state as the counters, so a
+        killed worker's history survives as far as its iteration count."""
+        _, result, _, _, _ = kill_run
+        assert [len(s) for s in result.loss] == result.iterations
+        assert result.iterations[VICTIM] > 0
+        assert result.lbs[VICTIM]
+
     def test_victim_trace_spans_survive(self, kill_run):
         _, _, tracer, _, _ = kill_run
         victim_spans = [

@@ -23,7 +23,7 @@ class TestTimeSeries:
     def test_append_and_len(self):
         s = make_series([(0, 0.1), (1, 0.2)])
         assert len(s) == 2
-        assert s.last() == (1.0, 0.2)
+        assert (s.times, s.values) == ([0.0, 1.0], [0.1, 0.2])
 
     def test_rejects_time_going_backwards(self):
         s = make_series([(5, 0.1)])
@@ -46,13 +46,7 @@ class TestTimeSeries:
         s = TimeSeries()
         assert not s
         with pytest.raises(IndexError):
-            s.last()
-        with pytest.raises(IndexError):
             s.value_at(0.0)
-
-    def test_max_value(self):
-        s = make_series([(0, 0.3), (1, 0.7), (2, 0.5)])
-        assert s.max_value() == 0.7
 
     def test_value_at_before_first_sample(self):
         # LOCF has nothing to carry forward yet: clamp to the first value,
