@@ -6,7 +6,8 @@ Spawns one OS process per DLion worker (each running a
 handshake over pipes, and merges every child's metrics registry (series
 included) and trace events into the same :class:`~repro.core.engine.RunResult`
 shape the simulator produces — so ``report``, ``--metrics-out``, and the
-experiment tooling work on live runs unchanged.
+experiment tooling work on live runs unchanged. A child's telemetry
+deltas and its final result are one payload shape, folded by one path.
 
 The engine is also the crash **supervisor** (docs/robustness.md). A
 :class:`~repro.cluster.chaos.ChaosPlan` scripts SIGKILLs on the modelled
@@ -27,7 +28,6 @@ processes to be terminated before the failure is raised.
 
 from __future__ import annotations
 
-import collections
 import multiprocessing
 import os
 import shutil
@@ -57,9 +57,9 @@ _STDERR_TAIL_BYTES = 2048
 # most this many wall seconds past the due time — the gate must never
 # wedge the run.
 _PROGRESS_GATE_SLACK_S = 10.0
-# How many of each worker's freshest flight-recorder events the status
-# snapshot retains (the full stream still lands in the merged trace).
-_FLIGHT_TAIL_EVENTS = 16
+# How many of each worker's newest lifecycle events the status snapshot
+# retains (all of them stay in the merged registry).
+_EVENTS_TAIL = 16
 
 
 class _Child:
@@ -102,7 +102,7 @@ class LiveEngine:
         restart_budget: int = 0,
         restart_backoff_s: float = 0.5,
         checkpoint: CheckpointConfig | None = None,
-        ship_interval_s: float | None = 1.0,
+        ship_interval_s: float = 1.0,
         stats_interval_s: float | None = None,
         status_dir: str | None = None,
         shm_lanes: bool = False,
@@ -127,8 +127,8 @@ class LiveEngine:
             raise ValueError("restart_backoff_s must be >= 0")
         self.restart_backoff_s = float(restart_backoff_s)
         self.checkpoint = checkpoint
-        if ship_interval_s is not None and ship_interval_s <= 0:
-            raise ValueError("ship_interval_s must be positive or None")
+        if ship_interval_s <= 0:
+            raise ValueError("ship_interval_s must be positive")
         self.ship_interval_s = ship_interval_s
         if stats_interval_s is not None and stats_interval_s <= 0:
             raise ValueError("stats_interval_s must be positive or None")
@@ -139,15 +139,12 @@ class LiveEngine:
         self._reset_telemetry()
 
     def _reset_telemetry(self) -> None:
-        """Empty the telemetry-delta stores (once per run). Metric states
-        are cumulative snapshots (latest per worker wins); trace streams
-        and flight events accumulate in arrival order."""
-        self._delta_metrics: dict[int, dict] = {}
-        self._delta_trace: dict[int, list] = {}
-        self._delta_flight: dict[int, list] = {}
-        self._flight_tail: dict[int, collections.deque] = {}
+        """Empty the telemetry stores (once per run). Registry states are
+        cumulative (the newest per worker wins); trace streams accumulate
+        in arrival order."""
+        self._states: dict[int, dict] = {}
+        self._trace: dict[int, list] = {}
         self.deltas_received = 0
-        self.flight_events: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -227,7 +224,7 @@ class LiveEngine:
             for c in children.values():
                 c.conn.send(("go",))
 
-            payloads = self._supervise(
+            reported = self._supervise(
                 ctx, spec, children, horizon, chaos, grace_s
             )
         finally:
@@ -256,7 +253,7 @@ class LiveEngine:
                     for dst in range(self.n_workers):
                         if src != dst:
                             sweep_ring(ring_name(shm_token, src, dst))
-        return self._merge(payloads, horizon)
+        return self._merge(reported, horizon)
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -348,8 +345,9 @@ class LiveEngine:
         horizon: float,
         chaos: ChaosPlan | None,
         grace_s: float,
-    ) -> dict[int, dict]:
-        """The post-go supervisor loop.
+    ) -> set[int]:
+        """The post-go supervisor loop; returns the workers that
+        reported a final result.
 
         Fires scripted kills, detects dead children, respawns/rejoins
         under the plan or the restart budget, relays progress, and
@@ -358,7 +356,6 @@ class LiveEngine:
         rm = RunMetrics(self.metrics)
         go_t0 = time.monotonic()
         deadline = go_t0 + horizon / self.speedup + grace_s
-        payloads: dict[int, dict] = {}
         killed: set[int] = set()               # dead for good, by script
         pending = set(children)                # workers still owing a result
         restart_uses = 0
@@ -416,7 +413,7 @@ class LiveEngine:
                         msg = c.conn.recv()
                     except EOFError:
                         break
-                    self._on_child_message(c, w, msg, payloads, pending)
+                    self._on_child_message(c, w, msg, pending)
                 if w not in pending:
                     crash_queue.pop(0)
                     continue
@@ -472,7 +469,7 @@ class LiveEngine:
                         raise RuntimeError(
                             f"live worker {w} failed:\n{msg[2]}"
                         )
-                    self._on_child_message(c, w, msg, payloads, pending)
+                    self._on_child_message(c, w, msg, pending)
                 elif not c.proc.is_alive():
                     # Unplanned death. Respawn under the budget, else fail
                     # with whatever the child managed to say on stderr.
@@ -496,20 +493,19 @@ class LiveEngine:
                             f"live worker {w} exited without reporting a "
                             "result" + self._stderr_tail(w)
                         )
-        return payloads
+        return set(children) - killed
 
     def _on_child_message(
-        self, c: _Child, w: int, msg: tuple, payloads: dict, pending: set
+        self, c: _Child, w: int, msg: tuple, pending: set
     ) -> None:
         """Book one post-go ``progress`` / ``delta`` / ``result`` message."""
         if msg[0] == "progress":
             c.last_iteration = msg[2]
             c.last_time = msg[3]
-        elif msg[0] == "delta":
+        elif msg[0] in ("delta", "result"):
             self._note_delta(c, w, msg[2])
-        elif msg[0] == "result":
-            payloads[w] = msg[2]
-            pending.discard(w)
+            if msg[0] == "result":
+                pending.discard(w)
 
     def _respawn(
         self,
@@ -587,26 +583,19 @@ class LiveEngine:
     # Telemetry deltas and cluster health
     # ------------------------------------------------------------------
     def _note_delta(self, c: _Child, w: int, payload: dict) -> None:
-        """Fold one in-flight telemetry delta from worker ``w``.
+        """Fold one telemetry payload from worker ``w``: a delta, or the
+        final result (its last delta).
 
-        Metric states are cumulative snapshots, so the newest one simply
-        replaces its predecessor (idempotent, no double-count); trace
-        streams and drained flight events are incremental and accumulate.
-        A respawned worker's deltas overwrite its previous incarnation's
-        metric snapshot the same way — latest wins.
+        Registry states are cumulative, so the newest one simply replaces
+        its predecessor (idempotent, no double-count) — a final result
+        supersedes the worker's deltas, and a respawned worker's payloads
+        its previous incarnation's. Trace events are incremental and
+        accumulate.
         """
         c.last_iteration = payload["iteration"]
         c.last_time = payload["time"]
-        self._delta_metrics[w] = payload["metrics"]
-        if payload.get("trace_events"):
-            self._delta_trace.setdefault(w, []).extend(payload["trace_events"])
-        flight = payload.get("flight") or []
-        if flight:
-            self._delta_flight.setdefault(w, []).extend(flight)
-            tail = self._flight_tail.setdefault(
-                w, collections.deque(maxlen=_FLIGHT_TAIL_EVENTS)
-            )
-            tail.extend(flight)
+        self._states[w] = payload["metrics"]
+        self._trace.setdefault(w, []).extend(payload["trace_events"])
         self.deltas_received += 1
 
     def _emit_stats(
@@ -637,30 +626,30 @@ class LiveEngine:
             }
             if alive:
                 t_model = max(t_model, c.last_time)
+        # Every worker's newest state, folded into one throwaway registry
+        # (cheap at stats cadence).
+        reg = MetricsRegistry()
+        for state in self._states.values():
+            reg.merge_state(state)
         snapshot = live_status.build_snapshot(
             time_model_s=t_model,
             horizon_s=horizon,
             wall_elapsed_s=now - go_t0,
             speedup=self.speedup,
             workers=workers,
-            cluster=self._cluster_health(),
-            flight_tail={w: list(t) for w, t in self._flight_tail.items()},
+            cluster=self._cluster_health(reg),
+            events_tail=live_status.events_tail(
+                reg.get("lifecycle_events"), _EVENTS_TAIL
+            ),
         )
         if self.stats_interval_s is not None:
             print(live_status.render_health_line(snapshot), flush=True)
         if self.status_dir is not None:
             live_status.write_snapshot(self.status_dir, snapshot)
 
-    def _cluster_health(self) -> dict:
-        """Aggregate the latest per-worker delta metric snapshots.
-
-        Folds every worker's cumulative snapshot into one throwaway
-        registry (cheap at stats cadence) and reads the cluster-wide
-        transport numbers off it.
-        """
-        reg = MetricsRegistry()
-        for state in self._delta_metrics.values():
-            reg.merge_state(state)
+    def _cluster_health(self, reg: MetricsRegistry) -> dict:
+        """The cluster-wide transport numbers of ``reg``, the merge of
+        every worker's newest state."""
 
         def total(name):
             fam = reg.get(name)
@@ -690,42 +679,21 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Result merging
     # ------------------------------------------------------------------
-    def _merge(self, payloads: dict[int, dict], horizon: float) -> RunResult:
-        """Merge each final payload's registry in ascending worker order,
-        then the latest delta of every worker that never reported."""
-        # Ascending order: a series key keeps its first writer, so the
-        # cluster-wide series (GBS, membership, epochs) are the lowest
-        # surviving worker's view.
-        for _, payload in sorted(payloads.items()):
-            self.metrics.merge_state(payload["metrics"])
+    def _merge(self, reported: set[int], horizon: float) -> RunResult:
+        """Merge one newest registry state per worker, then the trace.
 
-        # Crash safety: a worker that never reported a final result (a
-        # no-restart casualty, or one SIGKILLed mid-respawn) is restored
-        # from its newest shipped delta — its counters and series
-        # survive up to one shipping interval behind the kill. A final
-        # payload supersedes every delta from the same worker (both are
-        # cumulative snapshots; merging both would double-count).
-        for w, state in sorted(self._delta_metrics.items()):
-            if w not in payloads:
-                self.metrics.merge_state(state)
-
-        # Trace and flight streams are incremental (deltas carry events
-        # past the previous cursor; the final payload carries the tail
-        # past the last delta), so per worker: delta stream first, then
-        # the final tail — concatenation with no duplicates.
-        for w in range(self.n_workers):
-            payload = payloads.get(w)
-            trace_stream = list(self._delta_trace.get(w, ()))
-            if payload is not None and payload["trace_events"]:
-                trace_stream.extend(payload["trace_events"])
-            if self.tracer.enabled and trace_stream:
-                self.tracer.ingest(trace_stream)
-            flight = list(self._delta_flight.get(w, ()))
-            if payload is not None and payload.get("flight"):
-                flight.extend(payload["flight"])
-            if flight:
-                self.flight_events[w] = flight
-                if self.tracer.enabled:
-                    self.tracer.ingest(flight)
-
+        The ``reported`` workers' final states go first, in ascending
+        order: a series key keeps its first writer, so the cluster-wide
+        series (GBS, membership, epochs) are the lowest surviving
+        worker's view. Then every worker that never reported a final
+        result (a no-restart casualty, or one SIGKILLed mid-respawn)
+        comes back from its newest delta — its counters and series
+        survive up to one shipping interval behind the kill.
+        """
+        late = sorted(set(self._states) - reported)
+        for w in sorted(reported) + late:
+            self.metrics.merge_state(self._states[w])
+        if self.tracer.enabled:
+            for _, events in sorted(self._trace.items()):
+                self.tracer.ingest(events)
         return RunResult(self.n_workers, horizon, self.metrics)

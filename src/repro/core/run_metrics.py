@@ -14,6 +14,8 @@ they are instantiated by :class:`repro.transport.mesh.PeerMesh` because
 only the live backend has real sockets to account for, but their names,
 label schemas, and buckets are catalogued here next to everything else
 so the two backends (and the telemetry docs) read one source of truth.
+The live runtime's one other family, the ``lifecycle_events`` series,
+is registered by :class:`~repro.transport.runtime.LiveWorkerRuntime`.
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ Three independent instruments share this package (see
   wrappers it installs on the layers' methods while a profiler is
   active. Answers "where does the **wall clock** go" (``--profile``).
 
-The live backend's telemetry plane adds two more:
+The live backend's telemetry plane ships each worker's registry state —
+its lifecycle events (peer deaths, checkpoints, rejoins, finalize) are
+one more series family there, ``lifecycle_events`` — and adds one
+module:
 
-* :mod:`repro.obs.flight` — a bounded per-worker ring of instant events
-  (the flight recorder) drained with each telemetry delta, so the last
-  moments before a crash survive the crash.
 * :mod:`repro.obs.live_status` — the supervisor's atomically-replaced
   cluster-health snapshot (``live_status.json``) and its renderers.
 
@@ -28,7 +28,6 @@ observing — and nothing at all for the profiler, which has no hook in
 the measured code.
 """
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -64,7 +63,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Series",
-    "FlightRecorder",
     "percentile_from_buckets",
     "percentile_from_sample",
     "Profiler",

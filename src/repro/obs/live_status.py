@@ -25,6 +25,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "STRAGGLER_FACTOR",
     "build_snapshot",
+    "events_tail",
     "write_snapshot",
     "read_snapshot",
     "render_health_line",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 SNAPSHOT_NAME = "live_status.json"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # A worker is flagged a straggler when its iteration rate falls below
 # this fraction of the cluster's median (only among positive rates, so
@@ -48,7 +49,7 @@ def build_snapshot(
     speedup: float,
     workers: dict[int, dict],
     cluster: dict,
-    flight_tail: dict[int, list] | None = None,
+    events_tail: dict[int, list] | None = None,
 ) -> dict:
     """Assemble one snapshot document and flag stragglers.
 
@@ -56,7 +57,9 @@ def build_snapshot(
     (iterations per wall second) / ``alive`` / ``restarts``; a
     ``straggler`` flag is added here from the cross-worker rate
     distribution. ``cluster`` carries pre-aggregated transport numbers
-    (see :func:`render_health_line` for the keys it reads).
+    (see :func:`render_health_line` for the keys it reads);
+    ``events_tail`` each worker's newest lifecycle events
+    (:func:`events_tail`).
     """
     rates = [
         info.get("rate", 0.0) for info in workers.values() if info.get("alive")
@@ -81,11 +84,28 @@ def build_snapshot(
         "workers": out_workers,
         "cluster": dict(cluster),
     }
-    if flight_tail:
-        snap["flight_tail"] = {
-            str(w): list(events) for w, events in sorted(flight_tail.items())
+    if events_tail:
+        snap["events_tail"] = {
+            str(w): list(events) for w, events in sorted(events_tail.items())
         }
     return snap
+
+
+def events_tail(family, n: int) -> dict[int, list]:
+    """The newest ``n`` events per worker of a ``lifecycle_events``
+    series family (None reads as no events), oldest first, each as
+    ``{time, event, peer, iteration}``."""
+    per_worker: dict[int, list] = {}
+    for (w, event, peer), series in (family.items() if family else ()):
+        per_worker.setdefault(w, []).extend(
+            {"time": round(t, 3), "event": event, "peer": peer,
+             "iteration": int(i)}
+            for t, i in zip(series.times, series.values)
+        )
+    return {
+        w: sorted(events, key=lambda e: e["time"])[-n:]
+        for w, events in sorted(per_worker.items())
+    }
 
 
 def write_snapshot(directory: str | pathlib.Path, snapshot: dict) -> pathlib.Path:
@@ -175,8 +195,14 @@ def render_snapshot(snapshot: dict) -> str:
             f"{info.get('restarts', 0):>8} "
             f"{('YES' if info.get('straggler') else '-'):>9}"
         )
-    tail = snapshot.get("flight_tail") or {}
-    n_tail = sum(len(v) for v in tail.values())
-    if n_tail:
-        lines.append(f"  flight-recorder tail: {n_tail} event(s) retained")
+    for w, events in sorted(
+        (snapshot.get("events_tail") or {}).items(), key=lambda kv: int(kv[0])
+    ):
+        if events:
+            last = events[-1]
+            peer = f" peer {last['peer']}" if last["peer"] >= 0 else ""
+            lines.append(
+                f"  worker {w} last event: {last['event']}{peer} at "
+                f"t={last['time']:.1f}s (iteration {last['iteration']})"
+            )
     return "\n".join(lines)

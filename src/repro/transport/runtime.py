@@ -28,7 +28,8 @@ event's due time and never shifts the modelled schedule.
 port-exchange handshake with :class:`~repro.core.live_engine.LiveEngine`
 over a pipe, trains to the horizon, then ships its metrics registry
 (counters, gauges, histograms and the recorded series) and trace events
-back for merging.
+back for merging — the same payload as every telemetry delta, so the
+final result is simply the last one.
 
 Crash recovery (docs/robustness.md): when the run spec carries a
 :class:`~repro.transport.checkpoint.CheckpointConfig`, the runtime
@@ -59,7 +60,6 @@ from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
 from repro.core.host import MESSAGE_HANDLERS, RunResult, WorkerHost
-from repro.obs.flight import FlightRecorder
 from repro.obs.profile import Profiler
 from repro.obs.trace import TID_NET, Tracer
 from repro.transport.checkpoint import CheckpointConfig, load_latest, write_checkpoint
@@ -167,11 +167,9 @@ class LiveRunSpec:
     checkpoint: CheckpointConfig | None = None
     chaos: ChaosPlan | None = None
     stderr_dir: str | None = None
-    # Telemetry delta shipping: wall seconds between incremental
-    # metric/trace/flight shipments to the supervisor (None disables —
-    # then only the end-of-run result payload exists, and a SIGKILLed
-    # worker's telemetry is lost with it).
-    ship_interval_s: float | None = 1.0
+    # Telemetry delta shipping: wall seconds between shipments of the
+    # registry state and the new trace events to the supervisor.
+    ship_interval_s: float = 1.0
     # Shared-memory data lanes between co-hosted workers (see
     # docs/architecture.md, "Transport lanes"). ``shm_token`` is the
     # per-run nonce baked into every ring segment name; the supervisor
@@ -184,8 +182,8 @@ class LiveRunSpec:
             raise ValueError("horizon must be positive")
         if self.speedup <= 0:
             raise ValueError("speedup must be positive")
-        if self.ship_interval_s is not None and self.ship_interval_s <= 0:
-            raise ValueError("ship_interval_s must be positive (or None)")
+        if self.ship_interval_s <= 0:
+            raise ValueError("ship_interval_s must be positive")
 
 
 class LiveWorkerRuntime(WorkerHost):
@@ -230,13 +228,16 @@ class LiveWorkerRuntime(WorkerHost):
         # reported to the supervisor so it can compute lost iterations.
         self.restored_iteration = 0
 
-        # Telemetry delta shipping (crash-safety): cumulative metric
-        # snapshots plus incremental trace/flight events go to the
+        # Telemetry delta shipping (crash-safety): the cumulative
+        # registry state plus the trace events past the cursor go to the
         # supervisor every ship_interval_s wall seconds, so a SIGKILL
-        # loses at most one interval of telemetry. The flight recorder
-        # is always on — it is the black box when tracing is disabled.
-        self.flight = FlightRecorder(worker_id)
+        # loses at most one interval of telemetry. Lifecycle events are
+        # a series in that registry: the black box when tracing is off.
         self._trace_cursor = 0
+        self.s_lifecycle = self.metrics.series(
+            "lifecycle_events", "a live worker's lifecycle events, valued "
+            "at its iteration", ("worker", "event", "peer"),
+        )
 
         shm_peers = self._shm_lane_peers(resume)
         self.mesh = PeerMesh(
@@ -335,7 +336,7 @@ class LiveWorkerRuntime(WorkerHost):
             return
         self.active.discard(peer)
         self._peer_samples.pop(peer, None)
-        self.flight.record("peer-dead", self.clock.now, {"peer": peer})
+        self._mark("peer-dead", peer)
         self._apply_membership()
 
     def on_peer_revived(self, peer: int, addr: tuple[str, int]) -> None:
@@ -348,7 +349,7 @@ class LiveWorkerRuntime(WorkerHost):
         and must be superseded before their retry loop gives up.
         """
         self.mesh.revive(peer, addr)
-        self.flight.record("peer-revived", self.clock.now, {"peer": peer})
+        self._mark("peer-revived", peer)
         if peer in self.active:
             return
         self.active.add(peer)
@@ -360,12 +361,12 @@ class LiveWorkerRuntime(WorkerHost):
         self.worker.on_membership_change(self.active)
 
     # ------------------------------------------------------------------
-    # Chaos bookkeeping (the flight record of blackout edges)
+    # Chaos bookkeeping (the lifecycle record of blackout edges)
     # ------------------------------------------------------------------
     def _blackout_edge(self, fault, delta: int) -> None:
-        self.flight.record(
+        self._mark(
             "blackout-start" if delta > 0 else "blackout-end",
-            self.clock.now, {"src": fault.src, "dst": fault.dst},
+            fault.dst if fault.src == self.worker_id else fault.src,
         )
         # Never below zero, whatever order a resumed worker's catch-up
         # edges fire in.
@@ -481,44 +482,39 @@ class LiveWorkerRuntime(WorkerHost):
         self.metrics.merge_state(meta["metrics"])
         self.restored_iteration = w.iteration
 
-    def _mark(self, name: str) -> None:
-        """Note a lifecycle event at the current iteration: always in the
-        flight recorder, and in the trace when tracing."""
-        now = self.clock.now
-        self.flight.record(name, now, {"iteration": self.worker.iteration})
+    def _mark(self, event: str, peer: int = -1) -> None:
+        """Record one lifecycle event (``peer`` is the far end, or -1)
+        at the current iteration: always in ``lifecycle_events``, and as
+        a trace instant when tracing."""
+        now, iteration = self.clock.now, self.worker.iteration
+        self.s_lifecycle.append(now, iteration, self.worker_id, event, peer)
         if self.tracer.enabled:
             self.tracer.instant(
-                name, self.worker_id, TID_NET, now,
-                cat="chaos", args={"iteration": self.worker.iteration},
+                event, self.worker_id, TID_NET, now,
+                cat="lifecycle", args={"iteration": iteration, "peer": peer},
             )
 
     def _checkpoint_tick(self) -> None:
         if self.stopped:
             return
         cfg = self.spec.checkpoint
+        # Marked first, so a restored worker's history names the
+        # checkpoint it came back from.
+        self._mark("checkpoint")
         arrays, meta = self.checkpoint_state()
         write_checkpoint(
             cfg.directory, self.worker_id, arrays, meta, retention=cfg.retention
         )
-        self._mark("checkpoint")
         self.clock.schedule_in(cfg.interval_s, self._checkpoint_tick)
 
     # ------------------------------------------------------------------
-    # Hook: progress; recording override
+    # Hook: progress
     # ------------------------------------------------------------------
     def global_epoch(self) -> float:
         """Estimated cluster progress: own samples plus the peers' last
         heartbeat-reported counts, over the training-set size."""
         drawn = self.worker.sampler.samples_drawn + sum(self._peer_samples.values())
         return drawn / self.dataset.train_size
-
-    def record_loss(self, worker: int, loss: float) -> None:
-        """Record one iteration's loss, then leave a flight record."""
-        super().record_loss(worker, loss)
-        self.flight.record(
-            "iteration", self.clock.now,
-            {"iteration": self.worker.iteration, "loss": round(float(loss), 5)},
-        )
 
     def _housekeep(self, wall: float) -> None:
         """The pacer's wall-cadence chores (``wall`` in seconds).
@@ -539,8 +535,7 @@ class LiveWorkerRuntime(WorkerHost):
                 )
             except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
                 self.progress_conn = None
-        interval = self.spec.ship_interval_s
-        if interval is not None and wall - self._last_ship_wall >= interval:
+        if wall - self._last_ship_wall >= self.spec.ship_interval_s:
             self._last_ship_wall = wall
             self.ship_delta()
 
@@ -613,56 +608,39 @@ class LiveWorkerRuntime(WorkerHost):
     # ------------------------------------------------------------------
     # Telemetry delta shipping
     # ------------------------------------------------------------------
-    def ship_delta(self) -> None:
-        """Ship one incremental telemetry delta to the supervisor.
+    def payload(self) -> dict:
+        """One telemetry payload: a delta while running, the result at
+        the end — the same shape either way.
 
-        The metrics snapshot is *cumulative* (``dump_state`` of the
-        whole registry, series included): the parent keeps only the
-        latest one per incarnation, so shipping is idempotent and a lost
-        delta costs one interval of staleness, never double counting.
-        Trace events ship incrementally through a cursor; flight-recorder
-        events are drained (shipped exactly once).
-        """
-        if self.progress_conn is None:
-            return
-        trace_events, self._trace_cursor = self.tracer.delta_events(
-            self._trace_cursor
-        )
-        payload = {
-            "iteration": self.worker.iteration,
-            "time": self.clock.now,
-            "metrics": self.metrics.dump_state(),
-            "trace_events": trace_events,
-            "flight": self.flight.drain(),
-        }
-        try:
-            self.progress_conn.send(("delta", self.worker_id, payload))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            self.progress_conn = None
-
-    def finalize(self) -> RunResult:
-        """Stop training, take the final accuracy sample, close books."""
-        self.flight.record(
-            "finalize", self.clock.now, {"iteration": self.worker.iteration}
-        )
-        return super().finalize()
-
-    def result_payload(self) -> dict:
-        """The picklable per-worker result shipped back to the parent.
-
-        ``trace_events`` and ``flight`` are incremental past the last
-        shipped delta (the parent accumulates the delta stream), so a
-        run with shipping disabled ships everything here and a run with
-        shipping enabled ships only the tail — no duplicates either way.
+        The metrics state is *cumulative* (``dump_state`` of the whole
+        registry, series included): the parent keeps only the newest one
+        per worker, so shipping is idempotent and a lost delta costs one
+        interval of staleness, never double counting. Trace events ship
+        incrementally past a cursor, each exactly once.
         """
         trace_events, self._trace_cursor = self.tracer.delta_events(
             self._trace_cursor
         )
         return {
+            "iteration": self.worker.iteration,
+            "time": self.clock.now,
             "metrics": self.metrics.dump_state(),
             "trace_events": trace_events,
-            "flight": self.flight.drain(),
         }
+
+    def ship_delta(self) -> None:
+        """Ship one telemetry delta to the supervisor."""
+        if self.progress_conn is None:
+            return
+        try:
+            self.progress_conn.send(("delta", self.worker_id, self.payload()))
+        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
+            self.progress_conn = None
+
+    def finalize(self) -> RunResult:
+        """Mark the end of the run, then stop training and close books."""
+        self._mark("finalize")
+        return super().finalize()
 
 
 async def _child_main(
@@ -711,7 +689,7 @@ async def _child_main(
         await runtime.wait_horizon(inbox)
         runtime.finalize()
     await runtime.mesh.close()
-    conn.send(("result", worker_id, runtime.result_payload()))
+    conn.send(("result", worker_id, runtime.payload()))
 
 
 def run_live_worker(

@@ -7,12 +7,18 @@ import json
 
 from repro.obs.live_status import (
     SNAPSHOT_NAME,
+    SNAPSHOT_VERSION,
     build_snapshot,
+    events_tail,
     read_snapshot,
     render_health_line,
     render_snapshot,
     write_snapshot,
 )
+from repro.obs.metrics import MetricsRegistry
+
+
+_EVENT = {"time": 7.5, "event": "peer-dead", "peer": 1, "iteration": 71}
 
 
 def _snapshot(**overrides):
@@ -64,11 +70,32 @@ class TestBuildSnapshot:
         )
         assert not any(w["straggler"] for w in snap["workers"].values())
 
-    def test_flight_tail_included(self):
-        snap = _snapshot(
-            flight_tail={2: [{"name": "peer-dead", "ph": "i", "ts": 1.0}]}
+    def test_events_tail_included(self):
+        snap = _snapshot(events_tail={2: [_EVENT]})
+        assert snap["version"] == SNAPSHOT_VERSION == 2
+        assert snap["events_tail"]["2"][0]["event"] == "peer-dead"
+
+
+class TestEventsTail:
+    def test_newest_events_per_worker_in_time_order(self):
+        fam = MetricsRegistry().series(
+            "lifecycle_events", labels=("worker", "event", "peer")
         )
-        assert snap["flight_tail"]["2"][0]["name"] == "peer-dead"
+        fam.append(5.0, 50, 0, "checkpoint", -1)
+        fam.append(10.0, 100, 0, "checkpoint", -1)
+        fam.append(7.25, 71, 0, "peer-dead", 2)
+        fam.append(1.0, 9, 1, "finalize", -1)
+        tail = events_tail(fam, 2)
+        assert tail == {
+            0: [
+                {"time": 7.25, "event": "peer-dead", "peer": 2, "iteration": 71},
+                {"time": 10.0, "event": "checkpoint", "peer": -1, "iteration": 100},
+            ],
+            1: [{"time": 1.0, "event": "finalize", "peer": -1, "iteration": 9}],
+        }
+
+    def test_no_family_is_no_events(self):
+        assert events_tail(None, 16) == {}
 
 
 class TestWriteRead:
@@ -123,12 +150,10 @@ class TestRender:
         assert "p99 -" in render_health_line(snap)
 
     def test_full_render_has_worker_table(self):
-        text = render_snapshot(_snapshot(
-            flight_tail={2: [{"name": "x", "ph": "i", "ts": 1.0}]}
-        ))
+        text = render_snapshot(_snapshot(events_tail={2: [_EVENT]}))
         assert "worker" in text and "restarts" in text
         assert "speedup 5" in text
-        assert "flight-recorder tail: 1 event(s)" in text
+        assert "worker 2 last event: peer-dead peer 1 at t=7.5s" in text
 
     def test_snapshot_is_json_serializable(self):
         json.dumps(_snapshot())

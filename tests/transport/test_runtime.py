@@ -160,8 +160,8 @@ class TestSharedHostBehaviour:
         runtime.record_dkt_merge(0)
         assert runtime.result.iterations == [1, 0, 0]
         assert runtime.result.dkt_merges == 1
-        payload = runtime.result_payload()
-        assert "result" not in payload
+        payload = runtime.payload()
+        assert set(payload) == {"iteration", "time", "metrics", "trace_events"}
         assert payload["metrics"]["iterations_total"]["series"] == {(0,): 1.0}
 
     def test_foreign_worker_is_rejected(self, runtime):
@@ -179,29 +179,56 @@ class _Pipe:
         self.sent.append(msg)
 
 
+def _in_process_cluster(spec):
+    """A supervisor and one runtime per worker, each runtime's pipe a
+    :class:`_Pipe`, every worker started."""
+    engine = LiveEngine(spec.config, spec.topology, seed=spec.seed)
+    runtimes = [LiveWorkerRuntime(w, spec) for w in range(N_WORKERS)]
+    for rt in runtimes:
+        rt.progress_conn = _Pipe()
+        rt._record_start()
+    return engine, runtimes
+
+
+def _fold(engine, rt, *, final=False):
+    """Ship ``rt``'s delta (or, ``final``, finalize it and send its
+    result) through the supervisor's message path."""
+    w = rt.worker_id
+    if final:
+        rt.finalize()
+        msg = ("result", w, rt.payload())
+    else:
+        rt.ship_delta()
+        msg = rt.progress_conn.sent[-1]
+    pending = {w}
+    engine._on_child_message(_Child(None, None), w, msg, pending)
+    assert pending == (set() if final else {w})
+
+
+def _events(result, w):
+    """Worker ``w``'s merged lifecycle events as {(event, peer): values}."""
+    fam = result.metrics.get("lifecycle_events")
+    return {
+        (event, peer): series.values
+        for (worker, event, peer), series in fam.items()
+        if worker == w
+    }
+
+
 class TestMerge:
     def test_payloads_then_the_deltas_of_workers_that_never_reported(self, spec):
         """LiveEngine._merge over in-process workers: 0 and 1 report a
         final payload, 2 only ever shipped a delta (a kill)."""
-        engine = LiveEngine(spec.config, spec.topology, seed=spec.seed)
-        runtimes = [LiveWorkerRuntime(w, spec) for w in range(N_WORKERS)]
+        engine, runtimes = _in_process_cluster(spec)
         for w, rt in enumerate(runtimes):
-            rt.progress_conn = _Pipe()
-            rt._record_start()
             rt.record_loss(w, 2.0 - w / 10)
-            rt.ship_delta()
-            [(_, _, delta)] = rt.progress_conn.sent
-            engine._note_delta(_Child(None, None), w, delta)
+            _fold(engine, rt)
         runtimes[0].record_loss(0, 1.5)  # past worker 0's delta
         runtimes[1].run_metrics.s_gbs.append(1.0, 999)  # another GBS view
         runtimes[1]._peer_samples = {0: 10_000}  # a further epoch estimate
-        payloads = {}
         for w in (0, 1):
-            runtimes[w].finalize()
-            payloads[w] = runtimes[w].result_payload()
-            assert "result" not in payloads[w]
-
-        result = engine._merge(payloads, spec.horizon)
+            _fold(engine, runtimes[w], final=True)
+        result = engine._merge({0, 1}, spec.horizon)
         assert result.iterations == [2, 1, 1]  # a payload supersedes deltas
         assert [len(s) for s in result.loss] == result.iterations
         assert result.loss[2].values == [1.8]
@@ -209,6 +236,73 @@ class TestMerge:
         assert result.gbs == runtimes[0].result.gbs
         assert result.epochs == runtimes[0].result.epochs
         assert result.epochs < runtimes[1].result.epochs
+
+    def test_marked_events_ship_in_the_delta(self, spec):
+        _, runtimes = _in_process_cluster(spec)
+        rt = runtimes[0]
+        rt.worker.iteration = 7
+        rt._mark("checkpoint")
+        rt._mark("peer-dead", 2)
+        fam = rt.metrics.get("lifecycle_events")
+        assert fam.label_names == ("worker", "event", "peer")
+        assert fam.series(0, "checkpoint", -1).values == [7]
+        rt.ship_delta()
+        [(kind, w, payload)] = rt.progress_conn.sent
+        assert (kind, w) == ("delta", 0)
+        assert set(payload) == {"iteration", "time", "metrics", "trace_events"}
+        shipped = payload["metrics"]["lifecycle_events"]["series"]
+        assert set(shipped) == {(0, "checkpoint", -1), (0, "peer-dead", 2)}
+        # With tracing on, each event is also a Chrome instant.
+        instants = [
+            (e["name"], e["args"]["peer"])
+            for e in payload["trace_events"] if e.get("cat") == "lifecycle"
+        ]
+        assert instants == [("checkpoint", -1), ("peer-dead", 2)]
+
+    def test_a_final_result_supersedes_the_deltas(self, spec):
+        engine, runtimes = _in_process_cluster(spec)
+        rt = runtimes[1]
+        rt._mark("peer-dead", 2)
+        _fold(engine, rt)
+        _fold(engine, rt)  # the same state again: idempotent
+        rt._mark("peer-revived", 2)
+        _fold(engine, rt, final=True)
+        result = engine._merge({1}, spec.horizon)
+        assert _events(result, 1) == {
+            ("peer-dead", 2): [0], ("peer-revived", 2): [0], ("finalize", -1): [0],
+        }
+        assert engine.deltas_received == 3
+
+    def test_a_worker_without_a_final_payload_keeps_its_events(self, spec):
+        engine, runtimes = _in_process_cluster(spec)
+        victim = runtimes[2]
+        victim.worker.iteration = 4
+        victim._mark("checkpoint")
+        _fold(engine, victim)
+        victim._mark("peer-dead", 0)  # after its last delta: lost with it
+        for rt in runtimes[:2]:
+            rt._mark("peer-dead", 2)
+            _fold(engine, rt, final=True)
+        result = engine._merge({0, 1}, spec.horizon)
+        assert _events(result, 2) == {("checkpoint", -1): [4]}
+        for w in (0, 1):
+            assert set(_events(result, w)) == {("peer-dead", 2), ("finalize", -1)}
+
+    def test_cluster_series_come_from_the_lowest_surviving_worker(self, spec):
+        """Worker 0 only shipped a delta, so the cluster-wide series are
+        worker 1's: final states merge before delta-only ones."""
+        engine, runtimes = _in_process_cluster(spec)
+        runtimes[0].run_metrics.s_gbs.append(1.0, 111)
+        _fold(engine, runtimes[0])
+        runtimes[2]._peer_samples = {0: 10_000}  # a further epoch estimate
+        for w, rt in enumerate(runtimes[1:], start=1):
+            rt.run_metrics.s_gbs.append(1.0, 100 * w)
+            _fold(engine, rt, final=True)
+        result = engine._merge({1, 2}, spec.horizon)
+        assert result.gbs == runtimes[1].result.gbs
+        assert result.gbs.values[-1] == 100
+        assert result.epochs == runtimes[1].result.epochs
+        assert result.epochs < runtimes[2].result.epochs
 
 
 class FakeLoop:
