@@ -11,15 +11,15 @@ A :class:`ChaosPlan` scripts *what goes wrong and when* in one place:
 
 The simulator lowers crash/restart events onto the existing
 :class:`~repro.cluster.membership.MembershipSchedule` machinery (leave +
-join with the DKT bootstrap pull), so a plan is seed-deterministic. The
-live backend schedules the same plan on the wall clock: the supervisor
-SIGKILLs and respawns worker processes. On both, the worker host's one
-send path (``WorkerHost._send``) consults a :class:`LinkFaultInjector`
-on every worker message.
+join with the DKT bootstrap pull), so a plan is seed-deterministic. On
+the live backend each victim books its own crashes on its modelled
+clock and SIGKILLs itself at the crash time, after every other event
+due then; the supervisor respawns it at ``time + restart_after``. On
+both, the worker host's one send path (``WorkerHost._send``) consults a
+:class:`LinkFaultInjector` on every worker message.
 
-All times are **modelled seconds** on both backends (the live backend
-divides by ``--speedup`` to place them on the wall clock), so one plan
-file drives sim and proc runs identically.
+All times are **modelled seconds** on both backends' event heaps, so
+one plan file drives sim and proc runs identically.
 """
 
 from __future__ import annotations

@@ -10,15 +10,16 @@ experiment tooling work on live runs unchanged. A child's telemetry
 deltas and its final result are one payload shape, folded by one path.
 
 The engine is also the crash **supervisor** (docs/robustness.md). A
-:class:`~repro.cluster.chaos.ChaosPlan` scripts SIGKILLs on the modelled
-clock; killed workers with a ``restart_after`` are respawned with
+:class:`~repro.cluster.chaos.ChaosPlan`'s crashes are events on each
+victim's own modelled clock: the child reports ``("crashed", worker,
+iteration, t)`` and SIGKILLs itself. A death that follows such a report
+is scripted: with a ``restart_after`` the worker is respawned with
 ``resume=True`` (the child restores its newest checkpoint), walked
 through a private port/ready handshake, and rejoined — the new port is
 fanned out to the survivors as ``("revive", worker, port)`` pipe
-commands so they re-open their mesh links. Unplanned child deaths are
-respawned the same way under ``restart_budget`` with exponential
-backoff; past the budget they fail the run with the dead child's
-captured stderr tail in the error.
+commands so they re-open their mesh links; without one it is retired.
+Any other death fails the run with the dead child's captured stderr
+tail in the error.
 
 The engine is hang-proof by construction: every phase of the handshake
 and the result collection runs against a wall-clock deadline, and any
@@ -52,11 +53,6 @@ __all__ = ["LiveEngine"]
 
 # How much of a dead child's captured stderr to quote in errors.
 _STDERR_TAIL_BYTES = 2048
-# A scripted kill waits for its victim to complete one iteration past
-# its restore point (so the crash is meaningful at any CI load), but at
-# most this many wall seconds past the due time — the gate must never
-# wedge the run.
-_PROGRESS_GATE_SLACK_S = 10.0
 # How many of each worker's newest lifecycle events the status snapshot
 # retains (all of them stay in the merged registry).
 _EVENTS_TAIL = 16
@@ -66,18 +62,17 @@ class _Child:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = (
-        "proc", "conn", "port", "last_iteration", "last_time",
-        "restored_iteration", "restarts", "stats_prev_iter",
-        "stats_prev_wall",
+        "proc", "conn", "port", "last_iteration", "last_time", "crash",
+        "restarts", "stats_prev_iter", "stats_prev_wall",
     )
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
         self.port: int | None = None
-        self.last_iteration = 0       # newest progress-reported iteration
+        self.last_iteration = 0       # iteration of the newest delta
         self.last_time = 0.0          # its modelled timestamp
-        self.restored_iteration = 0   # checkpoint iteration after resume
+        self.crash: tuple | None = None  # its ("crashed", ...) report
         self.restarts = 0
         self.stats_prev_iter = 0      # iteration at the last stats tick
         self.stats_prev_wall: float | None = None
@@ -99,8 +94,6 @@ class LiveEngine:
         profile: bool = False,
         host: str = "127.0.0.1",
         handshake_timeout_s: float = 60.0,
-        restart_budget: int = 0,
-        restart_backoff_s: float = 0.5,
         checkpoint: CheckpointConfig | None = None,
         ship_interval_s: float = 1.0,
         stats_interval_s: float | None = None,
@@ -120,12 +113,6 @@ class LiveEngine:
         if handshake_timeout_s <= 0:
             raise ValueError("handshake_timeout_s must be positive")
         self.handshake_timeout_s = float(handshake_timeout_s)
-        if restart_budget < 0:
-            raise ValueError("restart_budget must be >= 0")
-        self.restart_budget = int(restart_budget)
-        if restart_backoff_s < 0:
-            raise ValueError("restart_backoff_s must be >= 0")
-        self.restart_backoff_s = float(restart_backoff_s)
         self.checkpoint = checkpoint
         if ship_interval_s <= 0:
             raise ValueError("ship_interval_s must be positive")
@@ -167,10 +154,7 @@ class LiveEngine:
         self._reset_telemetry()
         checkpoint = self.checkpoint
         tmp_ckpt_dir = None
-        needs_checkpoint = self.restart_budget > 0 or (
-            chaos is not None and chaos.has_restarts()
-        )
-        if checkpoint is None and needs_checkpoint:
+        if checkpoint is None and chaos is not None and chaos.has_restarts():
             # Respawned children restore from disk; give them somewhere
             # to checkpoint even when the caller did not configure it.
             tmp_ckpt_dir = tempfile.mkdtemp(prefix="dlion-ckpt-")
@@ -349,29 +333,18 @@ class LiveEngine:
         """The post-go supervisor loop; returns the workers that
         reported a final result.
 
-        Fires scripted kills, detects dead children, respawns/rejoins
-        under the plan or the restart budget, relays progress, and
-        collects results — all against the horizon wall deadline.
+        Relays telemetry, judges deaths (a scripted crash's victim is
+        respawned or retired, any other death fails the run), fires due
+        respawns, and collects results — all against the horizon wall
+        deadline.
         """
         rm = RunMetrics(self.metrics)
         go_t0 = time.monotonic()
         deadline = go_t0 + horizon / self.speedup + grace_s
         killed: set[int] = set()               # dead for good, by script
         pending = set(children)                # workers still owing a result
-        restart_uses = 0
-
-        # Scripted crashes on the modelled clock, ordered by due wall time.
-        crash_queue: list[dict] = []
-        if chaos is not None:
-            for ev in chaos.crashes:
-                crash_queue.append({
-                    "due": go_t0 + ev.time / self.speedup,
-                    "worker": ev.worker,
-                    "restart_after": ev.restart_after,
-                    "event_time": ev.time,
-                })
-        crash_queue.sort(key=lambda e: e["due"])
-        # Scheduled respawns: [{at, worker, detected, lost_baseline}].
+        # Scheduled respawns: [{at, worker, detected, crash_time,
+        # lost_baseline}].
         respawns: list[dict] = []
 
         # Cluster-health emission cadence: the --stats-interval print and
@@ -397,111 +370,66 @@ class LiveEngine:
                     f"deadline (+{grace_s:.0f}s grace); terminated"
                 )
 
-            # 1. Fire due scripted kills (head of the queue blocks: the
-            #    progress gate below may defer it a little).
-            while crash_queue and now >= crash_queue[0]["due"]:
-                ev = crash_queue[0]
-                w = ev["worker"]
-                if w not in pending or w in awaiting:
-                    crash_queue.pop(0)
-                    continue
-                c = children[w]
-                # Drain buffered progress so the lost-work baseline is
-                # as current as the pipe allows.
-                while c.conn.poll():
-                    try:
-                        msg = c.conn.recv()
-                    except EOFError:
-                        break
-                    self._on_child_message(c, w, msg, pending)
-                if w not in pending:
-                    crash_queue.pop(0)
-                    continue
-                if (
-                    c.last_iteration <= c.restored_iteration
-                    and now < ev["due"] + _PROGRESS_GATE_SLACK_S
-                ):
-                    break  # give the victim a moment to make progress
-                crash_queue.pop(0)
-                c.proc.kill()
-                c.proc.join(timeout=5.0)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "worker-killed", self.n_workers, 0,
-                        (now - go_t0) * self.speedup,
-                        cat="chaos", args={"worker": w}, scope="g",
-                    )
-                if ev["restart_after"] is not None:
-                    at = go_t0 + (
-                        ev["event_time"] + ev["restart_after"]
-                    ) / self.speedup
-                    respawns.append({
-                        "at": max(at, now),
-                        "worker": w,
-                        "detected": now,
-                        "lost_baseline": c.last_iteration,
-                    })
-                    awaiting.add(w)
-                else:
-                    killed.add(w)
-                    pending.discard(w)
-
-            # 2. Fire due respawns.
+            # 1. Fire due respawns.
             for r in list(respawns):
                 if now >= r["at"]:
                     respawns.remove(r)
                     awaiting.discard(r["worker"])
                     self._respawn(ctx, spec, children, r, go_t0, rm)
 
-            # 3. Drain child pipes (one message per child per sweep; the
-            #    0.02-s polls double as the loop's pacing).
+            # 2. Drain child pipes (one message per child per sweep; the
+            #    0.02-s polls double as the loop's pacing). A death is
+            #    judged only once its pipe is drained, so a crash report
+            #    always comes first.
             for w in sorted(pending - awaiting):
                 c = children[w]
-                if c.conn.poll(0.02):
-                    try:
-                        msg = c.conn.recv()
-                    except EOFError:
-                        raise RuntimeError(
-                            f"live worker {w} closed its pipe before "
-                            "reporting a result" + self._stderr_tail(w)
-                        ) from None
+                try:
+                    msg = c.conn.recv() if c.conn.poll(0.02) else None
+                except EOFError:
+                    msg = None  # the child is gone, or going
+                if msg is not None:
                     if msg[0] == "error":
                         raise RuntimeError(
                             f"live worker {w} failed:\n{msg[2]}"
                         )
                     self._on_child_message(c, w, msg, pending)
-                elif not c.proc.is_alive():
-                    # Unplanned death. Respawn under the budget, else fail
-                    # with whatever the child managed to say on stderr.
-                    if restart_uses < self.restart_budget:
-                        delay = self.restart_backoff_s * (2 ** restart_uses)
-                        restart_uses += 1
-                        respawns.append({
-                            "at": now + delay,
-                            "worker": w,
-                            "detected": now,
-                            "lost_baseline": c.last_iteration,
-                        })
-                        if self.tracer.enabled:
-                            self.tracer.instant(
-                                "worker-died", self.n_workers, 0,
-                                (now - go_t0) * self.speedup,
-                                cat="chaos", args={"worker": w}, scope="g",
-                            )
-                    else:
-                        raise RuntimeError(
-                            f"live worker {w} exited without reporting a "
-                            "result" + self._stderr_tail(w)
-                        )
+                    continue
+                if c.proc.is_alive():
+                    continue
+                if c.crash is None:
+                    raise RuntimeError(
+                        f"live worker {w} exited without reporting a "
+                        "result" + self._stderr_tail(w)
+                    )
+                _, _, iteration, t = c.crash
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        "worker-killed", self.n_workers, 0, t,
+                        cat="chaos", args={"worker": w}, scope="g",
+                    )
+                restart_after = next(
+                    ev.restart_after for ev in chaos.crashes
+                    if (ev.worker, ev.time) == (w, t)
+                )
+                if restart_after is None:
+                    killed.add(w)
+                    pending.discard(w)
+                else:
+                    respawns.append({
+                        "at": go_t0 + (t + restart_after) / self.speedup,
+                        "worker": w,
+                        "detected": now,
+                        "crash_time": t,
+                        "lost_baseline": iteration,
+                    })
         return set(children) - killed
 
     def _on_child_message(
         self, c: _Child, w: int, msg: tuple, pending: set
     ) -> None:
-        """Book one post-go ``progress`` / ``delta`` / ``result`` message."""
-        if msg[0] == "progress":
-            c.last_iteration = msg[2]
-            c.last_time = msg[3]
+        """Book one post-go ``crashed`` / ``delta`` / ``result`` message."""
+        if msg[0] == "crashed":
+            c.crash = msg
         elif msg[0] in ("delta", "result"):
             self._note_delta(c, w, msg[2])
             if msg[0] == "result":
@@ -516,7 +444,7 @@ class LiveEngine:
         go_t0: float,
         rm: RunMetrics,
     ) -> None:
-        """Respawn one dead worker with ``resume=True`` and rejoin it."""
+        """Respawn one crashed worker with ``resume=True`` and rejoin it."""
         w = r["worker"]
         old = children[w]
         try:
@@ -525,13 +453,11 @@ class LiveEngine:
             pass
         child = self._spawn(ctx, w, spec, resume=True)
         child.restarts = old.restarts + 1
-        child.last_iteration = old.last_iteration
         children[w] = child
 
         msg = self._recv_expected({w: child}, "port", "respawned worker")[w]
         child.port = msg[2]
-        child.restored_iteration = int(msg[3]) if len(msg) > 3 else 0
-        child.last_iteration = child.restored_iteration
+        restored = child.last_iteration = int(msg[3])
         # The rejoiner only dials live peers (a no-restart casualty's old
         # port would just burn its reconnect budget).
         live = {
@@ -563,18 +489,18 @@ class LiveEngine:
 
         rm.c_worker_restarts.inc(1, w)
         rm.h_recovery_s.observe(now - r["detected"], w)
-        lost = max(0, int(r["lost_baseline"]) - child.restored_iteration)
+        lost = max(0, r["lost_baseline"] - restored)
         if lost:
             rm.c_lost_iterations.inc(lost, w)
         if self.tracer.enabled:
-            start_model = (r["detected"] - go_t0) * self.speedup
+            start_model = r["crash_time"]
             self.tracer.complete(
                 "recovery", self.n_workers, 0,
                 start_model, clock_offset - start_model,
                 cat="chaos",
                 args={
                     "worker": w,
-                    "restored_iteration": child.restored_iteration,
+                    "restored_iteration": restored,
                     "lost_iterations": lost,
                 },
             )
@@ -686,9 +612,9 @@ class LiveEngine:
         order: a series key keeps its first writer, so the cluster-wide
         series (GBS, membership, epochs) are the lowest surviving
         worker's view. Then every worker that never reported a final
-        result (a no-restart casualty, or one SIGKILLed mid-respawn)
-        comes back from its newest delta — its counters and series
-        survive up to one shipping interval behind the kill.
+        result (a retired crash victim) comes back from its newest
+        delta — its counters and series survive up to one shipping
+        interval behind the crash.
         """
         late = sorted(set(self._states) - reported)
         for w in sorted(reported) + late:

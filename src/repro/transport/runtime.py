@@ -40,15 +40,21 @@ modelled clock at the offset the supervisor hands it, rejoins the
 active set, and bootstraps freshness with a DKT-style weight pull from
 a live peer. Surviving children receive ``("revive", worker, port)``
 pipe commands and re-open their mesh links to the rejoiner's new port.
-A chaos plan's link faults are judged by the host's ``_send``, as in the
-simulator, with windows on the modelled clock; an injected delay holds
-the frame back in its link's FIFO outbox (``PeerMesh.send(delay_s=)``).
+A chaos plan's crashes are events on the victim's own modelled clock:
+at a crash's time the runtime reports ``("crashed", worker, iteration,
+t)`` to the supervisor and SIGKILLs itself, after every other event due
+at ``t`` (so a checkpoint due then is on disk first). Its link faults
+are judged by the host's ``_send``, as in the simulator, with windows on
+the modelled clock; an injected delay holds the frame back in its link's
+FIFO outbox (``PeerMesh.send(delay_s=)``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
+import signal
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -219,11 +225,10 @@ class LiveWorkerRuntime(WorkerHost):
                 spec.chaos, self.rng_pool.get(f"chaos/{worker_id}")
             )
 
-        # Supervisor pipe for throttled progress reports (set by
-        # _child_main); lets the parent time chaos kills deterministically
-        # and compute lost-iteration counts.
+        # Supervisor pipe for telemetry deltas and crash reports (set by
+        # _child_main).
         self.progress_conn = None
-        self._last_progress_wall = self._last_ship_wall = float("-inf")
+        self._last_ship_wall = float("-inf")
         # Iteration count restored from a checkpoint (0 = fresh start);
         # reported to the supervisor so it can compute lost iterations.
         self.restored_iteration = 0
@@ -517,24 +522,8 @@ class LiveWorkerRuntime(WorkerHost):
         return drawn / self.dataset.train_size
 
     def _housekeep(self, wall: float) -> None:
-        """The pacer's wall-cadence chores (``wall`` in seconds).
-
-        A throttled ``("progress", w, iteration, t)`` to the supervisor
-        — cheap (a few dozen bytes, at most ~4 Hz wall) and what lets
-        the parent gate chaos kills on real progress and account for
-        lost iterations after a crash — and a telemetry delta every
-        ``ship_interval_s``.
-        """
-        if self.progress_conn is None:
-            return
-        if wall - self._last_progress_wall >= 0.25:
-            self._last_progress_wall = wall
-            try:
-                self.progress_conn.send(
-                    ("progress", self.worker_id, self.worker.iteration, self.clock.now)
-                )
-            except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-                self.progress_conn = None
+        """The pacer's wall-cadence chore (``wall`` in seconds): a
+        telemetry delta every ``ship_interval_s``."""
         if wall - self._last_ship_wall >= self.spec.ship_interval_s:
             self._last_ship_wall = wall
             self.ship_delta()
@@ -576,8 +565,26 @@ class LiveWorkerRuntime(WorkerHost):
         cfg = self.spec.checkpoint
         if cfg is not None:
             self.clock.schedule_in(cfg.interval_s, self._checkpoint_tick)
-        if self.spec.chaos is not None:
-            self._schedule_blackout_markers(self.spec.chaos)
+        chaos = self.spec.chaos
+        if chaos is not None:
+            self._schedule_blackout_markers(chaos)
+            # A respawned worker skips the crashes that came due while it
+            # was down. nextafter: a crash at t fires after every other
+            # event due at t, a checkpoint included.
+            start = self.clock.now
+            for ev in chaos.crashes:
+                if ev.worker == self.worker_id and ev.time >= start:
+                    self.clock.schedule(
+                        math.nextafter(ev.time, math.inf), self._crash, ev.time
+                    )
+
+    def _crash(self, t: float) -> None:
+        """The chaos plan's crash at modelled ``t``: report it, then die
+        as an external SIGKILL would — no flush, no ``finally``."""
+        self.progress_conn.send(
+            ("crashed", self.worker_id, self.worker.iteration, t)
+        )
+        os.kill(os.getpid(), signal.SIGKILL)
 
     async def wait_horizon(self, inbox: asyncio.Queue | None = None) -> None:
         """The pacer: run the modelled events the wall has reached, up

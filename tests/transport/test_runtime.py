@@ -1,18 +1,26 @@
 """Direct tests of LiveWorkerRuntime, in-process: no mesh.start(), no
 child process. Checkpoint round trip, the format gate, the behaviour the
 live backend now inherits from the shared WorkerHost, the supervisor's
-merge of worker payloads and deltas, and the pacer that runs the
-simulator's event heap against a (here: fake) wall clock."""
+merge of worker payloads and deltas, the pacer that runs the
+simulator's event heap against a (here: fake) wall clock, scripted
+crashes on that heap, and the supervisor's judgement of a dead child."""
 
 import asyncio
+import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
 
+import repro.transport.runtime as runtime_module
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.cluster.messages import GradientMessage
 from repro.core.live_engine import LiveEngine, _Child
 from repro.experiments.environments import get_environment
 from repro.experiments.runner import build_config, build_topology, workload_for
+from repro.obs.trace import Tracer
+from repro.transport.checkpoint import CheckpointConfig, load_latest
 from repro.transport.runtime import (
     CHECKPOINT_FORMAT,
     LiveRunSpec,
@@ -385,3 +393,163 @@ class TestPacer:
         runtime.clock.run_until(5.0)
         assert runtime.worker.iteration > 0
         assert runtime.result.iterations[0] == runtime.worker.iteration
+
+
+class _Killed(Exception):
+    """Stands in for the SIGKILL a scripted crash sends itself."""
+
+
+@pytest.fixture
+def kills(monkeypatch):
+    """``os.kill`` in the runtime records its arguments and raises
+    :class:`_Killed` instead of ending the test process."""
+    seen = []
+
+    def kill(pid, sig):
+        seen.append((pid, sig))
+        raise _Killed
+
+    monkeypatch.setattr(runtime_module.os, "kill", kill)
+    return seen
+
+
+def _crashing_spec(spec, tmp_path, *crashes):
+    return dataclasses.replace(
+        spec,
+        checkpoint=CheckpointConfig(directory=str(tmp_path), interval_s=5.0),
+        chaos=ChaosPlan(crashes=crashes),
+    )
+
+
+class TestScriptedCrash:
+    def test_checkpoint_due_at_the_crash_is_on_disk_before_the_report(
+        self, spec, tmp_path, kills
+    ):
+        crash_spec = _crashing_spec(spec, tmp_path, CrashEvent(15.0, 0, 8.0))
+        rt = LiveWorkerRuntime(0, crash_spec)
+        on_disk = []
+
+        class Pipe(_Pipe):
+            def send(self, msg):
+                if msg[0] == "crashed":
+                    on_disk.append(load_latest(str(tmp_path), 0)[1])
+                super().send(msg)
+
+        rt.progress_conn = Pipe()
+        rt.start_training(FakeLoop())
+        with pytest.raises(_Killed):
+            rt.clock.run_until(20.0)
+        assert rt.progress_conn.sent == [
+            ("crashed", 0, rt.worker.iteration, 15.0)
+        ]
+        assert kills == [(os.getpid(), signal.SIGKILL)]
+        [meta] = on_disk
+        assert meta["time"] == 15.0
+        assert meta["iteration"] == rt.worker.iteration  # nothing lost
+
+    def test_a_respawned_worker_skips_crashes_due_while_it_was_down(
+        self, spec, tmp_path, kills, monkeypatch
+    ):
+        crash_spec = _crashing_spec(
+            spec, tmp_path, CrashEvent(15.0, 0, 5.0), CrashEvent(25.0, 0)
+        )
+        rt = LiveWorkerRuntime(0, crash_spec, resume=True)
+        monkeypatch.setattr(rt.mesh, "send", lambda *a, **kw: None)
+        rt.progress_conn = _Pipe()
+        rt.start_training(
+            FakeLoop(), resume={"clock_offset": 21.0, "active": [1, 2]}
+        )
+        rt.clock.run_until(24.9)
+        assert kills == []
+        with pytest.raises(_Killed):
+            rt.clock.run_until(26.0)
+        [(kind, w, _, t)] = rt.progress_conn.sent
+        assert (kind, w, t) == ("crashed", 0, 25.0)
+
+
+class _StubProc:
+    def __init__(self, alive: bool):
+        self.alive = alive
+
+    def is_alive(self):
+        return self.alive
+
+
+class _StubConn:
+    """A child's pipe, parent end: yields ``msgs`` in order."""
+
+    def __init__(self, *msgs):
+        self.msgs = list(msgs)
+
+    def poll(self, timeout=0.0):
+        return bool(self.msgs)
+
+    def recv(self):
+        return self.msgs.pop(0)
+
+
+def _reporting_child(w):
+    """A live child whose pipe holds its final result."""
+    payload = {"iteration": 0, "time": 0.0, "metrics": {}, "trace_events": []}
+    return _Child(_StubProc(True), _StubConn(("result", w, payload)))
+
+
+class TestSupervisor:
+    """``LiveEngine._supervise`` over stub children: no process at all."""
+
+    SPEEDUP = 1000.0
+
+    def _crash_run(self, spec, restart_after, monkeypatch):
+        tracer = Tracer()
+        engine = LiveEngine(
+            spec.config, spec.topology, speedup=self.SPEEDUP, tracer=tracer
+        )
+        plan = ChaosPlan(crashes=(CrashEvent(15.0, 2, restart_after),))
+        children = {w: _reporting_child(w) for w in (0, 1)}
+        children[2] = _Child(
+            _StubProc(False), _StubConn(("crashed", 2, 37, 15.0))
+        )
+        respawns = []
+
+        def respawn(ctx, spec_, children_, r, go_t0, rm):
+            respawns.append((r, go_t0))
+            children_[r["worker"]] = _reporting_child(r["worker"])
+
+        monkeypatch.setattr(engine, "_respawn", respawn)
+        reported = engine._supervise(None, spec, children, 30.0, plan, 5.0)
+        killed = [
+            e["ts"] for e in tracer.events() if e.get("name") == "worker-killed"
+        ]
+        assert killed == [15.0e6]
+        return reported, respawns
+
+    def test_a_crash_report_with_a_restart_books_one_respawn(
+        self, spec, monkeypatch
+    ):
+        reported, respawns = self._crash_run(spec, 8.0, monkeypatch)
+        [(r, go_t0)] = respawns
+        assert r["worker"] == 2 and r["lost_baseline"] == 37
+        assert r["at"] == pytest.approx(go_t0 + (15.0 + 8.0) / self.SPEEDUP)
+        assert reported == {0, 1, 2}
+
+    def test_a_crash_report_without_a_restart_retires_the_worker(
+        self, spec, monkeypatch
+    ):
+        reported, respawns = self._crash_run(spec, None, monkeypatch)
+        assert respawns == []
+        assert reported == {0, 1}
+
+    def test_an_unreported_death_fails_the_run_with_the_stderr_tail(
+        self, spec, tmp_path
+    ):
+        engine = LiveEngine(spec.config, spec.topology)
+        engine._stderr_dir = str(tmp_path)
+        (tmp_path / "worker0.stderr.log").write_text(
+            "Traceback (most recent call last):\nMemoryError: out of memory\n"
+        )
+        children = {0: _Child(_StubProc(False), _StubConn())}
+        with pytest.raises(RuntimeError) as err:
+            engine._supervise(None, spec, children, 30.0, None, 5.0)
+        message = str(err.value)
+        assert "live worker 0 exited without reporting a result" in message
+        assert "MemoryError: out of memory" in message
