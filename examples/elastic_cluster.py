@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Elastic micro-clouds: workers leave and rejoin mid-training.
 
-The paper scopes DLion to a fixed worker set; this repository's
-elastic-membership extension scripts churn with a
-:class:`~repro.cluster.membership.MembershipSchedule`. When a worker
-leaves, the LBS controller redistributes the global batch over the
+The paper scopes DLion to a fixed worker set; this repository scripts
+churn with a :class:`~repro.cluster.chaos.ChaosPlan`: a crash is a
+leave and its restart a join (the same plan drives ``--backend proc``
+runs). When a worker leaves, the LBS controller redistributes the global batch over the
 survivors and every sync gate forgets the missing peer; when it
 rejoins, it bootstraps fresh weights through a DKT pull and resumes.
 
@@ -12,7 +12,7 @@ Run:  python examples/elastic_cluster.py
 """
 
 from repro import ClusterTopology, TrainConfig, TrainingEngine
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.core.config import DktConfig
 
 HORIZON = 300.0
@@ -25,15 +25,10 @@ def main() -> None:
     )
     # Worker 0 (the strongest) drops out a third of the way in and
     # returns for the final stretch; worker 5 flaps briefly.
-    schedule = MembershipSchedule(
-        [
-            (100.0, 0, "leave"),
-            (200.0, 0, "join"),
-            (150.0, 5, "leave"),
-            (180.0, 5, "join"),
-        ],
-        n_workers=6,
-    )
+    churn = ChaosPlan(crashes=[
+        CrashEvent(100.0, 0, restart_after=100.0),
+        CrashEvent(150.0, 5, restart_after=30.0),
+    ])
     config = TrainConfig(
         model="mlp",
         model_kwargs={"in_dim": 576, "hidden": (128, 64)},
@@ -44,7 +39,7 @@ def main() -> None:
         system="dlion",
         dkt=DktConfig(period_iters=25),
     )
-    engine = TrainingEngine(config, topology, seed=0, membership=schedule)
+    engine = TrainingEngine(config, topology, seed=0, chaos=churn)
     result = engine.run(HORIZON)
 
     print("active workers over time:")

@@ -12,10 +12,10 @@ Seven subcommands::
 
 ``run`` and ``compare`` accept ``--horizon`` (simulated seconds; default
 is the workload's scaled paper horizon) and ``--seed``. ``run`` also
-takes ``--env-file`` (custom cluster JSON), ``--churn`` (elastic
-membership events), ``--chaos`` (a unified fault-plan JSON — scripted
-crashes/restarts and link faults; both backends, see
-docs/robustness.md), ``--output``/``--csv`` (result export), and the
+takes ``--env-file`` (custom cluster JSON), ``--chaos`` (a unified
+fault-plan JSON — scripted crashes/restarts, i.e. worker churn, and
+link faults; both backends, see docs/robustness.md),
+``--output``/``--csv`` (result export), and the
 observability flags ``--trace`` (Chrome-trace JSON, viewable in
 Perfetto), ``--metrics-out`` (metrics registry JSON), and ``--profile``
 (wall-clock self seconds per layer, either backend). ``run --backend proc``
@@ -83,14 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated seconds (default: scaled paper horizon)")
     run_p.add_argument("--target", type=float, default=0.70,
                        help="accuracy target for the time-to-accuracy metric")
-    run_p.add_argument(
-        "--churn",
-        action="append",
-        default=[],
-        metavar="TIME:WORKER:ACTION",
-        help="elastic-membership event, e.g. --churn 100:0:leave "
-        "--churn 200:0:join (repeatable)",
-    )
     run_p.add_argument(
         "--chaos",
         metavar="FILE",
@@ -201,21 +193,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _parse_churn(entries: list[str], n_workers: int = 6):
-    if not entries:
-        return None
-    from repro.cluster.membership import MembershipSchedule
-
-    events = []
-    for entry in entries:
-        try:
-            time_s, worker_s, action = entry.split(":")
-            events.append((float(time_s), int(worker_s), action))
-        except ValueError as exc:
-            raise SystemExit(f"bad --churn entry {entry!r}: {exc}")
-    return MembershipSchedule(events, n_workers=n_workers)
-
-
 def _make_obs(args: argparse.Namespace):
     """Tracer / metrics registry per the run flags (or Nones)."""
     tracer = metrics = None
@@ -260,13 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             "--overlay is a simulator feature; the proc backend exchanges "
             "over the full mesh",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend == "proc" and args.churn:
-        print(
-            "--churn is a simulator feature; with --backend proc, script "
-            "crashes with --chaos instead",
             file=sys.stderr,
         )
         return 2
@@ -328,11 +298,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --overlay: {exc}", file=sys.stderr)
             return 2
-    membership = _parse_churn(args.churn, n_workers=topo.n_workers)
     if chaos is not None:
-        # Mirror the --churn validation: worker ids and link endpoints
-        # must exist in *this* cluster, and the failure must name the
-        # offender, not surface later as a no-op or a hang.
+        # Worker ids and link endpoints must exist in *this* cluster, and
+        # two workers must stay up; the failure must name the offender,
+        # not surface later as a no-op or a hang.
         try:
             chaos.validate(topo.n_workers)
         except ValueError as exc:
@@ -379,23 +348,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.core.engine import TrainingEngine
         from repro.obs.profile import Profiler
 
-        try:
-            sim = TrainingEngine(
-                config,
-                topo,
-                seed=args.seed,
-                membership=membership,
-                tracer=tracer,
-                metrics=metrics,
-                profiler=Profiler() if args.profile else None,
-                chaos=chaos,
-                peer_graph=peer_graph,
-            )
-        except ValueError as exc:
-            # e.g. a chaos plan whose crash narrative conflicts with the
-            # --churn schedule, or drops the cluster below two workers.
-            print(f"invalid run configuration: {exc}", file=sys.stderr)
-            return 2
+        sim = TrainingEngine(
+            config,
+            topo,
+            seed=args.seed,
+            tracer=tracer,
+            metrics=metrics,
+            profiler=Profiler() if args.profile else None,
+            chaos=chaos,
+            peer_graph=peer_graph,
+        )
         result = sim.run(horizon)
     print(f"environment    : {args.environment or args.env_file}")
     print(f"system         : {args.system}")

@@ -42,7 +42,6 @@ from repro.cluster.messages import (
 )
 from repro.cluster.queues import MessageQueues
 from repro.cluster.faults import degraded_trace, flaky_capacities
-from repro.cluster.membership import MembershipEvent, MembershipSchedule
 from repro.cluster.monitor import NetworkResourceMonitor
 from repro.cluster.peergraph import PeerGraph
 from repro.cluster.topology import ClusterTopology
@@ -64,8 +63,6 @@ __all__ = [
     "RcpShareMessage",
     "WeightMessage",
     "MessageQueues",
-    "MembershipEvent",
-    "MembershipSchedule",
     "NetworkResourceMonitor",
     "PeerGraph",
     "ClusterTopology",

@@ -9,13 +9,14 @@ A :class:`ChaosPlan` scripts *what goes wrong and when* in one place:
   *drop* (each message lost with ``probability``), or added *delay*
   (``delay_s`` modelled seconds of extra latency) for a window.
 
-The simulator lowers crash/restart events onto the existing
-:class:`~repro.cluster.membership.MembershipSchedule` machinery (leave +
-join with the DKT bootstrap pull), so a plan is seed-deterministic. On
-the live backend each victim books its own crashes on its modelled
-clock and SIGKILLs itself at the crash time, after every other event
-due then; the supervisor respawns it at ``time + restart_after``. On
-both, the worker host's one send path (``WorkerHost._send``) consults a
+A crash is a leave and its restart a join, through the worker host's one
+membership pair (``WorkerHost._leave`` / ``_join``): the simulator books
+them on its event heap, so a plan is seed-deterministic. On the live
+backend each victim books its own crashes on its modelled clock and
+SIGKILLs itself at the crash time, after every other event due then;
+its peers declare it dead (a leave), and the supervisor respawns it at
+``time + restart_after`` (a join on every host). On both, the worker
+host's one send path (``WorkerHost._send``) consults a
 :class:`LinkFaultInjector` on every worker message.
 
 All times are **modelled seconds** on both backends' event heaps, so
@@ -126,11 +127,11 @@ class ChaosPlan:
                     )
 
     def validate(self, n_workers: int) -> None:
-        """Check every worker id / link endpoint against the cluster size.
-
-        Mirrors the ``--churn`` validation: a plan written for a bigger
-        cluster must fail loudly with an actionable message, not
-        silently target nobody.
+        """Check the plan against the cluster size: every worker id and
+        link endpoint must exist, so a plan written for a bigger cluster
+        fails loudly with an actionable message instead of silently
+        targeting nobody, and at least two workers stay active after
+        every instant's crashes and restarts.
         """
         for c in self.crashes:
             if c.worker >= n_workers:
@@ -146,6 +147,16 @@ class ChaosPlan:
                         f"cluster has only {n_workers} workers "
                         f"(ids 0..{n_workers - 1})"
                     )
+        events = self.membership_events()
+        active = n_workers
+        for i, (t, _, action) in enumerate(events):
+            active += 1 if action == "join" else -1
+            instant_done = i + 1 == len(events) or events[i + 1][0] != t
+            if instant_done and active < 2:
+                raise ValueError(
+                    f"chaos plan leaves {active} active worker(s) at t={t}; "
+                    "at least two must stay up"
+                )
 
     # ------------------------------------------------------------------
     # Construction from JSON
@@ -184,17 +195,18 @@ class ChaosPlan:
         return cls.from_dict(data)
 
     # ------------------------------------------------------------------
-    # Lowering onto the membership machinery (simulator)
+    # Membership changes
     # ------------------------------------------------------------------
     def membership_events(self) -> list[tuple[float, int, str]]:
-        """Crash/restart events as ``(time, worker, action)`` tuples,
-        mergeable with a ``--churn`` schedule's events."""
+        """Crashes as ``(time, worker, "leave")`` and restarts as
+        ``(time, worker, "join")``, in ``(time, worker)`` order — the
+        order the simulator applies them in."""
         events: list[tuple[float, int, str]] = []
         for c in self.crashes:
             events.append((c.time, c.worker, "leave"))
             if c.restart_after is not None:
                 events.append((c.time + c.restart_after, c.worker, "join"))
-        return events
+        return sorted(events, key=lambda e: e[:2])
 
     def blackout_windows(self) -> list[LinkFault]:
         """The blackout faults (for partition-gauge bookkeeping)."""

@@ -4,9 +4,10 @@
 holds every worker and adds only what is simulation: a
 :class:`SimClock`, the physics of a send (the message's transfer on its
 modelled :class:`BandwidthMatrix` link, then its arrival as a scheduled
-event), scripted membership events and chaos recovery markers, and run
-control. Which messages are sent at all — membership, the chaos
-verdict — is the host's :meth:`~repro.core.host.WorkerHost._send`.
+event), the chaos plan's crashes and restarts booked as the host's
+leaves and joins, chaos recovery markers, and run control. Which
+messages are sent at all — membership, the chaos verdict — is the
+host's :meth:`~repro.core.host.WorkerHost._send`.
 
 The engine is deterministic for a ``(config, topology, seed)`` triple —
 every random stream derives from the seed through :class:`RngPool`, and
@@ -16,7 +17,6 @@ the event clock breaks ties by scheduling order.
 from __future__ import annotations
 
 from repro.cluster.chaos import ChaosPlan, LinkFaultInjector
-from repro.cluster.membership import MembershipSchedule
 from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import TrainConfig
@@ -38,7 +38,6 @@ class TrainingEngine(WorkerHost):
         *,
         seed: int = 0,
         dataset: SyntheticImageDataset | None = None,
-        membership=None,
         peer_graph=None,
         tracer=None,
         metrics: MetricsRegistry | None = None,
@@ -51,40 +50,16 @@ class TrainingEngine(WorkerHost):
             profiler=profiler,
         )
 
-        # Elastic membership (extension; None = the paper's fixed set).
-        if membership is not None and membership.n_workers != self.n_workers:
-            raise ValueError("membership schedule sized for a different cluster")
-
-        # Unified chaos plan (docs/robustness.md): crash/restart events
-        # lower onto the membership machinery (leave + join with the DKT
-        # bootstrap pull), so recovery is seed-deterministic; link faults
-        # are judged by the host's ``_send``.
+        # Unified chaos plan (docs/robustness.md): crashes are leaves and
+        # restarts joins through the host's membership pair, so recovery
+        # is seed-deterministic; link faults are judged by ``_send``.
         self.chaos = chaos
         if chaos is not None:
             chaos.validate(self.n_workers)
-            crash_events = chaos.membership_events()
-            if crash_events:
-                merged = list(crash_events)
-                if membership is not None:
-                    merged.extend(
-                        (ev.time, ev.worker, ev.action)
-                        for ev in membership.events
-                    )
-                try:
-                    membership = MembershipSchedule(merged, self.n_workers)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"chaos plan conflicts with the membership "
-                        f"schedule: {exc}"
-                    ) from None
             if chaos.link_faults:
                 self._fault_injector = LinkFaultInjector(
                     chaos, self.rng_pool.get("chaos")
                 )
-
-        self.membership = membership
-        if membership is not None and membership.min_active() < 2:
-            raise ValueError("schedule drops below two active workers")
 
         self._record_start()
         self._started = False
@@ -105,57 +80,13 @@ class TrainingEngine(WorkerHost):
         self.clock.schedule(arrival, self._receive, dst, msg)
 
     # ------------------------------------------------------------------
-    # Elastic membership (extension)
+    # Chaos bookkeeping (recovery accounting)
     # ------------------------------------------------------------------
-    def _apply_membership_event(self, event) -> None:
-        worker = self.workers[event.worker]
-        if event.action == "leave":
-            self.active.discard(event.worker)
-            worker.active = False
-        else:
-            self.active.add(event.worker)
-            worker.active = True
-            # Resync the rejoiner's iteration counter so bounded/lockstep
-            # policies do not stall the cluster while it replays history.
-            resume = max(
-                (self.workers[w].iteration for w in self.active), default=0
-            )
-            worker.iteration = max(worker.iteration, resume)
-            worker.sync_state.iteration = worker.iteration
-        self._membership_changed()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                f"membership-{event.action}",
-                self.cluster_pid,
-                0,
-                self.clock.now,
-                cat="membership",
-                args={"worker": event.worker, "active": len(self.active)},
-                scope="g",
-            )
-        for w in self.active:
-            self.workers[w].on_membership_change(self.active)
-        if event.action == "join":
-            self._bootstrap_pull(worker)
-            worker.try_start_iteration()
-
-    # ------------------------------------------------------------------
-    # Chaos bookkeeping (gauge flips + recovery accounting)
-    # ------------------------------------------------------------------
-    def _schedule_chaos_markers(self) -> None:
-        self._schedule_blackout_markers(self.chaos)
-        for c in self.chaos.crashes:
-            if c.restart_after is not None:
-                self.clock.schedule(
-                    c.time + c.restart_after, self._record_recovery, c
-                )
-
     def _record_recovery(self, c) -> None:
         # The sim's recovery takes exactly the plan's modelled downtime,
-        # and a lowered leave/join destroys no state, so no iterations
-        # are lost — the families are populated so sim and live runs
-        # share one catalog (docs/robustness.md discusses the semantic
-        # difference).
+        # and a leave/join destroys no state, so no iterations are lost
+        # — the families are populated so sim and live runs share one
+        # catalog (docs/robustness.md discusses the semantic difference).
         self.run_metrics.c_worker_restarts.inc(1, c.worker)
         self.run_metrics.h_recovery_s.observe(c.restart_after, c.worker)
 
@@ -165,11 +96,18 @@ class TrainingEngine(WorkerHost):
     def _start(self) -> None:
         self._started = True
         self._arm_gbs_tick()
-        if self.membership is not None:
-            for event in self.membership.events:
-                self.clock.schedule(event.time, self._apply_membership_event, event)
-        if self.chaos is not None:
-            self._schedule_chaos_markers()
+        chaos = self.chaos
+        if chaos is not None:
+            for t, wid, action in chaos.membership_events():
+                self.clock.schedule(
+                    t, self._join if action == "join" else self._leave, wid
+                )
+            self._schedule_blackout_markers(chaos)
+            for c in chaos.crashes:
+                if c.restart_after is not None:
+                    self.clock.schedule(
+                        c.time + c.restart_after, self._record_recovery, c
+                    )
         self._start_workers()
 
     def run(self, horizon: float) -> RunResult:

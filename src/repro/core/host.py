@@ -7,7 +7,12 @@ which :class:`RunResult` reads.
 Every worker message leaves through :meth:`WorkerHost._send` — the
 membership check and the chaos verdict are judged there, once for both
 backends — and arrives through :meth:`WorkerHost._receive`, which hands
-it to the destination worker's handler. A backend supplies three hooks:
+it to the destination worker's handler. Every change of the active set
+goes through one pair, :meth:`WorkerHost._leave` / :meth:`WorkerHost._join`
+(a crash and its restart on the simulator; a peer declared dead, a
+revived peer and a resumed worker — which first adopts the active set
+its go message carries — on the live backend). A backend supplies
+three hooks:
 
 * ``clock`` — ``now``, ``schedule_in`` and ``events_processed``;
 * ``_deliver(src, dst, nbytes, msg, kind, delay)`` — the physics of one
@@ -433,11 +438,53 @@ class WorkerHost:
             members = self._active_members = sorted(self.active)
         return members
 
-    def _membership_changed(self) -> None:
-        """Book a change of ``active``: cache, series and gauge."""
+    # ------------------------------------------------------------------
+    # Membership: the one leave/join pair (both backends)
+    # ------------------------------------------------------------------
+    def _leave(self, wid: int) -> None:
+        """Worker ``wid`` leaves the active set (a crash, or a peer
+        declared dead)."""
+        if wid not in self.active:
+            return
+        self.active.discard(wid)
+        self._membership_changed("leave", wid)
+
+    def _join(self, wid: int) -> None:
+        """Worker ``wid`` (re)joins the active set. A joiner held here
+        resyncs its iteration counter to the furthest held active one
+        (so bounded/lockstep policies do not stall the cluster while it
+        replays history), pulls fresh weights DKT-style and restarts."""
+        if wid in self.active:
+            return
+        self.active.add(wid)
+        joiner = self._hosted.get(wid)
+        if joiner is not None:
+            joiner.iteration = max(
+                self._hosted[w].iteration for w in self.active if w in self._hosted
+            )
+            joiner.sync_state.iteration = joiner.iteration
+        self._membership_changed("join", wid)
+        if joiner is not None:
+            self._bootstrap_pull(joiner)
+            joiner.try_start_iteration()
+
+    def _membership_changed(self, action: str, wid: int) -> None:
+        """Book a change of ``active`` — cache, series, gauge and trace
+        instant — and tell every held active worker."""
         self._active_members = None
         self.run_metrics.s_active.append(self.clock.now, len(self.active))
         self.run_metrics.g_active.set(len(self.active))
+        if self.tracer.enabled:
+            self.tracer.instant(
+                f"membership-{action}", self.cluster_pid, 0, self.clock.now,
+                cat="membership",
+                args={"worker": wid, "active": len(self.active)},
+                scope="g",
+            )
+        for w in self.active:
+            held = self._hosted.get(w)
+            if held is not None:
+                held.on_membership_change(self.active)
 
     # ------------------------------------------------------------------
     # Message sends (everything leaves through ``_send``)

@@ -343,8 +343,7 @@ class LiveEngine:
         deadline = go_t0 + horizon / self.speedup + grace_s
         killed: set[int] = set()               # dead for good, by script
         pending = set(children)                # workers still owing a result
-        # Scheduled respawns: [{at, worker, detected, crash_time,
-        # lost_baseline}].
+        # Scheduled respawns: [{at, worker, crash_time, lost_baseline}].
         respawns: list[dict] = []
 
         # Cluster-health emission cadence: the --stats-interval print and
@@ -418,7 +417,6 @@ class LiveEngine:
                     respawns.append({
                         "at": go_t0 + (t + restart_after) / self.speedup,
                         "worker": w,
-                        "detected": now,
                         "crash_time": t,
                         "lost_baseline": iteration,
                     })
@@ -488,15 +486,15 @@ class LiveEngine:
         ))
 
         rm.c_worker_restarts.inc(1, w)
-        rm.h_recovery_s.observe(now - r["detected"], w)
+        # The modelled outage, as on the simulator: crash to rejoin.
+        rm.h_recovery_s.observe(clock_offset - r["crash_time"], w)
         lost = max(0, r["lost_baseline"] - restored)
         if lost:
             rm.c_lost_iterations.inc(lost, w)
         if self.tracer.enabled:
-            start_model = r["crash_time"]
             self.tracer.complete(
                 "recovery", self.n_workers, 0,
-                start_model, clock_offset - start_model,
+                r["crash_time"], clock_offset - r["crash_time"],
                 cat="chaos",
                 args={
                     "worker": w,

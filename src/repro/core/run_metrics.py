@@ -135,11 +135,11 @@ class RunMetrics:
         self.s_epochs = m.series(
             "epochs_series", "cluster-wide epochs completed, at the horizon"
         )
-        # Crash-recovery accounting (docs/robustness.md). The live
-        # backend measures recovery in wall seconds (kill detection to
-        # rejoin-go); the simulator records the plan's modelled
-        # restart_after — both land in the same family so dashboards
-        # and the parity tests read one catalog.
+        # Crash-recovery accounting (docs/robustness.md). Recovery time
+        # is the modelled outage on both backends: the simulator records
+        # the plan's restart_after, the live supervisor crash time to
+        # the rejoiner's go (its clock offset) — one family, one unit,
+        # so dashboards and the parity tests read one catalog.
         self.c_worker_restarts = m.counter(
             "worker_restarts_total",
             "supervised worker respawns after a crash", ("worker",),

@@ -87,7 +87,6 @@ class Worker:
         self.rcp_table: dict[int, float] = {}
 
         # Progress / synchronization state.
-        self.active = True
         self.sync_state = SyncState(
             iteration=0, received_from={p: -1 for p in self.peers}
         )
@@ -237,7 +236,7 @@ class Worker:
             for gone in [w for w in table if w not in active]:
                 del table[gone]
         self.recompute_lbs()
-        if self.active and self.waiting:
+        if self.waiting:
             self.try_start_iteration()
 
     # ------------------------------------------------------------------
@@ -245,7 +244,11 @@ class Worker:
     # ------------------------------------------------------------------
     def try_start_iteration(self) -> None:
         """Start the next iteration if the sync policy allows it."""
-        if self.computing or self.engine.stopped or not self.active:
+        if (
+            self.computing
+            or self.engine.stopped
+            or self.worker_id not in self.engine.active
+        ):
             return
         if not self.strategy.synch_training(self, self.sync_state):
             if not self.waiting:
@@ -272,7 +275,7 @@ class Worker:
 
     def _finish_iteration(self, batch: int, duration: float) -> None:
         self.computing = False
-        if not self.active:
+        if self.worker_id not in self.engine.active:
             # The worker left mid-iteration: no batch is drawn and the
             # iteration never happened.
             return

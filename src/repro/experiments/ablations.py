@@ -14,7 +14,7 @@ implements and measures:
 
 from __future__ import annotations
 
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.core.config import DktConfig, MaxNConfig
 from repro.core.engine import TrainingEngine
 from repro.experiments.environments import get_environment
@@ -83,22 +83,16 @@ def ablation_techniques(environment: str = "Hetero SYS A") -> FigureResult:
 def ablation_churn(environment: str = "Hetero SYS A") -> FigureResult:
     """Elastic-membership extension: training under worker churn.
 
-    The two strongest workers leave for the middle third of the run and
-    rejoin (bootstrapping weights via a DKT pull). Compared against the
+    The two strongest workers crash for the middle third of the run and
+    restart (bootstrapping weights via a DKT pull). Compared against the
     same systems with a stable membership.
     """
     workload = cpu_workload()
     horizon = workload.horizon()
     env = get_environment(environment)
-    schedule = MembershipSchedule(
-        [
-            (horizon / 3, 0, "leave"),
-            (2 * horizon / 3, 0, "join"),
-            (horizon / 3, 1, "leave"),
-            (2 * horizon / 3, 1, "join"),
-        ],
-        n_workers=6,
-    )
+    churn = ChaosPlan(crashes=[
+        CrashEvent(horizon / 3, w, restart_after=horizon / 3) for w in (0, 1)
+    ])
     res = FigureResult(
         figure="Ablation C",
         title="Worker churn: two strongest workers offline for the middle third "
@@ -106,12 +100,12 @@ def ablation_churn(environment: str = "Hetero SYS A") -> FigureResult:
         header=["system", "membership", "accuracy", "ci95"],
     )
     for system in ("dlion", "baseline", "ako"):
-        for label, member in (("stable", None), ("churn", schedule)):
+        for label, plan in (("stable", None), ("churn", churn)):
             accs = []
             for seed in bench_seeds():
                 cfg = build_config(system, workload)
                 engine = TrainingEngine(
-                    cfg, build_topology(env, workload), seed=seed, membership=member
+                    cfg, build_topology(env, workload), seed=seed, chaos=plan
                 )
                 accs.append(engine.run(horizon).final_mean_accuracy())
             mean, ci = mean_and_ci95(accs)

@@ -3,8 +3,9 @@
 Each live worker periodically serializes everything its process would
 need to resume after a SIGKILL: model weight variables (plus BatchNorm
 running statistics), every named RNG stream position, the iteration
-counter, the batch-size controller state, per-peer sequence state, and
-the worker's metric registry (its counters and recorded series). The
+counter, the batch-size controller state, per-peer sequence state, the
+exchange strategy (accumulators, cursors, planner state), and the
+worker's metric registry (its counters and recorded series). The
 supervisor respawns a crashed worker with ``resume=True`` and the child restores
 the newest readable checkpoint before rejoining the mesh (see
 docs/robustness.md for the exact restored/lost inventory).

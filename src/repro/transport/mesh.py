@@ -19,9 +19,9 @@ Reliability mechanics:
   controller's input);
 * **dead peers** — once a reconnect episode exhausts its budget the
   peer is declared dead and surfaced through ``on_peer_dead`` — the
-  runtime turns that into a membership change
-  (:meth:`repro.core.worker.Worker.on_membership_change`), exactly like
-  the simulator's churn events. A
+  runtime makes that the peer's leave
+  (:meth:`repro.core.host.WorkerHost._leave`), exactly like a simulated
+  crash. A
   :class:`~repro.transport.codec.Bye` is a graceful departure: the
   peer is declared dead at once, without a callback, so its outboxes
   are abandoned (and counted as dropped) instead of redialled;
@@ -179,11 +179,6 @@ class TransportConfig:
     # keeps a single coalesced write from monopolising the link when a
     # burst backs up behind a stall.
     coalesce_max_bytes: int = 262144
-    # A data link rides the shm lane only when both directions of the
-    # modelled link start at or above this bandwidth. 0.0 = every
-    # co-hosted pair qualifies (wire-scaled Mbps are tiny in absolute
-    # terms, so an absolute cutoff is only meaningful in tests).
-    shm_min_mbps: float = 0.0
     shm_ring_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
@@ -196,8 +191,6 @@ class TransportConfig:
             raise ValueError("outbox_capacity must be >= 1")
         if self.coalesce_max_bytes < 1:
             raise ValueError("coalesce_max_bytes must be >= 1")
-        if self.shm_min_mbps < 0:
-            raise ValueError("shm_min_mbps must be >= 0")
         if self.shm_ring_bytes < 4096:
             raise ValueError("shm_ring_bytes must be >= 4096")
 

@@ -52,6 +52,7 @@ FIFO outbox (``PeerMesh.send(delay_s=)``).
 from __future__ import annotations
 
 import asyncio
+import copy
 import math
 import os
 import signal
@@ -82,7 +83,7 @@ __all__ = ["WallClock", "LiveRunSpec", "LiveWorkerRuntime", "run_live_worker"]
 
 # Version of the checkpoint ``meta`` layout. Checkpoints never outlive
 # a run, so restore_from accepts exactly this one.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 # Plain-value attributes a checkpoint saves and restores by name.
 _WORKER_SCALARS = (
     "iteration", "model_version", "lbs", "gbs", "_iter_time_ema",
@@ -268,12 +269,10 @@ class LiveWorkerRuntime(WorkerHost):
     # Construction helpers
     # ------------------------------------------------------------------
     def _shm_lane_peers(self, resume: bool) -> set[int]:
-        """Which peers' data links ride the shm lane.
-
-        The rule is symmetric — both ends of a link evaluate the same
-        min-of-both-directions modelled bandwidth at t=0 against
-        ``transport.shm_min_mbps`` — so sender and receiver always agree
-        on a link's lane without negotiating. A respawned worker
+        """Which peers' data links ride the shm lane: every peer, when
+        the run asks for shm lanes and the platform has them — the same
+        answer at both ends of a link, so sender and receiver agree on a
+        link's lane without negotiating. A respawned worker
         (``resume=True``) stays on TCP everywhere: its peers' ring
         attachments still point at the crashed incarnation's segments,
         and the supervisor's revive path downgrades their links to TCP
@@ -281,17 +280,7 @@ class LiveWorkerRuntime(WorkerHost):
         """
         if not self.spec.shm_lanes or resume or not shm_available():
             return set()
-        cutoff = self.spec.transport.shm_min_mbps
-        network = self.topology.network
-        peers: set[int] = set()
-        for dst in range(self.n_workers):
-            if dst == self.worker_id:
-                continue
-            fwd = network.bandwidth_at(self.worker_id, dst, 0.0)
-            rev = network.bandwidth_at(dst, self.worker_id, 0.0)
-            if min(fwd, rev) >= cutoff:
-                peers.add(dst)
-        return peers
+        return set(range(self.n_workers)) - {self.worker_id}
 
     def _link_rate_bytes(self, dst: int) -> float:
         """The shaper rate for the link to ``dst``: modelled Mbps at the
@@ -335,18 +324,16 @@ class LiveWorkerRuntime(WorkerHost):
         self._peer_samples[hb.sender] = hb.samples_drawn
 
     def _on_peer_dead(self, peer: int) -> None:
-        """A peer exhausted its retry budget: a leave-style membership
-        change, exactly like the simulator's churn events."""
-        if peer not in self.active:
-            return
-        self.active.discard(peer)
-        self._peer_samples.pop(peer, None)
-        self._mark("peer-dead", peer)
-        self._apply_membership()
+        """A peer exhausted its retry budget: it leaves, exactly like a
+        simulated crash."""
+        if peer in self.active:
+            self._peer_samples.pop(peer, None)
+            self._mark("peer-dead", peer)
+            self._leave(peer)
 
     def on_peer_revived(self, peer: int, addr: tuple[str, int]) -> None:
         """The supervisor respawned ``peer`` at ``addr``: rebuild the
-        mesh links and fold the rejoin into a membership change.
+        mesh links, then it joins, exactly like a simulated restart.
 
         Always refreshes the links — even when this worker never got
         around to declaring the peer dead (a fast restart can beat the
@@ -355,15 +342,7 @@ class LiveWorkerRuntime(WorkerHost):
         """
         self.mesh.revive(peer, addr)
         self._mark("peer-revived", peer)
-        if peer in self.active:
-            return
-        self.active.add(peer)
-        self._apply_membership()
-
-    def _apply_membership(self) -> None:
-        """Book a change of ``active`` and tell the worker."""
-        self._membership_changed()
-        self.worker.on_membership_change(self.active)
+        self._join(peer)
 
     # ------------------------------------------------------------------
     # Chaos bookkeeping (the lifecycle record of blackout edges)
@@ -419,6 +398,9 @@ class LiveWorkerRuntime(WorkerHost):
                 "layers": layer_rngs,
             },
             "rcp_table": dict(w.rcp_table),
+            # The exchange strategy whole: residual accumulators, Ako's
+            # cursor and partition count, the planner's warm-fit state.
+            "strategy": copy.deepcopy(w.strategy),
             "received_from": dict(w.sync_state.received_from),
             "dkt": {
                 "losses": list(w.dkt._losses),
@@ -436,8 +418,8 @@ class LiveWorkerRuntime(WorkerHost):
     def restore_from(self, arrays: dict, meta: dict) -> None:
         """Rebuild worker state from a checkpoint (before mesh start).
 
-        Weights, RNG stream positions, counters, controller state, and
-        the recorded series come back exactly; anything in flight at
+        Weights, RNG stream positions, counters, controller state, the
+        exchange strategy and the recorded series come back exactly; anything in flight at
         the crash (outbox frames, queued peer messages, an unfinished
         iteration) is lost by design — see docs/robustness.md.
         """
@@ -476,6 +458,7 @@ class LiveWorkerRuntime(WorkerHost):
         w.sync_state.received_from = dict(meta["received_from"])
         w.sampler.samples_drawn = meta["samples_drawn"]
         w.rcp_table = dict(meta["rcp_table"])
+        w.strategy = meta["strategy"]
         w.dkt._losses.extend(meta["dkt"]["losses"])
         w.dkt.shared_losses = dict(meta["dkt"]["shared_losses"])
         w.dkt.merges_applied = meta["dkt"]["merges_applied"]
@@ -538,10 +521,10 @@ class LiveWorkerRuntime(WorkerHost):
 
         ``resume`` (from the supervisor's go message) carries the
         cluster's current modelled time and active set: the clock jumps
-        to the offset (the crash gap stays visible in every series),
-        the restored worker re-seeds its sync state at its own
-        iteration, and freshness comes from a DKT-style pull against a
-        live peer — the same bootstrap the simulator's join events run.
+        to the offset (the crash gap stays visible in every series), the
+        restored worker re-seeds its sync state at its own iteration, and
+        it joins the active set through the host's membership pair — the
+        simulator's restart path, DKT-style bootstrap pull included.
         """
         if resume is None:
             self.clock.start(loop)
@@ -556,11 +539,9 @@ class LiveWorkerRuntime(WorkerHost):
             # gate at our own (restored) iteration so neither side
             # blocks on history the other never saw.
             w.sync_state.received_from = {p: w.iteration for p in w.peers}
-            self.active = {self.worker_id} | set(resume.get("active", ()))
-            self._apply_membership()
+            self.active = set(resume.get("active", ()))
             self._mark("worker-rejoined")
-            self._bootstrap_pull(w)
-            w.try_start_iteration()
+            self._join(self.worker_id)
         self._arm_gbs_tick()
         cfg = self.spec.checkpoint
         if cfg is not None:

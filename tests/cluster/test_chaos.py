@@ -1,8 +1,8 @@
 """Chaos-plan tests: schema validation, lowering, injection, determinism.
 
 The unit half exercises :mod:`repro.cluster.chaos` directly; the
-integration half drives the simulator with plans and checks that
-crash/restart lowers onto the membership machinery, that link faults
+integration half drives the simulator with plans and checks that a
+crash is a leave and its restart a join, that link faults
 drop/delay messages, and that a fixed seed reproduces a chaotic run
 byte-for-byte.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.chaos import ChaosPlan, CrashEvent, LinkFault, LinkFaultInjector
-from repro.cluster.membership import MembershipSchedule
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, TrainConfig
 from repro.core.engine import TrainingEngine
@@ -128,16 +127,19 @@ class TestLowering:
             CrashEvent(time=7.0, worker=2),
         ))
         assert plan.membership_events() == [
-            (5.0, 1, "leave"), (8.0, 1, "join"), (7.0, 2, "leave"),
+            (5.0, 1, "leave"), (7.0, 2, "leave"), (8.0, 1, "join"),
         ]
         assert plan.has_restarts()
         assert not ChaosPlan(crashes=(CrashEvent(time=7.0, worker=2),)).has_restarts()
 
-    def test_events_feed_a_membership_schedule(self):
-        plan = ChaosPlan(crashes=(CrashEvent(time=5.0, worker=1, restart_after=3.0),))
-        sched = MembershipSchedule(plan.membership_events(), n_workers=4)
-        assert sched.active_at(6.0) == {0, 2, 3}
-        assert sched.active_at(8.0) == {0, 1, 2, 3}
+    def test_validate_keeps_two_workers_active(self):
+        plan = ChaosPlan(crashes=(
+            CrashEvent(time=5.0, worker=1, restart_after=3.0),
+            CrashEvent(time=6.0, worker=2),
+        ))
+        plan.validate(4)
+        with pytest.raises(ValueError, match="at least two must stay up"):
+            plan.validate(3)
 
 
 class TestInjector:
@@ -217,7 +219,7 @@ class TestSimIntegration:
         )
         res = engine.run(60.0)
         assert res.active_workers.values == [4.0, 3.0, 4.0]
-        assert engine.workers[3].active
+        assert 3 in engine.active
         # The rejoin ran the DKT bootstrap pull.
         assert engine.workers[3].dkt.merges_applied >= 1
         # Recovery accounting: one restart, recovery == modelled downtime.
@@ -227,21 +229,13 @@ class TestSimIntegration:
         assert hist.sum(3) == pytest.approx(15.0)
         assert metrics.get("lost_iterations_total").value(3) == 0
 
-    def test_chaos_merges_with_churn_schedule(self):
-        plan = ChaosPlan(crashes=(CrashEvent(time=30.0, worker=3, restart_after=5.0),))
-        sched = MembershipSchedule([(10.0, 1, "leave"), (20.0, 1, "join")],
-                                   n_workers=4)
-        engine = TrainingEngine(
-            config(), topo(), seed=0, chaos=plan, membership=sched
-        )
-        res = engine.run(50.0)
+    def test_crash_narratives_interleave(self):
+        plan = ChaosPlan(crashes=(
+            CrashEvent(time=30.0, worker=3, restart_after=5.0),
+            CrashEvent(time=10.0, worker=1, restart_after=10.0),
+        ))
+        res = TrainingEngine(config(), topo(), seed=0, chaos=plan).run(50.0)
         assert res.active_workers.values == [4.0, 3.0, 4.0, 3.0, 4.0]
-
-    def test_conflicting_narratives_rejected(self):
-        plan = ChaosPlan(crashes=(CrashEvent(time=15.0, worker=1),))
-        sched = MembershipSchedule([(10.0, 1, "leave")], n_workers=4)
-        with pytest.raises(ValueError, match="conflicts with the membership"):
-            TrainingEngine(config(), topo(), seed=0, chaos=plan, membership=sched)
 
     def test_oversized_plan_rejected(self):
         plan = ChaosPlan(crashes=(CrashEvent(time=1.0, worker=9),))

@@ -10,7 +10,7 @@ from repro.cluster.messages import (
     RcpShareMessage,
     WeightMessage,
 )
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.cluster.peergraph import PeerGraph
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import LbsConfig
@@ -101,9 +101,9 @@ class TestRecomputeLbsMatchesReference:
         assert len(set(lbs)) > 1  # heterogeneous cores give distinct shares
 
     def test_non_contiguous_members_after_leave(self, fast_config):
-        sched = MembershipSchedule([(4.0, 5, "leave")], n_workers=self.N)
+        plan = ChaosPlan(crashes=[CrashEvent(4.0, 5)])
         engine = self.build(
-            fast_config, membership=sched,
+            fast_config, chaos=plan,
             peer_graph=PeerGraph.from_spec("hier:8", self.N),
         )
         engine.advance_to(8.0)
@@ -116,8 +116,8 @@ class TestRecomputeLbsMatchesReference:
         assert gone.lbs == -1
 
     def test_late_share_from_departed_top_id_is_ignored(self, fast_config):
-        sched = MembershipSchedule([(4.0, self.N - 1, "leave")], n_workers=self.N)
-        engine = self.build(fast_config, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(4.0, self.N - 1)])
+        engine = self.build(fast_config, chaos=plan)
         engine.advance_to(8.0)
         w = engine.workers[0]
         # Members are still 0..n-1, but the table names an id beyond them.
@@ -144,9 +144,9 @@ class TestLeaveMidIteration:
     def test_departed_worker_draws_no_batch(self, fast_config, tiny_topology):
         """Its completion event still fires, but the iteration never
         happened: no minibatch, no RNG advance, no epoch progress."""
-        sched = MembershipSchedule([(6.0, 2, "leave")], n_workers=3)
+        plan = ChaosPlan(crashes=[CrashEvent(6.0, 2)])
         engine = TrainingEngine(
-            fast_config, tiny_topology, seed=0, membership=sched
+            fast_config, tiny_topology, seed=0, chaos=plan
         )
         engine.advance_to(5.999)
         gone = engine.workers[2]
@@ -156,7 +156,7 @@ class TestLeaveMidIteration:
         version = gone.model_version
         rng_state = gone.sampler.rng.bit_generator.state
         engine.advance_to(9.0)
-        assert not gone.active and not gone.computing  # the event fired
+        assert 2 not in engine.active and not gone.computing  # the event fired
         assert gone.sampler.samples_drawn == drawn
         assert gone.sampler.rng.bit_generator.state == rng_state
         assert gone.iteration == iteration

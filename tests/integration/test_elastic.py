@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, MaxNConfig, TrainConfig
 from repro.core.engine import TrainingEngine
@@ -43,8 +43,8 @@ def config(system="dlion", **kw):
 
 class TestLeaveAndRejoin:
     def test_training_survives_a_departure(self):
-        sched = MembershipSchedule([(10.0, 3, "leave")], n_workers=4)
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 3)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         res = engine.run(40.0)
         # survivors keep iterating well past the departure
         assert all(res.iterations[w] > 20 for w in range(3))
@@ -52,16 +52,16 @@ class TestLeaveAndRejoin:
         assert res.active_workers.values == [4.0, 3.0]
 
     def test_departed_worker_stops_iterating(self):
-        sched = MembershipSchedule([(10.0, 3, "leave")], n_workers=4)
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 3)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         engine.advance_to(12.0)
         iters_at_leave = engine.workers[3].iteration
         engine.advance_to(40.0)
         assert engine.workers[3].iteration <= iters_at_leave + 1
 
     def test_lbs_redistributes_to_survivors(self):
-        sched = MembershipSchedule([(15.0, 0, "leave")], n_workers=4)
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(15.0, 0)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         res = engine.run(45.0)
         # Worker 0 held the largest share (8 fast cores); after it
         # leaves, the survivors split the same GBS so their LBS grows.
@@ -71,13 +71,11 @@ class TestLeaveAndRejoin:
         assert after > before
 
     def test_rejoin_bootstraps_and_resumes(self):
-        sched = MembershipSchedule(
-            [(10.0, 3, "leave"), (25.0, 3, "join")], n_workers=4
-        )
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 3, restart_after=15.0)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         res = engine.run(60.0)
         w3 = engine.workers[3]
-        assert w3.active
+        assert 3 in engine.active
         assert w3.iteration > 0
         # the join pulled a weight snapshot from a peer
         assert w3.dkt.merges_applied >= 1
@@ -88,40 +86,36 @@ class TestLeaveAndRejoin:
         """Even the lockstep Baseline must not deadlock when a peer
         disappears: the active-set rebuild drops the missing peer from
         every sync gate."""
-        sched = MembershipSchedule(
-            [(8.0, 2, "leave"), (20.0, 2, "join")], n_workers=4
-        )
-        engine = TrainingEngine(config(system), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(8.0, 2, restart_after=12.0)])
+        engine = TrainingEngine(config(system), topo(), seed=0, chaos=plan)
         res = engine.run(40.0)
         for w in (0, 1, 3):
             assert res.iterations[w] > 15
 
     def test_rejoiner_keeps_learning_after_bootstrap(self):
-        sched = MembershipSchedule(
-            [(10.0, 3, "leave"), (20.0, 3, "join")], n_workers=4
-        )
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 3, restart_after=10.0)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         res = engine.run(60.0)
         acc3 = res.accuracy[3]
         assert acc3.values[-1] > 0.3
 
     def test_schedule_cluster_size_mismatch(self):
-        sched = MembershipSchedule([(10.0, 3, "leave")], n_workers=6)
-        with pytest.raises(ValueError):
-            TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 5)])
+        with pytest.raises(ValueError, match="only 4 workers"):
+            TrainingEngine(config(), topo(), seed=0, chaos=plan)
 
     def test_schedule_below_two_workers_rejected(self):
-        sched = MembershipSchedule(
-            [(5.0, 0, "leave"), (6.0, 1, "leave"), (7.0, 2, "leave")], n_workers=4
+        plan = ChaosPlan(
+            crashes=[CrashEvent(5.0, 0), CrashEvent(6.0, 1), CrashEvent(7.0, 2)]
         )
-        with pytest.raises(ValueError):
-            TrainingEngine(config(), topo(), seed=0, membership=sched)
+        with pytest.raises(ValueError, match="at least two must stay up"):
+            TrainingEngine(config(), topo(), seed=0, chaos=plan)
 
 
 class TestMessagesToOffline:
     def test_in_flight_messages_to_departed_worker_dropped(self):
-        sched = MembershipSchedule([(10.0, 3, "leave")], n_workers=4)
-        engine = TrainingEngine(config(), topo(), seed=0, membership=sched)
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 3)])
+        engine = TrainingEngine(config(), topo(), seed=0, chaos=plan)
         engine.run(40.0)
         w3 = engine.workers[3]
         received_while_active = w3.stats_grad_msgs_received

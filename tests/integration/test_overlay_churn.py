@@ -1,7 +1,7 @@
 """Combined extensions: partial overlay + elastic membership together."""
 
 
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.cluster.peergraph import PeerGraph
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import DktConfig, GbsConfig, LbsConfig, TrainConfig
@@ -32,12 +32,10 @@ class TestOverlayWithChurn:
         """When a ring neighbour leaves, the worker's peer set shrinks
         to the remaining neighbour and training continues (the overlay
         is intersected with the active set)."""
-        sched = MembershipSchedule(
-            [(10.0, 1, "leave"), (25.0, 1, "join")], n_workers=4
-        )
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 1, restart_after=15.0)])
         engine = TrainingEngine(
             config(), topo(), seed=0,
-            membership=sched, peer_graph=PeerGraph.ring(4),
+            chaos=plan, peer_graph=PeerGraph.ring(4),
         )
         engine.advance_to(15.0)
         # worker 0's ring neighbours are {1, 3}; with 1 gone only 3 remains
@@ -47,21 +45,19 @@ class TestOverlayWithChurn:
         assert res.final_mean_accuracy() > 0.3
 
     def test_peers_restored_after_rejoin(self):
-        sched = MembershipSchedule(
-            [(10.0, 1, "leave"), (20.0, 1, "join")], n_workers=4
-        )
+        plan = ChaosPlan(crashes=[CrashEvent(10.0, 1, restart_after=10.0)])
         engine = TrainingEngine(
             config(), topo(), seed=0,
-            membership=sched, peer_graph=PeerGraph.ring(4),
+            chaos=plan, peer_graph=PeerGraph.ring(4),
         )
         engine.advance_to(30.0)
         assert engine.active_peers(0) == [1, 3]
 
     def test_traffic_respects_both_restrictions(self):
-        sched = MembershipSchedule([(8.0, 2, "leave")], n_workers=4)
+        plan = ChaosPlan(crashes=[CrashEvent(8.0, 2)])
         pg = PeerGraph.ring(4)
         engine = TrainingEngine(
-            config(), topo(), seed=0, membership=sched, peer_graph=pg,
+            config(), topo(), seed=0, chaos=plan, peer_graph=pg,
         )
         res = engine.run(30.0)
         for (src, dst) in res.link_bytes:

@@ -1,68 +1,87 @@
-"""Property-based tests: membership schedules and curve utilities."""
+"""Property-based tests: chaos-plan membership replay and curve utilities."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.membership import MembershipSchedule
+from repro.cluster.chaos import ChaosPlan, CrashEvent
 from repro.experiments.curves import auc, ema, resample
 from repro.utils.metrics import TimeSeries
+
+N_WORKERS = 6
 
 
 # ------------------------------------------------------------ membership
 @st.composite
-def churn_schedules(draw):
-    """Valid alternating leave/join histories for a 6-worker cluster."""
-    n_workers = 6
-    events = []
-    for worker in range(n_workers):
+def crash_plans(draw):
+    """Valid crash narratives for a 6-worker cluster: up to three crashes
+    per worker, each restarted before the next (the last may be final)."""
+    crashes = []
+    for worker in range(N_WORKERS):
         k = draw(st.integers(0, 3))
-        if k == 0:
-            continue
         times = sorted(
-            draw(
-                st.lists(
-                    st.floats(0.1, 1e4), min_size=k, max_size=k, unique=True
-                )
-            )
+            draw(st.lists(st.integers(1, 5000), min_size=k, max_size=k, unique=True))
         )
         for i, t in enumerate(times):
-            events.append((t, worker, "leave" if i % 2 == 0 else "join"))
-    return MembershipSchedule(events, n_workers=n_workers)
+            if i + 1 < k:
+                restart = draw(st.integers(1, 2 * (times[i + 1] - t) - 1))
+            else:
+                restart = draw(st.none() | st.integers(1, 1000))
+            crashes.append(CrashEvent(
+                2.0 * t, worker,
+                restart_after=None if restart is None else float(restart),
+            ))
+    return ChaosPlan(crashes=crashes)
 
 
-@given(sched=churn_schedules(), t=st.floats(0, 2e4))
+def replay(plan, t):
+    """The active set after every membership event at or before ``t``."""
+    state = {w: True for w in range(N_WORKERS)}
+    for time, worker, action in plan.membership_events():
+        if time <= t:
+            state[worker] = action == "join"
+    return {w for w, up in state.items() if up}
+
+
+@given(plan=crash_plans(), t=st.floats(0, 2e4))
 @settings(max_examples=150, deadline=None)
-def test_active_set_is_subset_of_cluster(sched, t):
-    active = sched.active_at(t)
-    assert active <= set(range(6))
+def test_active_set_is_subset_of_cluster(plan, t):
+    assert replay(plan, t) <= set(range(N_WORKERS))
 
 
-@given(sched=churn_schedules())
+@given(plan=crash_plans())
 @settings(max_examples=100, deadline=None)
-def test_everyone_active_at_time_zero_before_events(sched):
-    first = min((e.time for e in sched.events), default=None)
-    if first is None or first > 0:
-        assert sched.active_at(0.0) == set(range(6))
+def test_everyone_active_at_time_zero_before_events(plan):
+    assert replay(plan, 0.0) == set(range(N_WORKERS))
+    # Each worker's own events alternate, starting with a leave.
+    for worker in range(N_WORKERS):
+        actions = [a for _, w, a in plan.membership_events() if w == worker]
+        assert actions == ["leave", "join"] * (len(actions) // 2) + (
+            ["leave"] if len(actions) % 2 else []
+        )
 
 
-@given(sched=churn_schedules())
+@given(plan=crash_plans())
 @settings(max_examples=100, deadline=None)
-def test_min_active_is_reachable_lower_bound(sched):
-    lo = sched.min_active()
-    probes = [0.0] + [e.time for e in sched.events]
-    sizes = [len(sched.active_at(t)) for t in probes]
-    assert lo == min(sizes)
+def test_min_active_is_reachable_lower_bound(plan):
+    probes = [0.0] + [time for time, _, _ in plan.membership_events()]
+    lo = min(len(replay(plan, t)) for t in probes)
+    if lo >= 2:
+        plan.validate(N_WORKERS)
+    else:
+        with pytest.raises(ValueError, match="at least two must stay up"):
+            plan.validate(N_WORKERS)
 
 
-@given(sched=churn_schedules(), t=st.floats(0, 2e4))
+@given(plan=crash_plans(), t=st.floats(0, 2e4))
 @settings(max_examples=100, deadline=None)
-def test_active_at_matches_event_replay(sched, t):
-    state = {w: True for w in range(6)}
-    for ev in sched.events:
-        if ev.time <= t:
-            state[ev.worker] = ev.action == "join"
-    assert sched.active_at(t) == {w for w, a in state.items() if a}
+def test_active_at_matches_event_replay(plan, t):
+    down = {
+        c.worker for c in plan.crashes
+        if c.time <= t and (c.restart_after is None or t < c.time + c.restart_after)
+    }
+    assert replay(plan, t) == set(range(N_WORKERS)) - down
 
 
 # ----------------------------------------------------------------- curves

@@ -465,8 +465,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TransportConfig(coalesce_max_bytes=0)
         with pytest.raises(ValueError):
-            TransportConfig(shm_min_mbps=-1.0)
-        with pytest.raises(ValueError):
             TransportConfig(shm_ring_bytes=100)
 
 

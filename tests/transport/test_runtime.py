@@ -82,6 +82,8 @@ def _assert_same(a, b):
         assert len(a) == len(b)
         for x, y in zip(a, b):
             _assert_same(x, y)
+    elif hasattr(a, "__dict__"):
+        _assert_same(vars(a), vars(b))
     else:
         assert a == b
 
@@ -90,7 +92,7 @@ class TestCheckpointRoundTrip:
     def test_restore_reproduces_the_checkpoint(self, runtime, spec):
         _record_a_few_hooks(runtime)
         arrays, meta = runtime.checkpoint_state()
-        assert meta["format"] == CHECKPOINT_FORMAT == 4
+        assert meta["format"] == CHECKPOINT_FORMAT == 5
         assert "result" not in meta
 
         fresh = LiveWorkerRuntime(0, spec, resume=True)
@@ -106,6 +108,26 @@ class TestCheckpointRoundTrip:
         arrays2, meta2 = fresh.checkpoint_state()
         _assert_same(arrays, arrays2)
         _assert_same(meta, meta2)
+
+    @pytest.mark.parametrize("system", ["gaia", "ako", "dlion"])
+    def test_strategy_state_survives_a_restore(self, spec, system):
+        """Residual accumulators, Ako's cursor and partition count, and
+        the planner's warm-fit state come back as checkpointed."""
+        workload = workload_for(get_environment("Homo A"))
+        spec = dataclasses.replace(spec, config=build_config(system, workload))
+        rt = LiveWorkerRuntime(0, spec)
+        w = rt.worker
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            grads = {
+                name: rng.standard_normal(v.shape).astype(v.dtype)
+                for name, v in w.model.variables().items()
+            }
+            w.strategy.generate_partial_gradients(w, grads)
+        arrays, meta = rt.checkpoint_state()
+        fresh = LiveWorkerRuntime(0, spec, resume=True)
+        fresh.restore_from(arrays, meta)
+        _assert_same(w.strategy, fresh.worker.strategy)
 
     @pytest.mark.parametrize(
         "patch,match",
