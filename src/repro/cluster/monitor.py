@@ -48,7 +48,9 @@ class NetworkResourceMonitor:
         return bw
 
     def snapshot(self, t: float) -> dict[int, float]:
-        """Estimates for every neighbour at once."""
+        """Estimates for every other worker in the cluster at once —
+        O(n), not O(degree): it does not know this worker's overlay
+        neighbours. Reading a link makes no link record."""
         return {
             dst: self.available_bandwidth(dst, t)
             for dst in range(self.matrix.n)

@@ -7,15 +7,19 @@ waits its turn. That queueing is what produces the congestion effects
 behind Fig. 9a (a DKT period that is too short floods the links and
 *slows* training).
 
-:class:`BandwidthMatrix` keeps every link's state — constant bandwidth,
-busy-until, bytes, transfer count — in n x n NumPy arrays, whatever the
-spec: there is no O(n²) object graph, which is what makes 1,000-worker
-clusters feasible. A link whose bandwidth varies keeps its trace beside
-the arrays, read once at transfer start; the optional shared-egress
-model puts one :class:`EgressQueue` per worker in front of the links.
-:class:`Link` is a view onto one cell of those arrays, and
-:meth:`BandwidthMatrix.enqueue_transfer` is the one transfer the
-simulator's sends go through.
+:class:`BandwidthMatrix` holds state only for the links that carry
+traffic: one record per directed link — busy-until, bytes, transfer
+count, and the link's bandwidth or trace — made on the link's first
+transfer. A link that never carried one reads as idle and empty, and
+its bandwidth comes from the rule the matrix was built with (a cell of
+an explicit spec, or the slower of two worker capacities). So a
+cluster's link state is O(links used), not O(n²): 1,000 workers on
+the ``hier:8`` overlay hold 7,250 records after 6 simulated seconds,
+and a capacity-built matrix allocates no n x n array.
+The optional shared-egress model puts one :class:`EgressQueue` per
+worker in front of the links. :class:`Link` is a view onto one link's
+record, and :meth:`BandwidthMatrix.enqueue_transfer` is the one
+transfer the simulator's sends go through.
 
 The module also ships the paper's Table 2: measured inter-region
 bandwidth (Mbps) between six Amazon regions, used to emulate WAN
@@ -53,7 +57,8 @@ class Link:
     """The directed link ``src -> dst`` of a :class:`BandwidthMatrix`,
     with FIFO transfer serialization.
 
-    A view: it reads and writes the matrix's arrays, so links are
+    A view: it reads the matrix's record for the link (an unused link
+    reads as idle and empty, and reading makes no record), so links are
     cheap, interchangeable, and never stale. Bandwidth changes
     mid-transfer are approximated by the bandwidth at transfer start —
     adequate for piecewise schedules whose phases are long relative to
@@ -73,21 +78,27 @@ class Link:
     def latency(self) -> float:
         return self._m._latency
 
+    def _state(self) -> "_LinkState | None":
+        return self._m._links.get((self.src, self.dst))
+
     @property
     def busy_until(self) -> float:
-        return float(self._m._busy[self.src, self.dst])
+        state = self._state()
+        return 0.0 if state is None else float(state.busy)
 
     @busy_until.setter
     def busy_until(self, value: float) -> None:
-        self._m._busy[self.src, self.dst] = value
+        self._m._open(self.src, self.dst).busy = value
 
     @property
     def bytes_sent(self) -> int:
-        return int(self._m._bytes[self.src, self.dst])
+        state = self._state()
+        return 0 if state is None else state.bytes
 
     @property
     def transfers(self) -> int:
-        return int(self._m._xfers[self.src, self.dst])
+        state = self._state()
+        return 0 if state is None else state.transfers
 
     def bandwidth_at(self, t: float) -> float:
         """Available bandwidth in Mbps at time ``t``."""
@@ -107,6 +118,21 @@ class Link:
     def queue_delay(self, t: float) -> float:
         """How long a transfer enqueued now would wait before starting."""
         return max(0.0, self.busy_until - t)
+
+
+class _LinkState:
+    """One directed link's record, made on its first transfer."""
+
+    __slots__ = ("busy", "bytes", "transfers", "bandwidth", "trace")
+
+    def __init__(self, bandwidth) -> None:
+        self.busy = 0.0
+        self.bytes = 0
+        self.transfers = 0
+        # Mbps, or a trace read at each transfer's start; ``trace`` is
+        # that trace, or None for a constant link
+        self.bandwidth = bandwidth
+        self.trace = None if isinstance(bandwidth, float) else bandwidth
 
 
 class EgressQueue:
@@ -141,7 +167,7 @@ class EgressQueue:
 
 
 class BandwidthMatrix:
-    """The full mesh of directed links for a cluster, in one store.
+    """The full mesh of directed links for a cluster, in one link store.
 
     ``spec[i][j]`` gives the bandwidth (Mbps, scalar or trace) from
     worker i to worker j; every off-diagonal bandwidth must be positive
@@ -149,44 +175,44 @@ class BandwidthMatrix:
     ``from_worker_capacity`` builds the common Table 3 pattern where
     each worker has a single capacity (e.g. "50/50/35/35/20/20") and a
     link runs at the slower of its two endpoints — ``min(cap_i(t),
-    cap_j(t))`` at transfer start, for scalars and traces alike.
+    cap_j(t))`` at transfer start, for scalars and traces alike; such a
+    matrix keeps only the capacity vector.
 
-    Link state lives in n x n arrays for every spec (see the module
-    docstring); only a link whose bandwidth varies over time keeps an
-    entry in ``_traces``, so an all-constant matrix holds none.
+    Link state is one record per link that has carried a transfer (see
+    the module docstring); the record takes the link's bandwidth from
+    the spec's rule when it is made, as a constant or, if it varies
+    over time, a trace.
     """
 
     def __init__(self, spec, *, latency: float = 0.002, egress=None):
-        n = self.n = len(spec)
+        n = len(spec)
         if any(len(row) != n for row in spec):
             raise ValueError("bandwidth spec must be square")
+        self._init_store(n, latency, egress)
+        self._caps = None
+        # The spec, read cell by cell: Mbps, or a trace where the
+        # bandwidth varies (a ``ConstantTrace`` is its Mbps).
+        if isinstance(spec, np.ndarray):
+            self._cells = spec.astype(float)
+            constant = self._cells[~np.eye(n, dtype=bool)]
+        else:
+            self._cells = [
+                [None if i == j else _level(v) for j, v in enumerate(row)]
+                for i, row in enumerate(spec)
+            ]
+            constant = [
+                v for row in self._cells for v in row if isinstance(v, float)
+            ]
+        if not all(v > 0 for v in constant):
+            raise ValueError("link bandwidth must be positive")
+
+    def _init_store(self, n: int, latency: float, egress) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
+        self.n = n
         self._latency = float(latency)
-        # (src, dst) -> trace, for the links whose bandwidth varies;
-        # their ``_bw`` cell is NaN and never read.
-        self._traces: dict[tuple[int, int], object] = {}
-        constant = ~np.eye(n, dtype=bool)
-        if isinstance(spec, np.ndarray):
-            self._bw = spec.astype(float)
-        else:
-            self._bw = np.full((n, n), np.nan)
-            for i, row in enumerate(spec):
-                for j, v in enumerate(row):
-                    if i == j:
-                        continue
-                    if isinstance(v, ConstantTrace):
-                        v = v.value
-                    if hasattr(v, "value_at"):
-                        self._traces[(i, j)] = v
-                        constant[i, j] = False
-                    else:
-                        self._bw[i, j] = v
-        if not (self._bw > 0)[constant].all():
-            raise ValueError("link bandwidth must be positive")
-        self._busy = np.zeros((n, n), dtype=float)
-        self._bytes = np.zeros((n, n), dtype=np.int64)
-        self._xfers = np.zeros((n, n), dtype=np.int64)
+        # (src, dst) -> that link's record, for the links used so far
+        self._links: dict[tuple[int, int], _LinkState] = {}
         # Optional shared-egress model: per-worker NIC queues in front
         # of the per-link pipes.
         self.egress: dict[int, EgressQueue] | None = None
@@ -197,6 +223,36 @@ class BandwidthMatrix:
                 i: EgressQueue(i, cap) for i, cap in enumerate(egress)
             }
 
+    def _bandwidth(self, src: int, dst: int):
+        """The bandwidth of ``src -> dst`` by the matrix's rule: Mbps,
+        or a trace if it varies over time."""
+        if self._caps is None:
+            return self._cells[src][dst]
+        ci, cj = self._caps[src], self._caps[dst]
+        if isinstance(ci, float) and isinstance(cj, float):
+            return min(ci, cj)
+        return _level(min_trace(ci, cj))
+
+    def _open(self, src: int, dst: int) -> _LinkState:
+        """The record of ``src -> dst``, made if the link has none yet."""
+        state = self._links.get((src, dst))
+        if state is None:
+            if not (0 <= src < self.n and 0 <= dst < self.n):
+                raise KeyError((src, dst))
+            state = self._links[src, dst] = _LinkState(self._bandwidth(src, dst))
+        return state
+
+    @property
+    def _traces(self) -> dict[tuple[int, int], object]:
+        """Every link whose bandwidth varies, with its trace. Built from
+        the rule for all n² links: for inspection, not for transfers."""
+        return {
+            (i, j): bw
+            for i in range(self.n)
+            for j in range(self.n)
+            if i != j and not isinstance(bw := self._bandwidth(i, j), float)
+        }
+
     def enqueue_transfer(self, src: int, dst: int, nbytes: int, t: float) -> float:
         """Route a transfer through the NIC (if modelled) then the link;
         returns its delivery time."""
@@ -206,18 +262,17 @@ class BandwidthMatrix:
             raise ValueError("negative payload")
         if self.egress is not None:
             t = self.egress[src].enqueue(nbytes, t)
-        busy = self._busy
-        b = busy[src, dst]
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._open(src, dst)
+        b = link.busy
         start = b if b > t else t
-        mbps = self._bw[src, dst]
-        if self._traces:
-            trace = self._traces.get((src, dst))
-            if trace is not None:
-                mbps = trace.value_at(start)
+        trace = link.trace
+        mbps = link.bandwidth if trace is None else trace.value_at(start)
         end = start + (nbytes * 8.0) / (mbps * 1e6)
-        busy[src, dst] = end
-        self._bytes[src, dst] += int(nbytes)
-        self._xfers[src, dst] += 1
+        link.busy = end
+        link.bytes += int(nbytes)
+        link.transfers += 1
         return float(end + self._latency)
 
     def enqueue_transfers(self, src: int, dsts, nbytes, t: float) -> np.ndarray:
@@ -243,20 +298,29 @@ class BandwidthMatrix:
         The paper's per-worker Mbps lists (Table 3) describe the
         capacity of each worker's connections; a transfer i→j is limited
         by the slower endpoint, so ``link i→j = min(cap_i(t), cap_j(t))``
-        — for scalars and traces alike (:func:`~repro.cluster.traces.min_trace`).
-        A link whose minimum never changes is stored as a constant.
+        — for scalars and traces alike (:func:`~repro.cluster.traces.min_trace`,
+        built when the link first carries a transfer). A link whose
+        minimum never changes is stored as a constant.
 
         ``shared_egress=True`` additionally serializes each worker's
         outgoing transfers through a NIC queue at its own capacity —
         the interface-level contention model (see ``EgressQueue``).
         """
-        egress = list(capacities) if shared_egress else None
+        capacities = list(capacities)
+        matrix = cls.__new__(cls)
+        matrix._init_store(
+            len(capacities), latency, capacities if shared_egress else None
+        )
         if all(isinstance(c, (int, float)) for c in capacities):
-            caps = np.asarray([float(c) for c in capacities])
-            spec = np.minimum.outer(caps, caps)
+            caps = [float(c) for c in capacities]
+            if len(caps) > 1 and not all(c > 0 for c in caps):
+                raise ValueError("link bandwidth must be positive")
         else:
-            spec = [[min_trace(ci, cj) for cj in capacities] for ci in capacities]
-        return cls(spec, latency=latency, egress=egress)
+            # min_trace(c, c) is c, validated: a capacity that never
+            # changes becomes its Mbps, one that does stays a trace.
+            caps = [_level(min_trace(c, c)) for c in capacities]
+        matrix._caps = caps
+        return matrix
 
     @classmethod
     def from_regions(
@@ -282,8 +346,9 @@ class BandwidthMatrix:
         """Available Mbps on ``src -> dst`` at ``t``."""
         if src == dst:
             raise KeyError((src, dst))
-        trace = self._traces.get((src, dst))
-        return float(self._bw[src, dst]) if trace is None else trace.value_at(t)
+        state = self._links.get((src, dst))
+        bw = self._bandwidth(src, dst) if state is None else state.bandwidth
+        return float(bw) if isinstance(bw, float) else bw.value_at(t)
 
     def link(self, src: int, dst: int) -> Link:
         """The directed link ``src -> dst``."""
@@ -297,4 +362,12 @@ class BandwidthMatrix:
 
     def total_bytes(self) -> int:
         """Total bytes carried by every link so far."""
-        return int(self._bytes.sum())
+        return sum(state.bytes for state in self._links.values())
+
+
+def _level(bandwidth):
+    """A bandwidth as stored: Mbps (a float) if it never changes, else
+    its trace."""
+    if isinstance(bandwidth, ConstantTrace):
+        return bandwidth.value
+    return bandwidth if hasattr(bandwidth, "value_at") else float(bandwidth)

@@ -12,26 +12,21 @@ __all__ = ["ReLU", "ReLU6", "LeakyReLU"]
 class ReLU(Layer):
     """max(x, 0)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
             mask = np.empty(x.shape, bool)
             np.greater(x, 0, out=mask)
-            self._mask = mask
+            self._cache = mask
         else:
-            self._mask = None
+            self._cache = None
         out = np.empty(x.shape, x.dtype)
         np.maximum(x, 0.0, out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a training forward pass")
+        mask = self._take_cache()
         dx = np.empty(dout.shape, dout.dtype)
-        np.multiply(dout, self._mask, out=dx)
+        np.multiply(dout, mask, out=dx)
         return dx
 
 
@@ -43,32 +38,26 @@ class LeakyReLU(Layer):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         self.alpha = alpha
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         mask = np.empty(x.shape, bool)
         np.greater(x, 0, out=mask)
-        self._mask = mask if training else None
+        self._cache = mask if training else None
         out = np.empty(x.shape, x.dtype)
         np.multiply(x, self.alpha, out=out)
         np.copyto(out, x, where=mask)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a training forward pass")
+        mask = self._take_cache()
         dx = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, self.alpha, out=dx)
-        np.copyto(dx, dout, where=self._mask)
+        np.copyto(dx, dout, where=mask)
         return dx
 
 
 class ReLU6(Layer):
     """min(max(x, 0), 6) — MobileNet's activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
@@ -77,16 +66,15 @@ class ReLU6(Layer):
             np.less(x, 6.0, out=mask)
             np.greater(x, 0, out=lower)
             mask &= lower
-            self._mask = mask
+            self._cache = mask
         else:
-            self._mask = None
+            self._cache = None
         out = np.empty(x.shape, x.dtype)
         np.clip(x, 0.0, 6.0, out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a training forward pass")
+        mask = self._take_cache()
         dx = np.empty(dout.shape, dout.dtype)
-        np.multiply(dout, self._mask, out=dx)
+        np.multiply(dout, mask, out=dx)
         return dx

@@ -19,17 +19,34 @@ class Layer:
 
     Subclasses implement :meth:`forward` and :meth:`backward`; stateful
     layers populate ``self.params`` at construction and write matching
-    entries into ``self.grads`` during :meth:`backward`.
+    entries into ``self.grads`` during :meth:`backward`. A training
+    forward leaves its cache in ``self._cache`` and backward takes it
+    (:meth:`_take_cache`), so between steps a layer holds its weights
+    and nothing of the last minibatch.
     """
 
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.name: str = type(self).__name__
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         """Compute the layer output; caches for backward when training."""
         raise NotImplementedError
+
+    def _take_cache(self):
+        """The last training forward's cache, handed to backward once:
+        a second backward without a new forward raises."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError("backward called without a training forward pass")
+        return cache
+
+    def drop_cache(self) -> None:
+        """Forget the forward cache without a backward — for a layer
+        the model never differentiates."""
+        self._cache = None
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Given dL/d(output), set ``self.grads`` and return dL/d(input).

@@ -33,7 +33,6 @@ class BatchNorm(Layer):
         self.params = {"gamma": ones((dim,)), "beta": zeros((dim,))}
         self.running_mean = np.zeros(dim, dtype=np.float32)
         self.running_var = np.ones(dim, dtype=np.float32)
-        self._cache: tuple | None = None
 
     @staticmethod
     def _axes(x: np.ndarray) -> tuple[int, ...]:
@@ -76,9 +75,7 @@ class BatchNorm(Layer):
         return out
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        xhat, inv_std, axes, bs, x_shape = self._cache
+        xhat, inv_std, axes, bs, x_shape = self._take_cache()
         scratch = np.empty(dout.shape, dout.dtype)
         np.multiply(dout, xhat, out=scratch)
         self.grads["gamma"] = np.sum(scratch, axis=axes)

@@ -104,7 +104,6 @@ class Conv2D(Layer):
             "W": he_normal(rng, (out_c, in_c, kernel, kernel), fan_in=fan_in),
             "b": zeros((out_c,)),
         }
-        self._cache: tuple | None = None
 
     def _cols(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
         """im2col of the padded input; returns (cols, OH, OW)."""
@@ -137,9 +136,7 @@ class Conv2D(Layer):
         return out
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        x_shape, cols = self._cache
+        x_shape, cols = self._take_cache()
         n, _, oh, ow = dout.shape
         k, s, p = self.k, self.stride, self.pad
         dflat = np.empty((n * oh * ow, self.out_c), dout.dtype)

@@ -33,20 +33,17 @@ class Dense(Layer):
         self.params = {"W": w, "b": zeros((out_dim,))}
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"Dense expected (batch,{self.in_dim}), got {x.shape}")
-        self._x = x if training else None
+        self._cache = x if training else None
         out = np.matmul(x, self.params["W"])
         out += self.params["b"]
         return out
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        if self._x is None:
-            raise RuntimeError("backward called without a training forward pass")
-        x = self._x
+        x = self._take_cache()
         w = self.params["W"]
         self.grads["W"] = np.matmul(x.T, dout)
         self.grads["b"] = np.sum(dout, axis=0)

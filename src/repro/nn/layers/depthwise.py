@@ -38,7 +38,6 @@ class DepthwiseConv2D(Layer):
             "W": he_normal(rng, (channels, kernel, kernel), fan_in=kernel * kernel),
             "b": zeros((channels,)),
         }
-        self._cache: tuple | None = None
 
     def _unfold(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
         """Return a window view (N, C, OH, OW, kh, kw) of the padded input."""
@@ -69,9 +68,7 @@ class DepthwiseConv2D(Layer):
         return out
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        x_shape, view = self._cache
+        x_shape, view = self._take_cache()
         self.grads["W"] = np.einsum("ncijkl,ncij->ckl", view, dout, optimize=True)
         self.grads["b"] = dout.sum(axis=(0, 2, 3))
         if not need_dx:

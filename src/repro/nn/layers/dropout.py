@@ -22,18 +22,18 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0,1)")
         self.rate = rate
         self.rng = rng
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
+        if not training:
+            self._cache = None
+            return x
+        if self.rate == 0.0:
+            self._cache = 1.0  # nothing dropped: a unit mask
             return x
         keep = 1.0 - self.rate
         mask = (self.rng.random(x.shape) < keep) / keep
-        self._mask = mask
+        self._cache = mask
         return x * mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
+        return dout * self._take_cache()

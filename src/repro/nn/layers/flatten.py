@@ -11,15 +11,10 @@ __all__ = ["Flatten"]
 
 class Flatten(Layer):
     """Reshape (N, ...) image tensors to (N, features)."""
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        self._shape = x.shape if training else None
+        self._cache = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return dout.reshape(self._shape)
+        return dout.reshape(self._take_cache())

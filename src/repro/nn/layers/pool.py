@@ -22,7 +22,6 @@ class MaxPool2D(Layer):
         if size <= 1:
             raise ValueError("pool size must be >= 2")
         self.size = size
-        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         n, c, h, w = x.shape
@@ -51,9 +50,7 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        x_shape, mask = self._cache
+        x_shape, mask = self._take_cache()
         n, c, h, w = x_shape
         s = self.size
         routed = np.empty(mask.shape, dout.dtype)
@@ -74,23 +71,20 @@ class AvgPool2D(Layer):
         if size <= 1:
             raise ValueError("pool size must be >= 2")
         self.size = size
-        self._shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         n, c, h, w = x.shape
         s = self.size
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
-        self._shape = x.shape if training else None
+        self._cache = x.shape if training else None
         dtype = x.dtype if x.dtype.kind == "f" else np.float64
         out = np.empty((n, c, h // s, w // s), dtype)
         x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5), out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._shape
+        n, c, h, w = self._take_cache()
         s = self.size
         scaled = np.empty(dout.shape, dout.dtype)
         np.divide(dout, s * s, out=scaled)
@@ -105,22 +99,16 @@ class AvgPool2D(Layer):
 class GlobalAvgPool2D(Layer):
     """Average over spatial dims: (N, C, H, W) -> (N, C)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, int, int, int] | None = None
-
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"GlobalAvgPool2D expected 4-D input, got {x.shape}")
-        self._shape = x.shape if training else None
+        self._cache = x.shape if training else None
         out = np.empty(x.shape[:2], x.dtype if x.dtype.kind == "f" else np.float64)
         x.mean(axis=(2, 3), out=out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._shape
+        n, c, h, w = self._take_cache()
         dx = np.empty((n, c, h, w), dout.dtype)
         np.divide(dout[:, :, None, None], h * w, out=dx)
         return dx

@@ -120,6 +120,10 @@ class Model:
             dout = layer.backward(dout)
         if first < len(self.layers):
             self.layers[first].backward(dout, need_dx=False)
+        # Backward took every other layer's forward cache; the layers
+        # below the first trainable one are never differentiated.
+        for layer in self.layers[:first]:
+            layer.drop_cache()
         # Hand the arrays off: the step (the returned dict and the
         # messages built from it) owns them, no layer keeps a copy.
         grads: GradDict = {}

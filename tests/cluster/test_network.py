@@ -1,8 +1,11 @@
 """Tests for links, FIFO serialization, and the bandwidth matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.cluster.monitor import NetworkResourceMonitor
 from repro.cluster.network import (
     AWS_REGION_BANDWIDTH,
     AWS_REGIONS,
@@ -214,3 +217,67 @@ class TestVectorMode:
         m.enqueue_transfer(0, 1, 1000, 0.0)
         m.enqueue_transfer(2, 3, 234, 0.0)
         assert m.total_bytes() == 1234
+
+
+class TestLinkStore:
+    """State for the links that carry traffic, none for the rest:
+    O(links used), not O(n²)."""
+
+    @pytest.mark.parametrize(
+        "capacities",
+        [
+            [50.0] * 1000,
+            # one varying worker: every link touching it has a trace
+            [PiecewiseTrace([(0, 50), (10, 20)])] + [35.0] * 299,
+        ],
+        ids=["constant-1000", "traced-300"],
+    )
+    def test_capacity_build_allocates_no_n_by_n_state(self, capacities):
+        tracemalloc.start()
+        try:
+            m = BandwidthMatrix.from_worker_capacity(capacities)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.n == len(capacities)
+        assert peak < 1_000_000
+
+    def test_k_transfers_on_k_links_leave_k_records(self):
+        m = BandwidthMatrix.from_worker_capacity([50.0] * 100)
+        links = [(src, (3 * src + 1) % 100) for src in range(0, 100, 2)]
+        assert len(set(links)) == len(links)
+        for src, dst in links:
+            m.enqueue_transfer(src, dst, 1000, 0.0)
+        assert len(m._links) == len(links)
+        # a link that carried traffic before keeps its one record
+        m.enqueue_transfer(*links[0], 1000, 1.0)
+        assert len(m._links) == len(links)
+        assert m.link(*links[0]).transfers == 2
+        assert m.total_bytes() == 1000 * (len(links) + 1)
+
+    def test_reads_make_no_record(self):
+        drop = PiecewiseTrace([(0, 50), (300, 20)])
+        m = BandwidthMatrix.from_worker_capacity([50.0, drop, 35.0, 20.0])
+        for src, dst in ((0, 1), (1, 0), (2, 3)):
+            link = m.link(src, dst)
+            assert link.bytes_sent == 0
+            assert link.transfers == 0
+            assert link.busy_until == 0.0
+            assert link.queue_delay(1.0) == 0.0
+        assert m.link(0, 1).bandwidth_at(300.0) == 20.0
+        assert m.bandwidth_at(2, 3, 0.0) == 20.0
+        assert NetworkResourceMonitor(2, m).snapshot(300.0) == {
+            0: 35.0, 1: 20.0, 3: 20.0,
+        }
+        assert m.total_bytes() == 0
+        assert m._links == {}
+
+    def test_first_transfer_takes_the_rule_bandwidth(self):
+        drop = PiecewiseTrace([(0, 50), (300, 20)])
+        m = BandwidthMatrix.from_worker_capacity([50.0, drop, 35.0], latency=0.0)
+        # 50 Mbps before the drop, 20 after, on the link's own record
+        assert m.enqueue_transfer(0, 1, 6_250_000, 0.0) == 1.0
+        assert m.enqueue_transfer(0, 1, 2_500_000, 300.0) == 301.0
+        assert m.bandwidth_at(0, 1, 300.0) == 20.0
+        assert m.enqueue_transfer(2, 0, 4_375_000, 0.0) == 1.0
+        assert set(m._links) == {(0, 1), (2, 0)}

@@ -1,6 +1,6 @@
 """Lean replicas: between steps a replica is its weights.
 
-Three contracts of the NN substrate, each paid 1,000 times on the
+Four contracts of the NN substrate, each paid 1,000 times on the
 Stress 1k preset if broken:
 
 * backward ends at the first trainable layer — ``need_dx=False`` skips
@@ -8,7 +8,10 @@ Stress 1k preset if broken:
 * ``loss_and_grads`` hands the gradient arrays off — no layer keeps
   last step's gradients alive;
 * the ``apply_grads`` scratch is one process-wide pool, not one
-  model-sized buffer per replica.
+  model-sized buffer per replica;
+* backward takes the forward caches — no layer keeps the last
+  minibatch's inputs, masks or im2col blocks alive, and a second
+  backward without a new forward raises.
 
 The full backward through every layer survives only here, as the
 reference the shortened one is compared against.
@@ -221,6 +224,83 @@ class TestBackwardStopsAtFirstTrainableLayer:
         assert set(grads) == set(model.variable_names)
 
 
+STACKS = {
+    **{
+        f"zoo-{name}": (
+            lambda rng, name=name, kwargs=kwargs: build_model(name, rng, **kwargs),
+            x_shape,
+            5,
+        )
+        for name, kwargs, x_shape in ZOO
+    },
+    **{case: (build, x_shape, 3) for case, (build, x_shape) in HAND_BUILT.items()},
+}
+
+
+def held_arrays(layer: object, *allowed: str) -> list[str]:
+    """Where ``layer`` holds an ndarray outside the attributes named in
+    ``allowed`` — in an attribute, or a tuple, list or dict in one."""
+    found: list[str] = []
+
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            found.append(path)
+        elif isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                walk(f"{path}[{i}]", item)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}[{key!r}]", item)
+
+    for attr, value in vars(layer).items():
+        if attr not in allowed:
+            walk(f"{layer.name}.{attr}", value)
+    return found
+
+
+# A layer's weights, and BatchNorm's running statistics: state that
+# outlives a step by design.
+WEIGHTS = ("params", "running_mean", "running_var")
+
+
+class TestBackwardTakesTheForwardCaches:
+    """Between steps a replica holds no activation of its last
+    minibatch, and each training forward feeds one backward."""
+
+    @staticmethod
+    def _model_and_batch(case):
+        build, x_shape, n_classes = STACKS[case]
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(size=x_shape).astype(np.float32)
+        y = rng.integers(0, n_classes, size=x_shape[0])
+        return build(np.random.default_rng(5)), x, y
+
+    @staticmethod
+    def _assert_second_backward_raises(model):
+        for layer in model.layers:
+            with pytest.raises(RuntimeError):
+                layer.backward(np.zeros((1, 1), np.float32))
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_loss_and_grads_leaves_only_weights(self, case):
+        model, x, y = self._model_and_batch(case)
+        model.loss_and_grads(x, y)
+        # the gradients were handed off too, so ``grads`` is no exception
+        held = [p for layer in model.layers for p in held_arrays(layer, *WEIGHTS)]
+        assert held == []
+        self._assert_second_backward_raises(model)
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_full_backward_takes_every_cache(self, case):
+        model, x, y = self._model_and_batch(case)
+        full_backward_loss_and_grads(model, x, y)
+        held = [
+            p for layer in model.layers for p in held_arrays(layer, *WEIGHTS, "grads")
+        ]
+        assert held == []
+        self._assert_second_backward_raises(model)
+
+
 class TestSharedApplyScratch:
     """One process-wide scratch: interleaved applies on many models end
     where isolated ``w -= (lr * coeff) * g`` updates end."""
@@ -291,14 +371,10 @@ class TestReplicaFootprint:
             tracemalloc.stop()
 
         model = replicas[0]
-        # forward caches of the last training pass, beyond the shared
-        # minibatch itself: one bool mask and one float32 activation
-        # per hidden unit and row
-        hidden = sum(self.MODEL_KWARGS["hidden"])
-        caches = self.BATCH * hidden * (1 + 4)
         per_replica = (after - before) / self.N_REPLICAS
         assert per_replica >= model.nbytes()  # the window saw the weights
-        assert per_replica < 1.25 * model.nbytes() + caches
+        # no forward cache survives the step (about 1.04x here)
+        assert per_replica < 1.25 * model.nbytes()
 
     def _build(self, seed):
         return build_model("mlp", np.random.default_rng(seed), **self.MODEL_KWARGS)
