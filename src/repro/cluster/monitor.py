@@ -46,13 +46,3 @@ class NetworkResourceMonitor:
         if self.noise > 0:
             bw *= math.exp(self.rng.normal(0.0, self.noise))
         return bw
-
-    def snapshot(self, t: float) -> dict[int, float]:
-        """Estimates for every other worker in the cluster at once —
-        O(n), not O(degree): it does not know this worker's overlay
-        neighbours. Reading a link makes no link record."""
-        return {
-            dst: self.available_bandwidth(dst, t)
-            for dst in range(self.matrix.n)
-            if dst != self.worker
-        }

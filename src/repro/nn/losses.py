@@ -23,7 +23,8 @@ def softmax_cross_entropy(
 
     ``labels`` are integer class ids. The returned gradient is already
     averaged over the batch (matching Eq. 2/6 in the paper where the
-    gradient is the *mean* over the minibatch).
+    gradient is the *mean* over the minibatch). ``logits`` is only
+    read, never written.
     """
     n = logits.shape[0]
     if labels.shape != (n,):

@@ -188,7 +188,7 @@ class Model:
             xb = x[start:start + batch]
             yb = labels[start:start + batch]
             logits = self.forward(xb, training=False)
-            loss, _ = softmax_cross_entropy(logits.copy(), yb)
+            loss, _ = softmax_cross_entropy(logits, yb)
             total_loss += loss * xb.shape[0]
             correct += int((logits.argmax(axis=1) == yb).sum())
         return total_loss / n, correct / n

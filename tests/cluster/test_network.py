@@ -266,9 +266,9 @@ class TestLinkStore:
             assert link.queue_delay(1.0) == 0.0
         assert m.link(0, 1).bandwidth_at(300.0) == 20.0
         assert m.bandwidth_at(2, 3, 0.0) == 20.0
-        assert NetworkResourceMonitor(2, m).snapshot(300.0) == {
-            0: 35.0, 1: 20.0, 3: 20.0,
-        }
+        monitor = NetworkResourceMonitor(2, m)
+        reads = [monitor.available_bandwidth(dst, 300.0) for dst in (0, 1, 3)]
+        assert reads == [35.0, 20.0, 20.0]
         assert m.total_bytes() == 0
         assert m._links == {}
 

@@ -1,9 +1,16 @@
 """Tests for synthetic datasets, sharding, and the minibatch sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.nn.datasets import MinibatchSampler, Shard, SyntheticImageDataset
+from repro.nn.datasets import (
+    _RENDER_BLOCK,
+    MinibatchSampler,
+    Shard,
+    SyntheticImageDataset,
+)
 from repro.nn.models import mlp
 
 
@@ -68,6 +75,56 @@ class TestSyntheticImageDataset:
     def test_one_class_rejected(self, rng):
         with pytest.raises(ValueError):
             SyntheticImageDataset(rng, num_classes=1)
+
+
+PRESETS = ["cifar_like", "imagenet_like"]
+B = _RENDER_BLOCK
+
+
+class TestBlockRender:
+    """The pixels are rendered block by block into the float32 output;
+    the dataset must be the one a one-shot render gives, bit for bit,
+    for a fraction of the one-shot render's float64 temporaries."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 6000])
+    def test_equals_the_one_shot_render(self, preset, n):
+        ds = getattr(SyntheticImageDataset, preset)(
+            np.random.default_rng(0), train_size=100, test_size=100
+        )
+        x, y = ds._sample(np.random.default_rng(n), n)
+
+        # the one-shot reference: the same draws, in the same order
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, ds.num_classes, size=n)
+        latents = ds._proto[labels] + rng.normal(
+            0.0, ds._noise, size=(n, ds.latent_dim)
+        )
+        pixels = np.tanh(latents @ ds._w1) @ ds._w2
+        np.tanh(pixels, out=pixels)  # in place only to halve the test's peak
+        reference = pixels.astype(np.float32).reshape((n, *ds.image_shape))
+
+        assert y.tobytes() == labels.tobytes()
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert x.shape == reference.shape
+        assert x.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_build_peaks_under_twice_what_it_keeps(self, preset):
+        build = getattr(SyntheticImageDataset, preset)
+        build(np.random.default_rng(0), train_size=100, test_size=100)  # warm
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            ds = build(np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(v.nbytes for v in vars(ds).values() if isinstance(v, np.ndarray))
+        assert kept >= ds.train_x.nbytes + ds.test_x.nbytes
+        # one-shot: a float64 product, its float64 tanh and the float32
+        # copy at once, about 4x; block by block about 1.3-1.6x
+        assert peak - before < 2 * kept
 
 
 class TestSharding:

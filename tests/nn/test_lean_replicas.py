@@ -352,19 +352,19 @@ class TestReplicaFootprint:
 
     def test_a_replica_between_steps_is_its_weights(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(size=(self.BATCH, 576)).astype(np.float32)
-        y = rng.integers(0, 10, size=self.BATCH)
         # one warm replica fills the process-wide scratch and NumPy's
         # lazily built internals before the measured window opens
-        self._step(self._build(0), x, y)
+        self._step(self._build(0), *self._batch(rng))
         gc.collect()
 
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             replicas = [self._build(seed) for seed in range(self.N_REPLICAS)]
+            # a fresh minibatch per replica, as the simulator draws: a
+            # layer that kept its input would hold one per replica here
             for model in replicas:
-                self._step(model, x, y)
+                self._step(model, *self._batch(rng))
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:
@@ -378,6 +378,10 @@ class TestReplicaFootprint:
 
     def _build(self, seed):
         return build_model("mlp", np.random.default_rng(seed), **self.MODEL_KWARGS)
+
+    def _batch(self, rng):
+        x = rng.standard_normal(size=(self.BATCH, 576)).astype(np.float32)
+        return x, rng.integers(0, 10, size=self.BATCH)
 
     @staticmethod
     def _step(model, x, y):

@@ -65,6 +65,16 @@ class TestSoftmaxCrossEntropy:
                        - softmax_cross_entropy(lm, labels)[0]) / (2 * eps)
                 assert grad[i, j] == pytest.approx(num, abs=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_its_logits_unchanged(self, rng, dtype):
+        # Model.evaluate hands over its logits without a copy and reads
+        # them again for the argmax
+        logits = rng.normal(size=(6, 4)).astype(dtype)
+        before = logits.copy()
+        _, grad = softmax_cross_entropy(logits, rng.integers(0, 4, size=6))
+        assert logits.tobytes() == before.tobytes()
+        assert not np.shares_memory(grad, logits)
+
     def test_label_shape_mismatch(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((3, 2)), np.zeros(4, dtype=int))
