@@ -4,6 +4,9 @@ The prototype uses Redis PUB/SUB and Lists: a *control queue* for
 signalling and a *data queue* for gradients and weights (paper §4.2).
 Here each worker owns one of each; the engine delivers messages into
 them at the simulated arrival time and notifies the worker's handler.
+A gradient waits in the data queue until the worker applies it and pops
+it; the control queue parks opaque ``ControlMessage`` traffic (typed
+control messages have their own handlers) until ``pop_control``.
 
 Queues may be bounded (``capacity`` messages per queue, mirroring a
 Redis ``LTRIM`` retention policy or a broker's max queue length): a
@@ -27,7 +30,8 @@ class MessageQueues:
 
     ``capacity`` bounds each queue individually (``None`` = unbounded,
     the historical behaviour). ``push_*`` return ``False`` when the
-    message was rejected by a full queue.
+    message was rejected by a full queue; ``pop_*`` take the oldest
+    message and free its slot.
     """
 
     def __init__(self, owner: int, capacity: int | None = None):
@@ -67,18 +71,6 @@ class MessageQueues:
     def pop_data(self) -> Any | None:
         """Dequeue the oldest data message (None if empty)."""
         return self.data.popleft() if self.data else None
-
-    def drain_data(self) -> list[Any]:
-        """Remove and return every queued data message, oldest first."""
-        out = list(self.data)
-        self.data.clear()
-        return out
-
-    def drain_control(self) -> list[Any]:
-        """Remove and return every queued control message, oldest first."""
-        out = list(self.control)
-        self.control.clear()
-        return out
 
     @property
     def control_depth(self) -> int:

@@ -435,8 +435,8 @@ class Worker:
         """Park an opaque control message in the control queue.
 
         Typed control traffic (loss shares, DKT requests, RCP shares)
-        has dedicated handlers; anything else lands here so application
-        extensions can drain it. Bounded queues reject (and count)
+        has dedicated handlers; anything else lands here for application
+        extensions to ``pop_control``. Bounded queues reject (and count)
         overflow.
         """
         rm = self.engine.run_metrics

@@ -4,8 +4,8 @@ from repro.nn.layers.base import Layer
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.depthwise import DepthwiseConv2D
-from repro.nn.layers.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-from repro.nn.layers.activations import LeakyReLU, ReLU, ReLU6
+from repro.nn.layers.pool import GlobalAvgPool2D, MaxPool2D
+from repro.nn.layers.activations import ReLU, ReLU6
 from repro.nn.layers.batchnorm import BatchNorm
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.dropout import Dropout
@@ -16,11 +16,9 @@ __all__ = [
     "Conv2D",
     "DepthwiseConv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "ReLU",
     "ReLU6",
-    "LeakyReLU",
     "BatchNorm",
     "Flatten",
     "Dropout",

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.layers.base import Layer
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D", "GlobalAvgPool2D"]
 
 
 class MaxPool2D(Layer):
@@ -59,39 +59,6 @@ class MaxPool2D(Layer):
         np.copyto(
             dx.reshape(n, c, h // s, s, w // s, s),
             routed.reshape(n, c, h // s, w // s, s, s).transpose(0, 1, 2, 4, 3, 5),
-        )
-        return dx
-
-
-class AvgPool2D(Layer):
-    """Non-overlapping average pooling with window = stride = ``size``."""
-
-    def __init__(self, size: int = 2):
-        super().__init__()
-        if size <= 1:
-            raise ValueError("pool size must be >= 2")
-        self.size = size
-
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        n, c, h, w = x.shape
-        s = self.size
-        if h % s or w % s:
-            raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
-        self._cache = x.shape if training else None
-        dtype = x.dtype if x.dtype.kind == "f" else np.float64
-        out = np.empty((n, c, h // s, w // s), dtype)
-        x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5), out=out)
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._take_cache()
-        s = self.size
-        scaled = np.empty(dout.shape, dout.dtype)
-        np.divide(dout, s * s, out=scaled)
-        dx = np.empty((n, c, h, w), dout.dtype)
-        np.copyto(
-            dx.reshape(n, c, h // s, s, w // s, s),
-            scaled[:, :, :, None, :, None],
         )
         return dx
 

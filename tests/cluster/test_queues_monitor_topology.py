@@ -26,13 +26,6 @@ class TestMessageQueues:
         assert q.pop_control() == "ctl"
         assert q.pop_data() == "dat"
 
-    def test_drain(self):
-        q = MessageQueues(owner=0)
-        for x in range(5):
-            q.push_data(x)
-        assert q.drain_data() == [0, 1, 2, 3, 4]
-        assert len(q) == 0
-
     def test_delivery_counters(self):
         q = MessageQueues(owner=0)
         q.push_control("a")
@@ -52,8 +45,9 @@ class TestMessageQueues:
         assert q.push_data("b")
         assert not q.push_data("c")  # full: rejected, not queued
         assert q.dropped_data == 1
-        assert q.drain_data() == ["a", "b"]
-        # Draining frees capacity again.
+        assert q.pop_data() == "a"
+        assert q.pop_data() == "b"
+        # Popping frees capacity again.
         assert q.push_data("d")
 
     def test_bounds_apply_per_queue(self):

@@ -1,61 +1,11 @@
-"""Tests for the library-extension layers and optimizer features."""
+"""Tests for the optimizer extensions: weight decay and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import max_relative_grad_error
-from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, LeakyReLU
+from repro.nn.layers import Dense
 from repro.nn.model import Model
 from repro.nn.optim import SGD
-
-
-class TestAvgPool2D:
-    def test_forward_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = AvgPool2D(2).forward(x, False)
-        np.testing.assert_allclose(out, [[[[2.5, 4.5], [10.5, 12.5]]]])
-
-    def test_backward_spreads_uniformly(self):
-        layer = AvgPool2D(2)
-        x = np.zeros((1, 1, 2, 2), dtype=np.float32)
-        layer.forward(x, training=True)
-        dx = layer.backward(np.array([[[[4.0]]]]))
-        np.testing.assert_allclose(dx, np.ones((1, 1, 2, 2)))
-
-    def test_gradcheck_in_model(self, rng):
-        model = Model(
-            [Conv2D(1, 3, 3, rng), AvgPool2D(2), Flatten(), Dense(3 * 4 * 4, 3, rng)]
-        )
-        x = rng.normal(size=(3, 1, 8, 8))
-        y = rng.integers(0, 3, size=3)
-        assert max_relative_grad_error(model, x, y) < 2e-4
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            AvgPool2D(2).forward(np.zeros((1, 1, 5, 5)), training=False)
-
-
-class TestLeakyReLU:
-    def test_forward(self):
-        layer = LeakyReLU(alpha=0.1)
-        out = layer.forward(np.array([[-2.0, 3.0]]), training=True)
-        np.testing.assert_allclose(out, [[-0.2, 3.0]])
-
-    def test_backward(self):
-        layer = LeakyReLU(alpha=0.1)
-        layer.forward(np.array([[-2.0, 3.0]]), training=True)
-        dx = layer.backward(np.ones((1, 2)))
-        np.testing.assert_allclose(dx, [[0.1, 1.0]])
-
-    def test_gradcheck_in_model(self, rng):
-        model = Model([Flatten(), Dense(16, 8, rng), LeakyReLU(0.2), Dense(8, 3, rng)])
-        x = rng.normal(size=(4, 16))
-        y = rng.integers(0, 3, size=4)
-        assert max_relative_grad_error(model, x, y) < 2e-4
-
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(alpha=1.0)
 
 
 class TestSgdExtensions:

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cluster.messages import GradientMessage
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
@@ -27,7 +26,6 @@ from repro.nn.layers import (
     Flatten,
     GlobalAvgPool2D,
     Layer,
-    LeakyReLU,
     MaxPool2D,
     ReLU,
     ReLU6,
@@ -56,11 +54,9 @@ LAYER_CASES = {
         (2, 2, 6, 6), (2, 2, 6, 6),
     ),
     "MaxPool2D": (MaxPool2D, (2, 3, 4, 4), (2, 3, 2, 2)),
-    "AvgPool2D": (AvgPool2D, (2, 3, 4, 4), (2, 3, 2, 2)),
     "GlobalAvgPool2D": (GlobalAvgPool2D, (2, 3, 4, 4), (2, 3)),
     "ReLU": (ReLU, (4, 5), (4, 5)),
     "ReLU6": (ReLU6, (4, 5), (4, 5)),
-    "LeakyReLU": (lambda: LeakyReLU(0.1), (4, 5), (4, 5)),
     "BatchNorm": (lambda: BatchNorm(3), (5, 3), (5, 3)),
     "Flatten": (Flatten, (2, 3, 2, 2), (2, 12)),
     "Dropout": (lambda: Dropout(0.3, np.random.default_rng(0)), (4, 6), (4, 6)),
