@@ -242,17 +242,6 @@ class BandwidthMatrix:
             state = self._links[src, dst] = _LinkState(self._bandwidth(src, dst))
         return state
 
-    @property
-    def _traces(self) -> dict[tuple[int, int], object]:
-        """Every link whose bandwidth varies, with its trace. Built from
-        the rule for all n² links: for inspection, not for transfers."""
-        return {
-            (i, j): bw
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and not isinstance(bw := self._bandwidth(i, j), float)
-        }
-
     def enqueue_transfer(self, src: int, dst: int, nbytes: int, t: float) -> float:
         """Route a transfer through the NIC (if modelled) then the link;
         returns its delivery time."""

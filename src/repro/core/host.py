@@ -367,10 +367,9 @@ class WorkerHost:
 
     def _build_dataset(self) -> SyntheticImageDataset:
         cfg = self.config
-        if cfg.dataset not in ("cifar_like", "imagenet_like"):
-            raise ValueError(f"unknown dataset preset {cfg.dataset!r}")
-        return getattr(SyntheticImageDataset, cfg.dataset)(
-            self.rng_pool.get("dataset"),
+        return SyntheticImageDataset.shared(
+            cfg.dataset,
+            self.rng_pool.seed,
             train_size=cfg.train_size,
             test_size=cfg.test_size,
             **cfg.dataset_kwargs,

@@ -18,15 +18,40 @@ properties the experiments exercise (see DESIGN.md §2):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.utils.rng import spawn_rng
 
 __all__ = ["SyntheticImageDataset", "Shard", "MinibatchSampler"]
 
 # Rows rendered per block: the float64 temporaries of one block are
 # 512 x 3,072 x 8 B = 12.6 MB at the imagenet-like width.
 _RENDER_BLOCK = 512
+
+_PRESETS = ("cifar_like", "imagenet_like")
+
+# The datasets ``SyntheticImageDataset.shared`` has rendered, by what
+# fixes their bytes; each lives as long as something else holds it.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _render_blocks(n: int) -> list[slice]:
+    """The row blocks of an ``n``-row render: ceil(n / _RENDER_BLOCK)
+    near-equal blocks, split as ``np.array_split`` splits. Every block
+    has >= 2 rows once n > 1: a 1-row product goes to gemv, whose
+    float64 sums differ from gemm's in the last bit, and no pixel may
+    depend on the blocks."""
+    parts = -(-n // _RENDER_BLOCK)
+    size, extra = divmod(n, parts)
+    blocks, start = [], 0
+    for i in range(parts):
+        stop = start + size + (i < extra)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -93,6 +118,37 @@ class SyntheticImageDataset:
 
         self.train_x, self.train_y = self._sample(rng, train_size)
         self.test_x, self.test_y = self._sample(rng, test_size)
+        # Read-only, so engines that share one dataset cannot write
+        # into each other's data.
+        for a in (self.train_x, self.train_y, self.test_x, self.test_y):
+            a.flags.writeable = False
+
+    @classmethod
+    def shared(
+        cls, preset: str, seed: int, *, train_size: int, test_size: int, **kwargs
+    ) -> "SyntheticImageDataset":
+        """The ``preset`` dataset drawn from ``seed``'s "dataset" stream,
+        rendered once per process while anything holds it.
+
+        Engines built from the same seed get the same (read-only)
+        object instead of a copy each. The render draws from
+        ``spawn_rng(seed, "dataset")``, the stream ``RngPool(seed)``
+        would give for "dataset", so a hit and a miss give the same
+        bytes.
+        """
+        if preset not in _PRESETS:
+            raise ValueError(f"unknown dataset preset {preset!r}")
+        key = (preset, seed, train_size, test_size, tuple(sorted(kwargs.items())))
+        dataset = _SHARED.get(key)
+        if dataset is None:
+            dataset = getattr(cls, preset)(
+                spawn_rng(seed, "dataset"),
+                train_size=train_size,
+                test_size=test_size,
+                **kwargs,
+            )
+            _SHARED[key] = dataset
+        return dataset
 
     def _sample(
         self, rng: np.random.Generator, n: int
@@ -104,15 +160,11 @@ class SyntheticImageDataset:
         h = np.tanh(latents @ self._w1)
         # Render the pixels block by block into the float32 output, so
         # the float64 temporaries are one block, not the whole set.
-        # ``array_split`` keeps every block >= 2 rows once n > 1: a
-        # 1-row product goes to gemv, whose float64 sums differ from
-        # gemm's in the last bit, and no pixel may depend on the blocks.
         x = np.empty((n, self._w2.shape[1]), dtype=np.float32)
-        parts = -(-n // _RENDER_BLOCK)
-        for h_rows, x_rows in zip(np.array_split(h, parts), np.array_split(x, parts)):
-            block = h_rows @ self._w2
+        for rows in _render_blocks(n):
+            block = h[rows] @ self._w2
             np.tanh(block, out=block)
-            x_rows[...] = block
+            x[rows] = block
         return x.reshape((n, *self.image_shape)), labels.astype(np.int64)
 
     @property

@@ -2,7 +2,13 @@
 and the one run state (the metrics registry) both backends serialise
 through."""
 
+import copy
+import dataclasses
+import gc
+import hashlib
 import inspect
+import json
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +21,13 @@ from repro.cluster.simclock import SimClock
 from repro.core.engine import TrainingEngine
 from repro.core.host import RunResult, WorkerHost
 from repro.core.run_metrics import RunMetrics
+from repro.nn import datasets
+from repro.nn.datasets import SyntheticImageDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.transport.runtime import LiveRunSpec, LiveWorkerRuntime
 from repro.utils.metrics import TimeSeries
+from repro.utils.rng import RngPool
 
 
 class InMemoryHost(WorkerHost):
@@ -176,6 +185,64 @@ class TestOneVerdictSite:
             [(sent_to, kw)] = host.mesh_sends
             assert sent_to == 2 and kw["delay_s"] == 0.5 / _SPEEDUP
         assert host.metrics.get("chaos_dropped_total").value(0, 2) == 0
+
+
+def _digest(config, topology, seed, **engine_kwargs) -> str:
+    """sha256 of a short run's trace bytes plus its sorted metrics dump
+    (on a copy of ``topology``: its links keep state across a run)."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    TrainingEngine(
+        config, copy.deepcopy(topology), seed=seed,
+        tracer=tracer, metrics=metrics, **engine_kwargs,
+    ).run(4.0)
+    dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)
+    return hashlib.sha256(tracer.dumps().encode() + dump.encode()).hexdigest()
+
+
+class TestSharedDataset:
+    """Engines built from the same seed share one read-only render."""
+
+    def test_same_preset_and_seed_share_one_object(self, fast_config, tiny_topology):
+        a = TrainingEngine(fast_config, tiny_topology, seed=5)
+        b = TrainingEngine(fast_config, tiny_topology, seed=5)
+        assert a.dataset is b.dataset
+        others = [
+            TrainingEngine(fast_config, tiny_topology, seed=6),
+            TrainingEngine(
+                dataclasses.replace(fast_config, train_size=250), tiny_topology, seed=5
+            ),
+            TrainingEngine(
+                dataclasses.replace(fast_config, dataset_kwargs={"noise": 1.2}),
+                tiny_topology, seed=5,
+            ),
+        ]
+        assert all(o.dataset is not a.dataset for o in others)
+        assert len({id(o.dataset) for o in others}) == 3
+
+    def test_cache_empties_once_the_engines_are_collected(
+        self, fast_config, tiny_topology
+    ):
+        a = TrainingEngine(fast_config, tiny_topology, seed=5)
+        b = TrainingEngine(fast_config, tiny_topology, seed=5)
+        ref = weakref.ref(a.dataset)
+        del a, b
+        gc.collect()
+        assert ref() is None
+        assert len(datasets._SHARED) == 0
+
+    def test_a_hit_gives_the_cold_run_bytes(self, fast_config, tiny_topology):
+        gc.collect()
+        cold = _digest(fast_config, tiny_topology, 9)
+        sibling = TrainingEngine(fast_config, tiny_topology, seed=9)
+        hit = _digest(fast_config, tiny_topology, 9)
+        again = TrainingEngine(fast_config, tiny_topology, seed=9)
+        assert again.dataset is sibling.dataset
+        # the render each engine made for itself before datasets were shared
+        own = SyntheticImageDataset.cifar_like(
+            RngPool(9).get("dataset"),
+            train_size=fast_config.train_size, test_size=fast_config.test_size,
+        )
+        assert cold == hit == _digest(fast_config, tiny_topology, 9, dataset=own)
 
 
 class TestSurface:

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.traces import ConstantTrace, PiecewiseTrace
 from repro.experiments.envfile import load_environment, parse_environment, trace_from_spec
 from repro.experiments.export import result_to_dict, write_accuracy_csv, write_json
+from tests.cluster.test_network import varying_links
 
 
 VALID_DOC = {
@@ -117,7 +118,7 @@ class TestEnvironmentTopology:
         }
         workload = cpu_workload()
         net = build_topology(parse_environment(doc), workload).network
-        assert net._traces == {}
+        assert varying_links(net) == set()
         ws = workload.wire_scale()
         ref = BandwidthMatrix.from_worker_capacity([50.0 * ws, 35.0 * ws, 20.0 * ws])
         for src, dst, nbytes, t in [(0, 1, 40_000, 0.0), (0, 1, 7, 0.001), (2, 0, 999, 0.5)]:
@@ -176,7 +177,7 @@ class TestEnvironmentTopology:
         net = ClusterTopology.build(cores=env.cores, bandwidth=env.bandwidth).network
         # A link is its slower endpoint at every instant: both
         # directions of 0 <-> 1 follow worker 1's drop to 20 Mbps ...
-        assert set(net._traces) == {(0, 1), (1, 0)}
+        assert varying_links(net) == {(0, 1), (1, 0)}
         assert net.bandwidth_at(1, 0, 299.0) == 50.0
         assert net.bandwidth_at(1, 0, 300.0) == 20.0
         assert net.bandwidth_at(0, 1, 300.0) == 20.0

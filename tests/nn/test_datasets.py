@@ -10,6 +10,7 @@ from repro.nn.datasets import (
     MinibatchSampler,
     Shard,
     SyntheticImageDataset,
+    _render_blocks,
 )
 from repro.nn.models import mlp
 
@@ -76,6 +77,19 @@ class TestSyntheticImageDataset:
         with pytest.raises(ValueError):
             SyntheticImageDataset(rng, num_classes=1)
 
+    def test_arrays_are_read_only(self, small_dataset):
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(small_dataset, name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            small_dataset.train_x += 1
+        with pytest.raises(ValueError, match="read-only"):
+            small_dataset.shards(2)[0].x[0] = 0
+
+    def test_shared_rejects_an_unknown_preset(self):
+        with pytest.raises(ValueError, match="unknown dataset preset"):
+            SyntheticImageDataset.shared("mnist_like", 0, train_size=100, test_size=30)
+
 
 PRESETS = ["cifar_like", "imagenet_like"]
 B = _RENDER_BLOCK
@@ -108,6 +122,16 @@ class TestBlockRender:
         assert x.dtype == np.float32 and x.flags.c_contiguous
         assert x.shape == reference.shape
         assert x.tobytes() == reference.tobytes()
+
+    def test_every_block_has_two_rows(self):
+        # a 1-row block goes to gemv, which float32 rounding hides from
+        # test_equals_the_one_shot_render on all but ~1 row in 6,000
+        for n in range(2, 3001):
+            blocks = _render_blocks(n)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert min(sizes) >= 2 and max(sizes) <= B, n
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_build_peaks_under_twice_what_it_keeps(self, preset):

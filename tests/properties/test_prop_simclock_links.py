@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster.network import BandwidthMatrix
 from repro.cluster.simclock import SimClock
 from repro.cluster.traces import ConstantTrace, PiecewiseTrace
+from tests.cluster.test_network import varying_links
 
 
 @given(times=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=60))
@@ -155,7 +156,7 @@ def test_link_store_matches_scalar_oracle_bitwise(case):
     looped = BandwidthMatrix(spec, latency=latency, egress=egress)
     oracle = _Oracle(spec, latency, egress)
     # Only a bandwidth that varies keeps a trace beside the arrays.
-    assert set(mixed._traces) == {
+    assert varying_links(mixed) == {
         (i, j) for i in range(n) for j in range(n)
         if i != j and isinstance(spec[i][j], PiecewiseTrace)
     }
