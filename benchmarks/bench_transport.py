@@ -10,8 +10,7 @@ off the ``transport_frame_latency_seconds`` histogram the mesh's own
 instrumentation records, so the benchmark doubles as an end-to-end
 check of the telemetry plane.
 
-The ladder runs once per lane: ``tcp`` (sockets + frame coalescing) and
-``shm`` (shared-memory rings between the same pairs). A codec
+Every link is a TCP socket with frame coalescing. A codec
 micro-measurement also records the net allocation count and bytes per
 encoded frame on the pooled zero-copy path, so the "allocation-free in
 steady state" claim is machine-checked right next to the throughput it
@@ -52,18 +51,11 @@ FRAMES_PER_LINK = 30 if SMOKE else 400
 RING_K = 2
 PAYLOAD_FLOATS = 1024  # ~4 KB dense-gradient frames
 
-# 256 KB rings keep the 64-worker shm ladder at ~32 MB of segments.
-_CFG = TransportConfig(connect_timeout_s=10.0, shm_ring_bytes=1 << 18)
-
-_token_counter = 0
+_CFG = TransportConfig(connect_timeout_s=10.0)
 
 
 def _successors(w: int, n: int) -> list[int]:
     return [(w + i) % n for i in range(1, RING_K + 1) if (w + i) % n != w]
-
-
-def _predecessors(w: int, n: int) -> list[int]:
-    return [(w - i) % n for i in range(1, RING_K + 1) if (w - i) % n != w]
 
 
 def _payload_frame(sender: int) -> bytes:
@@ -74,9 +66,8 @@ def _payload_frame(sender: int) -> bytes:
     )
 
 
-async def _run_cluster(n: int, lane: str) -> dict:
+async def _run_cluster(n: int) -> dict:
     """One measured round: every worker floods its ring successors."""
-    global _token_counter
     registry = MetricsRegistry()
     expected = sum(len(_successors(w, n)) for w in range(n)) * FRAMES_PER_LINK
     got = 0
@@ -88,21 +79,8 @@ async def _run_cluster(n: int, lane: str) -> dict:
         if got >= expected:
             done.set()
 
-    shm_kwargs = [{} for _ in range(n)]
-    if lane == "shm":
-        _token_counter += 1
-        token = f"bench{os.getpid()}x{_token_counter}"
-        shm_kwargs = [
-            {
-                "shm_out": set(_successors(w, n)),
-                "shm_in": set(_predecessors(w, n)),
-                "shm_token": token,
-            }
-            for w in range(n)
-        ]
     meshes = [
-        PeerMesh(w, on_message=on_message, config=_CFG, metrics=registry,
-                 **shm_kwargs[w])
+        PeerMesh(w, on_message=on_message, config=_CFG, metrics=registry)
         for w in range(n)
     ]
     ports = [await m.start() for m in meshes]
@@ -136,7 +114,6 @@ async def _run_cluster(n: int, lane: str) -> dict:
     )
     return {
         "workers": n,
-        "lane": lane,
         "links": expected // FRAMES_PER_LINK,
         "frames": expected,
         "frame_bytes": frame_bytes,
@@ -149,10 +126,10 @@ async def _run_cluster(n: int, lane: str) -> dict:
     }
 
 
-def _bench_cluster(n: int, lane: str) -> dict:
+def _bench_cluster(n: int) -> dict:
     best = None
     for _ in range(REPS):
-        row = asyncio.run(_run_cluster(n, lane))
+        row = asyncio.run(_run_cluster(n))
         if best is None or row["msgs_per_s"] > best["msgs_per_s"]:
             best = row
     return best
@@ -205,11 +182,10 @@ def _record(payload: dict) -> None:
 
 
 def test_loopback_throughput():
-    """Ring-flood each cluster size per lane; record throughput, p99
-    latency, coalescing fraction, and encode allocation counts."""
+    """Ring-flood each cluster size; record throughput, p99 latency,
+    coalescing fraction, and encode allocation counts."""
     alloc = _encode_allocs()
-    rows = [_bench_cluster(n, "tcp") for n in CLUSTER_SIZES]
-    shm_rows = [_bench_cluster(n, "shm") for n in CLUSTER_SIZES]
+    rows = [_bench_cluster(n) for n in CLUSTER_SIZES]
     _record({
         "ring_k": RING_K,
         "frames_per_link": FRAMES_PER_LINK,
@@ -217,11 +193,10 @@ def test_loopback_throughput():
         "cpu_count": os.cpu_count(),
         "encode_allocations": alloc,
         "clusters": rows,
-        "clusters_shm": shm_rows,
     })
-    for row in rows + shm_rows:
+    for row in rows:
         print(
-            f"\n{row['workers']:>3} workers [{row['lane']}]: "
+            f"\n{row['workers']:>3} workers: "
             f"{row['msgs_per_s']:,.0f} msgs/s, "
             f"{row['bytes_per_s'] / 1e6:.1f} MB/s, "
             f"coalesced {row['coalesced_frac'] * 100:.0f}%, "
@@ -235,4 +210,4 @@ def test_loopback_throughput():
     assert alloc["net_allocs_per_frame"] < 1.0, alloc
     if not SMOKE:
         # Loopback should sustain well beyond paper-scale message rates.
-        assert all(r["msgs_per_s"] > 1000 for r in rows + shm_rows), rows
+        assert all(r["msgs_per_s"] > 1000 for r in rows), rows

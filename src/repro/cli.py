@@ -125,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="proc backend: wall seconds between worker telemetry-delta "
         "shipments (default 1; bounds what a crash can lose)",
     )
-    run_p.add_argument(
-        "--shm-lanes",
-        action="store_true",
-        help="proc backend: carry data channels between co-hosted "
-        "workers over shared-memory rings instead of TCP sockets "
-        "(modelled bandwidth still enforced; see docs/architecture.md)",
-    )
     run_p.add_argument("--trace", metavar="PATH",
                        help="write a Chrome-trace JSON of the run "
                        "(load in Perfetto / chrome://tracing)")
@@ -256,10 +249,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.stats_interval is not None
         or args.status_dir
         or args.ship_interval is not None
-        or args.shm_lanes
     ):
         print(
-            "--stats-interval/--status-dir/--ship-interval/--shm-lanes "
+            "--stats-interval/--status-dir/--ship-interval "
             "apply only to --backend proc",
             file=sys.stderr,
         )
@@ -341,7 +333,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
             stats_interval_s=args.stats_interval,
             status_dir=args.status_dir,
-            shm_lanes=args.shm_lanes,
         )
         result = engine.run(horizon, chaos=chaos)
     else:

@@ -223,6 +223,14 @@ class BandwidthMatrix:
                 i: EgressQueue(i, cap) for i, cap in enumerate(egress)
             }
 
+    def reset(self) -> None:
+        """Return every link and egress queue to idle and empty: the
+        state each engine built on this matrix starts from."""
+        self._links.clear()
+        for queue in (self.egress or {}).values():
+            queue.busy_until = 0.0
+            queue.bytes_sent = 0
+
     def _bandwidth(self, src: int, dst: int):
         """The bandwidth of ``src -> dst`` by the matrix's rule: Mbps,
         or a trace if it varies over time."""

@@ -44,6 +44,9 @@ class TrainingEngine(WorkerHost):
         profiler=None,
         chaos: ChaosPlan | None = None,
     ):
+        # Link state lives on the topology; a run starts from idle links
+        # even when an earlier engine ran on the same topology object.
+        topology.network.reset()
         super().__init__(
             config, topology, SimClock(), seed=seed, dataset=dataset,
             peer_graph=peer_graph, tracer=tracer, metrics=metrics,

@@ -34,7 +34,6 @@ import os
 import shutil
 import tempfile
 import time
-import uuid
 
 from repro.cluster.chaos import ChaosPlan
 from repro.cluster.topology import ClusterTopology
@@ -47,7 +46,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.transport.checkpoint import CheckpointConfig
 from repro.transport.mesh import TransportConfig
 from repro.transport.runtime import LiveRunSpec, run_live_worker
-from repro.transport.shm import ring_name, sweep_ring
 
 __all__ = ["LiveEngine"]
 
@@ -98,7 +96,6 @@ class LiveEngine:
         ship_interval_s: float = 1.0,
         stats_interval_s: float | None = None,
         status_dir: str | None = None,
-        shm_lanes: bool = False,
     ):
         self.config = config
         self.topology = topology
@@ -121,7 +118,6 @@ class LiveEngine:
             raise ValueError("stats_interval_s must be positive or None")
         self.stats_interval_s = stats_interval_s
         self.status_dir = status_dir
-        self.shm_lanes = bool(shm_lanes)
         self._stderr_dir: str | None = None
         self._reset_telemetry()
 
@@ -160,9 +156,6 @@ class LiveEngine:
             tmp_ckpt_dir = tempfile.mkdtemp(prefix="dlion-ckpt-")
             checkpoint = CheckpointConfig(directory=tmp_ckpt_dir)
         self._stderr_dir = tempfile.mkdtemp(prefix="dlion-stderr-")
-        # Per-run nonce for shm ring segment names: stale segments from
-        # a previous (crashed) run can never be mistaken for live rings.
-        shm_token = uuid.uuid4().hex[:8] if self.shm_lanes else ""
         spec = LiveRunSpec(
             config=self.config,
             topology=self.topology,
@@ -177,8 +170,6 @@ class LiveEngine:
             chaos=chaos,
             stderr_dir=self._stderr_dir,
             ship_interval_s=self.ship_interval_s,
-            shm_lanes=self.shm_lanes,
-            shm_token=shm_token,
         )
         # The worker processes are the parallel compute stage: pin each
         # child's BLAS pool to one thread so W processes do not
@@ -229,14 +220,6 @@ class LiveEngine:
             self._stderr_dir = None
             if tmp_ckpt_dir is not None:
                 shutil.rmtree(tmp_ckpt_dir, ignore_errors=True)
-            if shm_token:
-                # Children unlink their rings at mesh close; a crashed
-                # child leaves its created segments behind, so sweep
-                # every possible pair of this run's token.
-                for src in range(self.n_workers):
-                    for dst in range(self.n_workers):
-                        if src != dst:
-                            sweep_ring(ring_name(shm_token, src, dst))
         return self._merge(reported, horizon)
 
     # ------------------------------------------------------------------

@@ -216,12 +216,6 @@ class TransportMetrics:
             "frames written as part of a multi-frame batched write",
             ("src", "dst", "channel"),
         )
-        self.lane = m.gauge(
-            "transport_lane",
-            "active lane per outgoing data link (1 on the selected lane: "
-            "shm ring or tcp socket)",
-            ("worker", "dst", "lane"),
-        )
         self.dropped = m.counter(
             "transport_dropped_total",
             "frames dropped (outbox full or peer declared dead)",

@@ -1,4 +1,4 @@
-"""Asyncio peer mesh with control/data channels and tcp/shm lanes.
+"""Asyncio peer mesh with control and data channels over TCP.
 
 The prototype gives every worker pair two Redis queues — a control
 queue for signalling and a data queue for gradients and weights (paper
@@ -29,9 +29,7 @@ Reliability mechanics:
   state, installs fresh outgoing links at its (new) address, and resets
   the reconnect episode — the supervisor's rejoin path after a crashed
   worker is respawned (docs/robustness.md). A superseded link's retry
-  loop can never declare the revived peer dead again. Revived links are
-  always TCP: the old ring segment's positions are unknowable after a
-  crash, so the shm lane is not rebuilt;
+  loop can never declare the revived peer dead again;
 * **held-back frames** — ``send(delay_s=)`` delays a frame's write by
   that many wall seconds (a chaos plan's delay window; the verdicts are
   the worker host's, so transport frames are never faulted). The delay
@@ -39,20 +37,19 @@ Reliability mechanics:
   (head-of-line blocking, exactly like real added latency on one TCP
   stream).
 
-Performance mechanics (docs/architecture.md, "Transport lanes"):
+Performance mechanics (docs/architecture.md, "Transport hot path"):
 
 * **zero-copy encode** — :meth:`PeerMesh.send` encodes into a pooled
   :class:`~repro.transport.codec.FrameBuffer` and enqueues a memoryview
   of it; the buffer returns to the pool once the frame is written (or
   dropped), so the steady state allocates nothing per frame;
 * **frame coalescing** — each sender drains whatever its outbox holds
-  (up to ``coalesce_max_bytes``) and issues one batched write: on TCP
-  the frame views go to the kernel in one non-blocking ``sendmsg``
-  (per ``_IOV_MAX`` frames), awaiting only for what it would not take
-  yet; on a ring, one ``push_many``. The token bucket is charged the
-  batch's full byte count in one ``throttle`` call, so
-  ``transport_stall_seconds_total`` stays truthful per link; per-frame
-  histograms still observe every frame;
+  (up to ``coalesce_max_bytes``) and issues one batched write: the
+  frame views go to the kernel in one non-blocking ``sendmsg`` (per
+  ``_IOV_MAX`` frames), awaiting only for what it would not take yet.
+  The token bucket is charged the batch's full byte count in one
+  ``throttle`` call, so ``transport_stall_seconds_total`` stays
+  truthful per link; per-frame histograms still observe every frame;
 * **zero-copy receive** — each accepted connection is an
   :class:`asyncio.BufferedProtocol` that parses frames where the kernel
   put them and dispatches them synchronously, with no per-connection
@@ -60,20 +57,11 @@ Performance mechanics (docs/architecture.md, "Transport lanes"):
   bodies copied out as ``bytes``; a body of 4 KiB or more gets its own
   uninitialised buffer that the kernel reads straight into — one
   user-space copy per byte at most, where the ``StreamReader`` path
-  made three to four;
-* **shm lanes** — data channels between co-hosted peers can ride a
-  single-producer/single-consumer shared-memory ring
-  (:mod:`repro.transport.shm`) instead of a socket. The receiver
-  creates one inbound ring per shm peer at :meth:`start`; the sender
-  attaches at :meth:`connect`. Control channels (heartbeats, death
-  detection, Bye) always stay on TCP, so liveness semantics are
-  lane-independent. A frame too large for its ring demotes the link to
-  TCP after the ring drains (``transport_lane`` flips accordingly).
+  made three to four.
 
 Outgoing bytes pass through a per-peer :class:`TokenBucket` so the
 modelled link bandwidth (Table 3, wire-scaled, sped up by the run's
-wall-clock factor) is enforced on the real transport — the shm lane
-changes a frame's transport cost, never its modelled bandwidth.
+wall-clock factor) is enforced on the real transport.
 Transfers are recorded through the shared ``obs`` surfaces:
 ``transport_*`` metric families and per-transfer spans on the worker's
 ``net-out`` trace thread. Under ``--profile``, :meth:`PeerMesh.send` is
@@ -84,11 +72,10 @@ the event loop runs while a write drains keeps its own layer.
 from __future__ import annotations
 
 import asyncio
-import functools
 import random
 import socket
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterable, Mapping
+from typing import Awaitable, Callable, Mapping
 
 import numpy as np
 
@@ -104,12 +91,10 @@ from repro.transport.codec import (
     Hello,
     decode_body,
     decode_frame_header,
-    decode_message,
     encode_into,
     encode_message,
 )
 from repro.transport.shaper import TokenBucket
-from repro.transport.shm import ShmRing, ShmRingError, ring_name
 
 __all__ = ["CHANNEL_CONTROL", "CHANNEL_DATA", "CHANNEL_NAMES", "TransportConfig", "PeerMesh"]
 
@@ -118,10 +103,6 @@ CHANNEL_DATA = 1
 CHANNEL_NAMES = {CHANNEL_CONTROL: "control", CHANNEL_DATA: "data"}
 
 _CLOSE = object()  # sender-task shutdown sentinel
-
-# Ring/outbox polling backoff: start fine-grained, decay when idle.
-_POLL_MIN_S = 0.0005
-_POLL_MAX_S = 0.005
 
 # Encode-buffer pool bound per mesh: enough for every link's outbox to
 # hold a few frames without thrash, small enough to cap retained memory.
@@ -165,8 +146,8 @@ async def _send_rest(sock: socket.socket, views: list) -> None:
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Tunables for the live transport (timeouts, retries, heartbeats,
-    coalescing, and the shared-memory lane)."""
+    """Tunables for the live transport (timeouts, retries, heartbeats
+    and coalescing)."""
 
     connect_timeout_s: float = 5.0
     send_timeout_s: float = 10.0
@@ -179,7 +160,6 @@ class TransportConfig:
     # keeps a single coalesced write from monopolising the link when a
     # burst backs up behind a stall.
     coalesce_max_bytes: int = 262144
-    shm_ring_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if min(self.connect_timeout_s, self.send_timeout_s, self.retry_base_s,
@@ -191,17 +171,15 @@ class TransportConfig:
             raise ValueError("outbox_capacity must be >= 1")
         if self.coalesce_max_bytes < 1:
             raise ValueError("coalesce_max_bytes must be >= 1")
-        if self.shm_ring_bytes < 4096:
-            raise ValueError("shm_ring_bytes must be >= 4096")
 
 
 class _OutLink:
-    """One outgoing (peer, channel) lane with its FIFO outbox. Its
+    """One outgoing (peer, channel) link with its FIFO outbox. Its
     sender task owns ``sock`` and closes it on exit; anyone else severs
     it with ``shutdown`` (:meth:`PeerMesh._sever`), never ``close``."""
 
     __slots__ = (
-        "dst", "channel", "queue", "sock", "ring", "task", "addr",
+        "dst", "channel", "queue", "sock", "task", "addr",
         "ever_connected", "high_water",
     )
 
@@ -210,7 +188,6 @@ class _OutLink:
         self.channel = channel
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
         self.sock: socket.socket | None = None  # non-blocking TCP
-        self.ring: ShmRing | None = None  # shm lane, else TCP
         self.task: asyncio.Task | None = None
         self.addr: tuple[str, int] | None = None
         self.ever_connected = False  # distinguishes connect vs. reconnect
@@ -310,9 +287,6 @@ class PeerMesh:
         progress_fn: Callable[[], int] | None = None,
         seed: int = 0,
         host: str = "127.0.0.1",
-        shm_out: Iterable[int] = (),
-        shm_in: Iterable[int] = (),
-        shm_token: str = "",
     ):
         self.worker_id = worker_id
         self.host = host
@@ -337,14 +311,6 @@ class PeerMesh:
         self._hb_task: asyncio.Task | None = None
         self._inbound: set[asyncio.Transport] = set()  # accepted connections
 
-        # Shared-memory lane membership: peers whose data channel rides
-        # a ring outbound (we attach) / inbound (we create + poll).
-        self._shm_out = frozenset(shm_out)
-        self._shm_in = frozenset(shm_in)
-        self._shm_token = shm_token
-        self._rings_in: dict[int, ShmRing] = {}
-        self._ring_tasks: list[asyncio.Task] = []
-
         # Pooled encode buffers: send() borrows one, the sender task (or
         # any drop path) returns it once the frame view is dead.
         self._pool: list[FrameBuffer] = []
@@ -361,19 +327,9 @@ class PeerMesh:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> int:
-        """Bind the listening socket and create inbound shm rings;
-        returns the bound TCP port."""
+        """Bind the listening socket; returns the bound TCP port."""
         loop = asyncio.get_event_loop()
         self._server = await loop.create_server(lambda: _Inbound(self), self.host, 0)
-        for peer in sorted(self._shm_in):
-            ring = ShmRing.create(
-                ring_name(self._shm_token, peer, self.worker_id),
-                self.cfg.shm_ring_bytes,
-            )
-            self._rings_in[peer] = ring
-            task = asyncio.ensure_future(self._shm_reader(peer, ring))
-            task.add_done_callback(self._task_done)
-            self._ring_tasks.append(task)
         return self._server.sockets[0].getsockname()[1]
 
     async def connect(self, port_map: Mapping[int, tuple[str, int]]) -> None:
@@ -382,10 +338,8 @@ class PeerMesh:
         ``port_map`` maps worker id to ``(host, port)``; this worker's
         own entry is ignored. Blocks until every link's first connection
         succeeds (or a peer exhausts its retry budget and is declared
-        dead). Data links to shm peers attach their outbound ring
-        instead of dialling TCP.
+        dead).
         """
-        loop = asyncio.get_event_loop()
         waits: list[Awaitable] = []
         for dst, addr in sorted(port_map.items()):
             if dst == self.worker_id:
@@ -396,22 +350,7 @@ class PeerMesh:
                 link = _OutLink(dst, channel, self.cfg.outbox_capacity)
                 link.addr = tuple(addr)
                 self._out[(dst, channel)] = link
-                if channel == CHANNEL_DATA and dst in self._shm_out:
-                    # ShmRing.attach retries with blocking sleeps, so it
-                    # runs off-loop; the peer creates the ring in start()
-                    # before reporting its port, so this resolves fast.
-                    link.ring = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            ShmRing.attach,
-                            ring_name(self._shm_token, self.worker_id, dst),
-                            timeout_s=self.cfg.connect_timeout_s,
-                        ),
-                    )
-                else:
-                    waits.append(self._ensure_connected(link))
-                if channel == CHANNEL_DATA:
-                    self._set_lane(dst, "shm" if link.ring is not None else "tcp")
+                waits.append(self._ensure_connected(link))
         await asyncio.gather(*waits)
         for link in self._out.values():
             link.task = asyncio.ensure_future(self._sender(link))
@@ -454,17 +393,9 @@ class PeerMesh:
             if pending:
                 # Let each run its finally, which closes its socket.
                 await asyncio.wait(pending, timeout=drain_timeout_s)
-        for t in self._ring_tasks:
-            t.cancel()
         for link in self._out.values():
             if link.task is None:  # connect() never got to start it
                 self._close_sock(link)
-            if link.ring is not None:
-                link.ring.close()
-                link.ring = None
-        for ring in self._rings_in.values():
-            ring.close()  # creator side: detaches and unlinks
-        self._rings_in.clear()
         for transport in list(self._inbound):
             transport.close()
         if self._server is not None:
@@ -537,9 +468,7 @@ class PeerMesh:
         the old links are superseded, and their in-flight retry loops
         unwind without side effects (see :meth:`_ensure_connected`).
         Frames still queued on the old links are abandoned — exactly the
-        in-flight loss a real crash implies. Revived links are TCP even
-        for shm peers: the respawned process cannot trust a ring whose
-        positions the crashed one last wrote.
+        in-flight loss a real crash implies.
         """
         if self._closing:
             return
@@ -552,15 +481,11 @@ class PeerMesh:
             if old is not None:
                 self._put_close(old)
                 self._sever(old)
-                if old.ring is not None:
-                    old.ring.close()
-                    old.ring = None
             link = _OutLink(peer, channel, self.cfg.outbox_capacity)
             link.addr = tuple(addr)
             self._out[(peer, channel)] = link
             link.task = asyncio.ensure_future(self._sender(link))
             link.task.add_done_callback(self._task_done)
-        self._set_lane(peer, "tcp")
         if self._m:
             self._m.revives.inc(1, self.worker_id, peer)
         if self.tracer.enabled:
@@ -576,10 +501,6 @@ class PeerMesh:
     def live_peers(self) -> list[int]:
         """Peers not (yet) declared dead, in ascending id order."""
         return sorted({dst for dst, _ in self._out} - self._dead)
-
-    def is_dead(self, peer: int) -> bool:
-        """Whether ``peer`` has been declared dead."""
-        return peer in self._dead
 
     # ------------------------------------------------------------------
     # Internals: outgoing side
@@ -598,11 +519,6 @@ class PeerMesh:
             link.queue.task_done()
         except asyncio.QueueFull:
             pass
-
-    def _set_lane(self, dst: int, lane: str) -> None:
-        if self._m:
-            self._m.lane.set(1.0 if lane == "shm" else 0.0, self.worker_id, dst, "shm")
-            self._m.lane.set(1.0 if lane == "tcp" else 0.0, self.worker_id, dst, "tcp")
 
     async def _sender(self, link: _OutLink) -> None:
         loop = asyncio.get_event_loop()
@@ -660,7 +576,7 @@ class PeerMesh:
         operation; returns ``False`` when the link is defunct."""
         loop = asyncio.get_event_loop()
         while True:
-            if link.ring is None and not await self._ensure_connected(link):
+            if not await self._ensure_connected(link):
                 return False
             bucket = self._buckets.get(link.dst)
             t0_sim = self._now_fn() if self._now_fn is not None else 0.0
@@ -673,25 +589,17 @@ class PeerMesh:
                 stalled = await bucket.throttle(batch_bytes)
                 if stalled > 0 and self._m:
                     self._m.stall_seconds.inc(stalled, self.worker_id, link.dst)
-            if link.ring is not None:
-                if not await self._push_ring(link, batch):
-                    if link.ring is None:
-                        continue  # demoted to TCP mid-batch; resend there
-                    return False
-            elif link.sock is None:
-                continue  # the ring was retired while the batch was throttled
-            else:
-                try:
-                    # The common case: the kernel takes the whole batch
-                    # straight from the encode buffers, with no await.
-                    rest = _send_views(link.sock, [it[0] for it in batch])
-                    if rest:
-                        await asyncio.wait_for(
-                            _send_rest(link.sock, rest), self.cfg.send_timeout_s
-                        )
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    self._close_sock(link)
-                    continue  # re-enter the connect/retry path
+            try:
+                # The common case: the kernel takes the whole batch
+                # straight from the encode buffers, with no await.
+                rest = _send_views(link.sock, [it[0] for it in batch])
+                if rest:
+                    await asyncio.wait_for(
+                        _send_rest(link.sock, rest), self.cfg.send_timeout_s
+                    )
+            except (ConnectionError, OSError, asyncio.TimeoutError):
+                self._close_sock(link)
+                continue  # re-enter the connect/retry path
             break
         if self._m:
             ch = CHANNEL_NAMES[link.channel]
@@ -724,42 +632,6 @@ class PeerMesh:
                     args={"dst": link.dst, "bytes": len(frame)},
                 )
         return True
-
-    async def _push_ring(self, link: _OutLink, batch: list) -> bool:
-        """Push a batch onto the link's outbound ring, backing off while
-        the consumer catches up. A frame too large for the ring demotes
-        the link to TCP (after the ring drains, to preserve order);
-        returns ``False`` with ``link.ring`` cleared in that case so the
-        caller re-sends over TCP."""
-        frames = [it[0] for it in batch]
-        backoff = _POLL_MIN_S
-        while True:
-            if link.ring is None:
-                return False  # revive() retired the ring during the backoff
-            try:
-                if link.ring.push_many(frames):
-                    return True
-            except ShmRingError:
-                await self._demote_to_tcp(link)
-                return False
-            if (link.dst in self._dead or self._closing
-                    or self._superseded(link)):
-                return False
-            await asyncio.sleep(backoff)
-            backoff = min(backoff * 2.0, _POLL_MAX_S)
-
-    async def _demote_to_tcp(self, link: _OutLink) -> None:
-        """Retire a link's shm lane: wait for the consumer to drain the
-        ring (bounded), then detach — subsequent writes dial TCP."""
-        ring, link.ring = link.ring, None
-        deadline = asyncio.get_event_loop().time() + self.cfg.send_timeout_s
-        while (ring.pending_bytes() > 0
-               and asyncio.get_event_loop().time() < deadline
-               and link.dst not in self._dead
-               and not self._closing):
-            await asyncio.sleep(_POLL_MIN_S)
-        ring.close()
-        self._set_lane(link.dst, "tcp")
 
     def _task_done(self, task: asyncio.Task) -> None:
         """Surface an unexpected sender/heartbeat crash instead of a stall.
@@ -901,30 +773,6 @@ class PeerMesh:
     # ------------------------------------------------------------------
     # Internals: incoming side
     # ------------------------------------------------------------------
-    async def _shm_reader(self, peer: int, ring: ShmRing) -> None:
-        """Poll one inbound ring, dispatching frames like a data-channel
-        socket reader would. Polling is adaptive: sub-millisecond while
-        traffic flows, decaying toward ``_POLL_MAX_S`` when idle."""
-        backoff = _POLL_MIN_S
-        while not self._closing:
-            records = ring.pop_all()
-            if not records:
-                await asyncio.sleep(backoff)
-                backoff = min(backoff * 2.0, _POLL_MAX_S)
-                continue
-            backoff = _POLL_MIN_S
-            for rec in records:
-                try:
-                    msg = decode_message(rec)
-                except CodecError:
-                    # Same stance as the socket reader: a garbage stream
-                    # is dropped, liveness is the control channel's job.
-                    return
-                self._on_message(peer, CHANNEL_DATA, msg)
-            # Yield between drains so a flooded ring cannot starve the
-            # event loop (pop_all caps records per call already).
-            await asyncio.sleep(0)
-
     def _receive(self, peer: int, channel: int, msg) -> None:
         """Handle one decoded frame from an accepted connection."""
         if isinstance(msg, Heartbeat):

@@ -77,7 +77,6 @@ from repro.transport.mesh import (
     PeerMesh,
     TransportConfig,
 )
-from repro.transport.shm import shm_available
 
 __all__ = ["WallClock", "LiveRunSpec", "LiveWorkerRuntime", "run_live_worker"]
 
@@ -177,12 +176,6 @@ class LiveRunSpec:
     # Telemetry delta shipping: wall seconds between shipments of the
     # registry state and the new trace events to the supervisor.
     ship_interval_s: float = 1.0
-    # Shared-memory data lanes between co-hosted workers (see
-    # docs/architecture.md, "Transport lanes"). ``shm_token`` is the
-    # per-run nonce baked into every ring segment name; the supervisor
-    # generates it and sweeps leftover segments after the run.
-    shm_lanes: bool = False
-    shm_token: str = ""
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -203,7 +196,7 @@ class LiveWorkerRuntime(WorkerHost):
     checkpointing, telemetry delta shipping and the resume path.
     """
 
-    def __init__(self, worker_id: int, spec: LiveRunSpec, *, resume: bool = False):
+    def __init__(self, worker_id: int, spec: LiveRunSpec):
         self.worker_id = worker_id
         self.spec = spec
         self._failure: BaseException | None = None
@@ -245,7 +238,6 @@ class LiveWorkerRuntime(WorkerHost):
             "at its iteration", ("worker", "event", "peer"),
         )
 
-        shm_peers = self._shm_lane_peers(resume)
         self.mesh = PeerMesh(
             worker_id,
             on_message=self._on_mesh_message,
@@ -260,28 +252,11 @@ class LiveWorkerRuntime(WorkerHost):
             progress_fn=lambda: self.worker.sampler.samples_drawn,
             seed=spec.seed,
             host=spec.host,
-            shm_out=shm_peers,
-            shm_in=shm_peers,
-            shm_token=spec.shm_token,
         )
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _shm_lane_peers(self, resume: bool) -> set[int]:
-        """Which peers' data links ride the shm lane: every peer, when
-        the run asks for shm lanes and the platform has them — the same
-        answer at both ends of a link, so sender and receiver agree on a
-        link's lane without negotiating. A respawned worker
-        (``resume=True``) stays on TCP everywhere: its peers' ring
-        attachments still point at the crashed incarnation's segments,
-        and the supervisor's revive path downgrades their links to TCP
-        to match (see :meth:`PeerMesh.revive`).
-        """
-        if not self.spec.shm_lanes or resume or not shm_available():
-            return set()
-        return set(range(self.n_workers)) - {self.worker_id}
-
     def _link_rate_bytes(self, dst: int) -> float:
         """The shaper rate for the link to ``dst``: modelled Mbps at the
         current modelled time, converted to wall bytes/s (sped up so a
@@ -652,7 +627,7 @@ async def _child_main(
             except RuntimeError:  # pragma: no cover - loop already gone
                 pass
 
-    runtime = LiveWorkerRuntime(worker_id, spec, resume=resume)
+    runtime = LiveWorkerRuntime(worker_id, spec)
     if resume and spec.checkpoint is not None:
         restored = load_latest(spec.checkpoint.directory, worker_id)
         if restored is not None:

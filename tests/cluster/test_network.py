@@ -102,6 +102,19 @@ class TestBandwidthMatrix:
         assert varying_links(m) == {(0, 1), (1, 0)}
         assert m.bandwidth_at(1, 2, 0.0) == m.bandwidth_at(2, 1, 300.0) == 20
 
+    def test_reset_returns_links_and_egress_to_idle(self):
+        fresh = BandwidthMatrix.from_worker_capacity([50, 20, 35], shared_egress=True)
+        used = BandwidthMatrix.from_worker_capacity([50, 20, 35], shared_egress=True)
+        for t in (0.0, 0.1, 0.2):
+            used.enqueue_transfer(0, 1, 1_000_000, t)
+        used.reset()
+        assert used.total_bytes() == 0 and used.link(0, 1).busy_until == 0.0
+        assert all(q.busy_until == 0.0 and q.bytes_sent == 0
+                   for q in used.egress.values())
+        assert used.enqueue_transfer(0, 1, 1_000_000, 1.0) == fresh.enqueue_transfer(
+            0, 1, 1_000_000, 1.0
+        )
+
     def test_full_mesh_no_self_links(self):
         m = BandwidthMatrix.from_worker_capacity([10] * 4)
         assert sum(len(m.out_links(i)) for i in range(4)) == 12

@@ -2,7 +2,6 @@
 and the one run state (the metrics registry) both backends serialise
 through."""
 
-import copy
 import dataclasses
 import gc
 import hashlib
@@ -188,11 +187,10 @@ class TestOneVerdictSite:
 
 
 def _digest(config, topology, seed, **engine_kwargs) -> str:
-    """sha256 of a short run's trace bytes plus its sorted metrics dump
-    (on a copy of ``topology``: its links keep state across a run)."""
+    """sha256 of a short run's trace bytes plus its sorted metrics dump."""
     tracer, metrics = Tracer(), MetricsRegistry()
     TrainingEngine(
-        config, copy.deepcopy(topology), seed=seed,
+        config, topology, seed=seed,
         tracer=tracer, metrics=metrics, **engine_kwargs,
     ).run(4.0)
     dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)

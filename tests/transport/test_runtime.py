@@ -95,7 +95,7 @@ class TestCheckpointRoundTrip:
         assert meta["format"] == CHECKPOINT_FORMAT == 5
         assert "result" not in meta
 
-        fresh = LiveWorkerRuntime(0, spec, resume=True)
+        fresh = LiveWorkerRuntime(0, spec)
         fresh.restore_from(arrays, meta)
         assert fresh.restored_iteration == 3
         # Series and counters come back through meta["metrics"].
@@ -125,7 +125,7 @@ class TestCheckpointRoundTrip:
             }
             w.strategy.generate_partial_gradients(w, grads)
         arrays, meta = rt.checkpoint_state()
-        fresh = LiveWorkerRuntime(0, spec, resume=True)
+        fresh = LiveWorkerRuntime(0, spec)
         fresh.restore_from(arrays, meta)
         _assert_same(w.strategy, fresh.worker.strategy)
 
@@ -475,7 +475,7 @@ class TestScriptedCrash:
         crash_spec = _crashing_spec(
             spec, tmp_path, CrashEvent(15.0, 0, 5.0), CrashEvent(25.0, 0)
         )
-        rt = LiveWorkerRuntime(0, crash_spec, resume=True)
+        rt = LiveWorkerRuntime(0, crash_spec)
         monkeypatch.setattr(rt.mesh, "send", lambda *a, **kw: None)
         rt.progress_conn = _Pipe()
         rt.start_training(
