@@ -1,9 +1,10 @@
 """Discrete-event simulation clock.
 
-One binary heap of ``(time, seq, Event)`` entries over simulated
+One binary heap of ``(time, seq, fn, args)`` tuples over simulated
 seconds. ``seq`` is a monotonically increasing sequence number assigned
 at ``schedule`` time, so ``(time, seq)`` is unique: heap comparisons
-stay on C-level float/int tuples and never reach the ``Event`` object.
+stay on C-level float/int tuple items and never reach ``fn`` or
+``args``.
 
 Determinism contract: events fire in exact ``(time, seq)`` order — by
 timestamp, ties by scheduling order — and the clock never reads wall
@@ -16,24 +17,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-__all__ = ["SimClock", "Event"]
-
-
-class Event:
-    """A scheduled callback. ``cancel()`` turns it into a no-op."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so it is skipped when its time comes."""
-        self.cancelled = True
+__all__ = ["SimClock"]
 
 
 class SimClock:
@@ -42,11 +26,11 @@ class SimClock:
     ``schedule`` registers a callback at an absolute simulated time (or
     ``schedule_in`` relative to now); ``run_until`` pumps events in
     timestamp order until the horizon. Callbacks may schedule further
-    events.
+    events. A scheduled event always fires: there is no cancellation.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._now = 0.0
         self.events_processed = 0
@@ -55,7 +39,7 @@ class SimClock:
     def now(self) -> float:
         return self._now
 
-    def schedule(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Register ``fn(*args)`` to fire at absolute simulated ``time``."""
         now = self._now
         if time < now:
@@ -66,21 +50,17 @@ class SimClock:
             time = now  # float noise: clamp instead of rejecting
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, ev))
-        return ev
+        heappush(self._heap, (time, seq, fn, args))
 
-    def schedule_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Register ``fn(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.schedule(self._now + delay, fn, *args)
+        self.schedule(self._now + delay, fn, *args)
 
     def peek_time(self) -> float | None:
-        """Timestamp of the next live event, or None if empty."""
+        """Timestamp of the next event, or None if empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
         return heap[0][0] if heap else None
 
     def _pump(self, horizon: float, max_events: int | None) -> tuple[int, bool]:
@@ -88,11 +68,9 @@ class SimClock:
         heap = self._heap
         processed = 0
         while heap and heap[0][0] <= horizon:
-            t, _seq, ev = heappop(heap)
-            if ev.cancelled:
-                continue
+            t, _seq, fn, args = heappop(heap)
             self._now = t
-            ev.fn(*ev.args)
+            fn(*args)
             processed += 1
             self.events_processed += 1
             if max_events is not None and processed >= max_events:
@@ -117,5 +95,5 @@ class SimClock:
         return self._pump(float("inf"), max_events)[0]
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued (O(n))."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        """Number of events still queued."""
+        return len(self._heap)

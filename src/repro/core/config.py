@@ -147,7 +147,6 @@ class TrainConfig:
     dataset_kwargs: dict = field(default_factory=dict)
     train_size: int = 6000
     test_size: int = 600
-    shard_mode: str = "iid"
 
     # Optimization
     lr: float = 0.1

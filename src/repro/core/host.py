@@ -305,7 +305,7 @@ class WorkerHost:
         if dataset is None:
             dataset = self._build_dataset()
         self.dataset = dataset
-        shards = dataset.shards(self.n_workers, mode=config.shard_mode)
+        shards = dataset.shards(self.n_workers)
         self._eval_x = dataset.test_x[: config.eval_subset]
         self._eval_y = dataset.test_y[: config.eval_subset]
 

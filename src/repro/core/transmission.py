@@ -29,9 +29,7 @@ verifies with a couple of exact-count secant probes on the current
 gradients (:meth:`GradientHistograms.fit_warm`), rebuilding the
 histograms only on a probe miss. Warm answers stay exactly feasible —
 probes are exact counts — and sit at most ``_WARM_SLACK`` bins (≲0.1
-N) below the certified optimum. All planners also share one
-process-wide scratch pool so the hot buffers stay cache-warm when
-many simulated workers take turns planning.
+N) below the certified optimum.
 
 A non-default selector (:mod:`repro.core.selectors`) is fit on a level
 grid instead (:func:`fit_levels_to_budgets`). Either fit gives every
@@ -95,64 +93,11 @@ def _build_n_at_edge() -> np.ndarray:
 _N_AT_EDGE = _build_n_at_edge()
 
 
-class _Scratch:
-    """Reusable buffers for the per-iteration gradient view.
-
-    The view's working arrays (magnitudes, the selection mask, the
-    quantization scratch) are each a few hundred KB — past glibc's mmap
-    threshold, so allocating them fresh every iteration means
-    page-faulting the memory in every time. Planners plan every
-    iteration with the same model, so the buffers are allocated once
-    and reused; they are resized only when the model (or gradient
-    dtype) changes.
-    """
-
-    __slots__ = (
-        "_size",
-        "_dtype",
-        "mags",
-        "scale",
-        "quant",
-        "mask",
-        "names",
-        "sizes",
-        "offsets",
-        "bounds",
-    )
-
-    def __init__(self) -> None:
-        self._size = -1
-        self._dtype: np.dtype | None = None
-        # cached variable layout (names + sizes -> offsets/bounds): one
-        # model per planner, so the layout is identical every iteration
-        self.names: list[str] | None = None
-        self.sizes: list[int] | None = None
-
-    def ensure(self, size: int, dtype: np.dtype) -> "_Scratch":
-        if size > self._size or dtype != self._dtype:
-            self._size = size
-            self._dtype = dtype
-            self.mags = np.empty(size, dtype=dtype)
-            self.scale = np.empty(size, dtype=dtype)
-            # intp so np.bincount ingests it without an internal cast
-            self.quant = np.empty(size, dtype=np.intp)
-            self.mask = np.empty(size, dtype=bool)
-        return self
-
-
-# Process-wide buffer pool. Every worker in a simulation plans over the
-# same model, and the planners take turns (the simulator is
-# single-threaded), so sharing one pool keeps the working arrays
-# cache-warm across *all* planners instead of letting six cold copies
-# chase each other out of the cache.
-_SHARED_SCRATCH = _Scratch()
-
-
 class GradientHistograms:
     """Batched budget resolver for one iteration's gradient map.
 
     Construction builds a cheap *view*: every variable's magnitudes
-    packed segment-by-segment into one shared buffer (the values are
+    packed segment-by-segment into one buffer (the values are
     never copied — payload gathers index the caller's arrays) and
     per-variable maxima via a single ``maximum.reduceat``. Whole-map
     operations then run as one NumPy call (or one short call per
@@ -171,10 +116,9 @@ class GradientHistograms:
     warm-start verification, and ``select_payload`` reuses the cached
     magnitudes.
 
-    The magnitude, mask and quantization buffers live in a
-    :class:`_Scratch` pool. The planner passes the process-wide pool,
-    so they are reused across iterations; a view built without one gets
-    a private pool, so two standalone views never share buffers.
+    Each view owns its buffers: the magnitudes are allocated at
+    construction, the selection mask on first use, and the fold's
+    quantization arrays are local to the fold.
 
     Gradient maps with mixed dtypes (or non-float gradients) cannot be
     concatenated without changing comparison semantics; construction
@@ -187,7 +131,6 @@ class GradientHistograms:
         "_names",
         "_flats",
         "_mags",
-        "_offsets",
         "_bounds",
         "_maxes",
         "_zero_entries",
@@ -196,20 +139,12 @@ class GradientHistograms:
         "_exact_cache",
         "_mask",
         "_mask_n",
-        "_scale",
-        "_quant",
     )
 
-    def __init__(
-        self, grads: Mapping[str, np.ndarray], *, scratch: "_Scratch | None" = None
-    ):
-        self._init_view(grads, scratch)
-
-    def _init_view(
-        self, grads: Mapping[str, np.ndarray], scratch: "_Scratch | None"
-    ) -> None:
+    def __init__(self, grads: Mapping[str, np.ndarray]):
         self._rev_bytes: np.ndarray | None = None
         self._exact_cache: dict[float, int] = {}
+        self._mask: np.ndarray | None = None
         self._mask_n: float | None = None
         names: list[str] = []
         flats: list[np.ndarray] = []
@@ -220,7 +155,7 @@ class GradientHistograms:
                 flats.append(flat)
         if not flats:
             self._names = []
-            self._flats = self._mags = self._offsets = self._bounds = None
+            self._flats = self._mags = self._bounds = None
             self._maxes = None
             self._zero_entries = self._nnz = 0
             self._rev_bytes = np.zeros(_BINS + 1, dtype=np.int64)
@@ -235,35 +170,15 @@ class GradientHistograms:
         self._names = names
         self._flats = flats  # per-variable views of the caller's arrays
         sizes = [f.size for f in flats]
-        if scratch is None:
-            scratch = _Scratch()
-        if scratch.names == names and scratch.sizes == sizes:
-            # same model layout as last iteration: reuse the offsets
-            offsets = scratch.offsets
-            bounds = scratch.bounds
-        else:
-            offsets = np.empty(len(flats) + 1, dtype=np.intp)
-            offsets[0] = 0
-            np.cumsum(sizes, out=offsets[1:])
-            bounds = [
-                (int(offsets[i]), int(offsets[i + 1])) for i in range(len(flats))
-            ]
-            scratch.names = list(names)
-            scratch.sizes = sizes
-            scratch.offsets = offsets
-            scratch.bounds = bounds
-        self._offsets = offsets
+        offsets = np.empty(len(flats) + 1, dtype=np.intp)
+        offsets[0] = 0
+        np.cumsum(sizes, out=offsets[1:])
+        bounds = [(int(offsets[i]), int(offsets[i + 1])) for i in range(len(flats))]
         self._bounds = bounds
-        total = bounds[-1][1]
-        scratch.ensure(total, flats[0].dtype)
-        self._mags = scratch.mags[:total]
-        self._mask = scratch.mask[:total]
-        self._scale = scratch.scale[:total]
-        self._quant = scratch.quant[:total]
         # magnitudes of all variables, packed into one buffer segment
         # by segment — never a concatenated copy of the values
         # themselves (payload gathers index the caller's arrays).
-        mags = self._mags
+        mags = self._mags = np.empty(bounds[-1][1], dtype=flats[0].dtype)
         for i, flat in enumerate(flats):
             a, b = bounds[i]
             np.abs(flat, out=mags[a:b])
@@ -295,14 +210,16 @@ class GradientHistograms:
     def _mask_at(self, n_percent: float) -> np.ndarray:
         """Boolean selection mask at ``n_percent`` (view mode).
 
-        One comparison per variable *segment* of the shared mask buffer
-        — no materialized per-entry threshold array. The buffer is
-        tagged with the level it holds, so the planner's usual sequence
+        One comparison per variable *segment* of one mask buffer — no
+        materialized per-entry threshold array. The buffer is tagged
+        with the level it holds, so the planner's usual sequence
         (warm-probe a level, then select the payload at that same
         level) builds the mask once.
         """
         mask = self._mask
-        if self._mask_n == n_percent:
+        if mask is None:
+            mask = self._mask = np.empty(self._mags.size, dtype=bool)
+        elif self._mask_n == n_percent:
             return mask
         mags = self._mags
         dtype = mags.dtype
@@ -339,14 +256,13 @@ class GradientHistograms:
     def _ensure_hist(self) -> np.ndarray:
         if self._rev_bytes is not None:
             return self._rev_bytes
-        # Quantize every entry into the shared scale buffer:
-        # per-variable scalar division (bit-identical to the
-        # historical (mags / mx) * _BINS). Normalizing before
-        # scaling keeps subnormal maxima from overflowing the
-        # scale factor; the integer cast and the overflow-bin
-        # fold (entries at exactly the max land in bin _BINS)
-        # avoid a full-array clip pass.
-        scale = self._scale
+        # Quantize every entry: per-variable scalar division
+        # (bit-identical to the historical (mags / mx) * _BINS).
+        # Normalizing before scaling keeps subnormal maxima from
+        # overflowing the scale factor; the integer cast and the
+        # overflow-bin fold (entries at exactly the max land in bin
+        # _BINS) avoid a full-array clip pass.
+        scale = np.empty_like(self._mags)
         for (a, b), mx in zip(self._bounds, self._maxes):
             if mx == 0.0:
                 # zero variables land in bin 0, subtracted
@@ -354,11 +270,11 @@ class GradientHistograms:
                 scale[a:b] = 0.0
             else:
                 np.divide(self._mags[a:b], mx, out=scale[a:b])
-        quant = self._quant
         # one fused pass: the float multiply (exact — _BINS is
         # a power of two) C-cast-truncates straight into the
-        # intp buffer bincount ingests copy-free; values are
+        # intp array bincount ingests copy-free; values are
         # identical to the historical scale-then-astype chain
+        quant = np.empty(scale.size, dtype=np.intp)
         np.multiply(scale, _BINS, out=quant, casting="unsafe")
         hist = np.bincount(quant, minlength=_BINS + 1)
         hist[_BINS - 1] += hist[_BINS]
@@ -701,11 +617,7 @@ class TransmissionPlanner:
             self.budget_bytes(bandwidths_mbps[dst], iter_time_s) for dst in dsts
         ]
         if self.selector is None:
-            # the process-wide buffer pool: planners across all
-            # simulated workers take turns over the same working arrays,
-            # keeping them cache-warm (a per-planner pool would go cold
-            # between any one worker's iterations while the others train)
-            hist = GradientHistograms(grads, scratch=_SHARED_SCRATCH)
+            hist = GradientHistograms(grads)
             fits = self._fit_budgets(hist, budgets)
             select = hist.select_payload
         else:

@@ -20,7 +20,6 @@ Public surface:
 
 from repro.nn.model import Model
 from repro.nn.losses import softmax_cross_entropy, softmax_probs
-from repro.nn.optim import SGD
 from repro.nn.models import build_model, cipher_cnn, mobilenet_slim, mlp
 from repro.nn.datasets import SyntheticImageDataset, Shard, MinibatchSampler
 
@@ -28,7 +27,6 @@ __all__ = [
     "Model",
     "softmax_cross_entropy",
     "softmax_probs",
-    "SGD",
     "build_model",
     "cipher_cnn",
     "mobilenet_slim",

@@ -174,29 +174,20 @@ class SyntheticImageDataset:
     # ------------------------------------------------------------------
     # Sharding (paper §2.1: workers train over partitioned data)
     # ------------------------------------------------------------------
-    def shards(self, n_workers: int, *, mode: str = "iid") -> list[Shard]:
+    def shards(self, n_workers: int) -> list[Shard]:
         """Partition the training set across ``n_workers``.
 
-        ``iid`` deals samples round-robin (every worker sees every
-        class); ``contiguous`` slices the array in order, a mild non-IID
-        split.
+        Samples are dealt round-robin (IID: every worker sees every
+        class).
         """
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if n_workers > self.train_size:
             raise ValueError("more workers than training samples")
-        if mode == "iid":
-            return [
-                Shard(self.train_x[w::n_workers], self.train_y[w::n_workers])
-                for w in range(n_workers)
-            ]
-        if mode == "contiguous":
-            bounds = np.linspace(0, self.train_size, n_workers + 1, dtype=int)
-            return [
-                Shard(self.train_x[a:b], self.train_y[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-        raise ValueError(f"unknown shard mode {mode!r}")
+        return [
+            Shard(self.train_x[w::n_workers], self.train_y[w::n_workers])
+            for w in range(n_workers)
+        ]
 
     # ------------------------------------------------------------------
     # Presets

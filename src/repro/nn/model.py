@@ -20,22 +20,6 @@ __all__ = ["Model"]
 
 GradDict = dict[str, np.ndarray]
 
-# Process-wide update-step scratch, one buffer per variable
-# (shape, dtype), so apply_grads never allocates the ``lr * coeff * g``
-# temporary. A buffer is live only inside one apply_grads call and the
-# simulator is single-threaded (a live process holds one model), so
-# every replica shares it — cache-warm, and not a model-sized buffer
-# per replica.
-_APPLY_SCRATCH: dict[tuple, np.ndarray] = {}
-
-
-def _scr(shape: tuple[int, ...], dtype) -> np.ndarray:
-    key = (shape, np.dtype(dtype))
-    buf = _APPLY_SCRATCH.get(key)
-    if buf is None:
-        buf = _APPLY_SCRATCH[key] = np.empty(shape, dtype=dtype)
-    return buf
-
 
 class Model:
     """A feed-forward stack of layers with a softmax classification head.
@@ -138,11 +122,14 @@ class Model:
         lr: float,
         coeff: float = 1.0,
     ) -> None:
-        """In-place SGD step ``w -= lr * coeff * g`` for the given variables.
+        """In-place SGD step ``w -= g * (lr * coeff)`` for the given variables.
 
         ``grads`` may cover a subset of the variables (partial-gradient
         application). ``coeff`` carries the dynamic-batching weight and
-        the ``1/n`` averaging factor of Eq. 7.
+        the ``1/n`` averaging factor of Eq. 7. A float gradient keeps its
+        dtype through the scaled temporary (the python-float scale is
+        weak under NumPy's promotion rules), so a float32 step rounds
+        twice in float32; any other gradient is scaled in float64.
         """
         scale = lr * coeff
         for name, g in grads.items():
@@ -150,13 +137,7 @@ class Model:
             w = layer.params[pname]
             if g.shape != w.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-            # Allocation-free form of ``w -= scale * g``: the scaled
-            # temporary keeps g's dtype (matching the historical
-            # expression bit for bit) and lives in a cached scratch.
-            dtype = g.dtype if g.dtype.kind == "f" else np.result_type(g.dtype, np.float64)
-            s = _scr(g.shape, dtype)
-            np.multiply(g, scale, out=s)
-            np.subtract(w, s, out=w)
+            w -= g * scale
 
     def apply_sparse_grads(
         self,

@@ -217,10 +217,10 @@ class TestPlannerView:
     def test_every_plan_builds_a_fresh_view(self, rng):
         planner = TransmissionPlanner(MaxNConfig())
         grads = {"w": rng.normal(size=1000)}
-        with _spy(GradientHistograms, "_init_view") as init_view:
+        with _spy(GradientHistograms, "__init__") as init:
             planner.plan(grads, {1: 10.0}, 0.5)
             planner.plan(grads, {1: 10.0}, 0.5)
-        assert init_view.call_count == 2
+        assert init.call_count == 2
 
 
 class TestGradientHistograms:

@@ -153,24 +153,15 @@ class TestBlockRender:
 
 class TestSharding:
     def test_iid_partition_is_exact(self, small_dataset):
-        shards = small_dataset.shards(6, mode="iid")
+        shards = small_dataset.shards(6)
         assert sum(s.size for s in shards) == small_dataset.train_size
 
     def test_iid_every_worker_sees_every_class(self, small_dataset):
-        for shard in small_dataset.shards(4, mode="iid"):
+        for shard in small_dataset.shards(4):
             assert len(np.unique(shard.y)) == small_dataset.num_classes
 
-    def test_contiguous_partition_is_exact(self, small_dataset):
-        shards = small_dataset.shards(5, mode="contiguous")
-        assert sum(s.size for s in shards) == small_dataset.train_size
-
-    def test_contiguous_preserves_order(self, small_dataset):
-        shards = small_dataset.shards(3, mode="contiguous")
-        rebuilt = np.concatenate([s.x for s in shards])
-        np.testing.assert_array_equal(rebuilt, small_dataset.train_x)
-
     def test_shards_disjoint(self, small_dataset):
-        shards = small_dataset.shards(6, mode="iid")
+        shards = small_dataset.shards(6)
         # Reconstruct the index assignment and check disjointness by count.
         total = sum(s.size for s in shards)
         assert total == small_dataset.train_size
@@ -180,10 +171,6 @@ class TestSharding:
             small_dataset.shards(0)
         with pytest.raises(ValueError):
             small_dataset.shards(10**6)
-
-    def test_unknown_mode(self, small_dataset):
-        with pytest.raises(ValueError):
-            small_dataset.shards(2, mode="sorted")
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):

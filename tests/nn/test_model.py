@@ -75,6 +75,28 @@ class TestTrainingStep:
             model.get_variable(name), before - 0.2 * grads[name], rtol=1e-5
         )
 
+    def test_apply_grads_rounds_twice_in_float32(self, model, rng):
+        """Each float32 weight is bit-identical to ``w0 - g * float32(lr *
+        coeff)``: the scaled gradient rounds to float32, then the step."""
+        lr, coeff = 0.1, 1.0 / 3.0
+        w0 = model.copy_weights()
+        grads = {
+            n: (rng.standard_normal(v.shape) * 10.0 ** rng.integers(-3, 3, v.shape))
+            .astype(np.float32)
+            for n, v in w0.items()
+        }
+        model.apply_grads(grads, lr=lr, coeff=coeff)
+        rounding_matters = False
+        for n, g in grads.items():
+            expect = w0[n] - g * np.float32(lr * coeff)
+            got = model.get_variable(n)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32), expect.view(np.uint32))
+            once = (w0[n] - g.astype(np.float64) * (lr * coeff)).astype(np.float32)
+            rounding_matters |= bool((once != expect).any())
+        # the draws include entries where one float64 rounding differs
+        assert rounding_matters
+
     def test_apply_sparse_grads(self, model):
         name = model.variable_names[0]
         w = model.get_variable(name)

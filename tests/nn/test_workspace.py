@@ -1,11 +1,10 @@
-"""NN step contracts: array ownership, in-place SGD, float32 discipline.
+"""NN step contracts: array ownership and float32 discipline.
 
 Layers allocate every array a step produces, so whatever a step hands
 out (layer outputs, input gradients, ``grads``) belongs to the caller:
 the next step must neither share it nor overwrite it. That is what lets
-a dense gradient message travel without a copy. The in-place optimizer
-is checked against the textbook allocating formulas, and the zoo models
-are pinned to float32 end to end.
+a dense gradient message travel without a copy. The zoo models are
+pinned to float32 end to end.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.nn.layers import (
     ReLU6,
 )
 from repro.nn.models import build_model
-from repro.nn.optim import SGD
 
 ZOO = [
     ("mlp", {"in_dim": 48, "hidden": (16,)}, (4, 48)),
@@ -180,70 +178,6 @@ class TestStepsOwnTheirArrays:
         del msg
         gc.collect()
         assert all(ref() is None for ref in refs.values())
-
-
-class TestSgdInPlaceParity:
-    """The buffered optimizer vs the textbook allocating update rules."""
-
-    @pytest.mark.parametrize(
-        "momentum,weight_decay,clip_norm",
-        [
-            (0.0, 0.0, None),
-            (0.9, 0.0, None),
-            (0.9, 1e-3, None),
-            (0.9, 0.0, 0.01),
-            (0.5, 1e-2, 0.05),
-        ],
-    )
-    def test_matches_allocating_formula(self, momentum, weight_decay, clip_norm):
-        def fresh_model():
-            return build_model(
-                "mlp", np.random.default_rng(3), in_dim=20, hidden=(9,)
-            )
-
-        rng = np.random.default_rng(4)
-        xb = rng.standard_normal(size=(8, 20)).astype(np.float32)
-        yb = rng.integers(0, 10, size=8)
-        lr = 0.1
-
-        model = fresh_model()
-        opt = SGD(
-            model,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            clip_norm=clip_norm,
-        )
-        ref = fresh_model()
-        ref_vel = {n: np.zeros_like(v) for n, v in ref.variables().items()}
-
-        for _ in range(4):
-            _, grads = model.loss_and_grads(xb, yb)
-            opt.step(grads)
-
-            _, ref_grads = ref.loss_and_grads(xb, yb)
-            ref_grads = {n: g.copy() for n, g in ref_grads.items()}
-            if clip_norm is not None:
-                norm = SGD.global_norm(ref_grads)
-                if norm > clip_norm and norm != 0.0:
-                    scale = clip_norm / norm
-                    ref_grads = {n: g * scale for n, g in ref_grads.items()}
-            variables = ref.variables()
-            if weight_decay > 0.0:
-                for v in variables.values():
-                    v *= 1.0 - lr * weight_decay
-            for name, g in ref_grads.items():
-                if momentum > 0.0:
-                    v = ref_vel[name] * momentum + g
-                    ref_vel[name] = v
-                else:
-                    v = g
-                np.subtract(variables[name], v * lr, out=variables[name])
-
-        for name in ref.variable_names:
-            np.testing.assert_array_equal(
-                model.get_variable(name), ref.get_variable(name)
-            )
 
 
 class TestFloat32Discipline:

@@ -89,13 +89,13 @@ def test_gbs_never_decreases_and_respects_cap(initial, train_size, ticks):
 
 
 # ---------------------------------------------------------------- shards
-@given(n_workers=st.integers(1, 12), mode=st.sampled_from(["iid", "contiguous"]))
+@given(n_workers=st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
-def test_shards_partition_exactly(n_workers, mode):
+def test_shards_partition_exactly(n_workers):
     ds = SyntheticImageDataset.cifar_like(
         np.random.default_rng(0), train_size=240, test_size=40
     )
-    shards = ds.shards(n_workers, mode=mode)
+    shards = ds.shards(n_workers)
     assert len(shards) == n_workers
     assert sum(s.size for s in shards) == 240
     # label multiset is preserved

@@ -1,15 +1,15 @@
 """Property suite: ``SimClock`` against a ``sorted((time, seq))`` oracle.
 
 The oracle states the scheduler's contract executably: it keeps every
-scheduled callback in a plain list and, before each firing, re-sorts the
-live ones by ``(time, seq)``. Random interleavings of ``schedule`` /
-``schedule_in`` / ``cancel`` / ``run_until`` / ``run`` are applied to a
+scheduled callback in a plain list and, before each firing, re-sorts
+them by ``(time, seq)``. Random interleavings of ``schedule`` /
+``schedule_in`` / ``run_until`` / ``run`` are applied to a
 :class:`SimClock` and the oracle in lockstep. After every operation the
 two must agree on the firing log (which callbacks fired, in what order,
 at what ``now``), the ``now`` trajectory, ``events_processed``,
 ``pending()``, and ``peek_time()``. Timestamps are drawn from a
-tie-prone grid plus arbitrary floats, so same-timestamp runs, cancelled
-heads, horizon-boundary events, and events scheduled *during* a
+tie-prone grid plus arbitrary floats, so same-timestamp runs,
+horizon-boundary events, and events scheduled *during* a
 same-time run are all exercised; the past-schedule rejection must raise
 on both identically.
 """
@@ -42,7 +42,6 @@ OPS = st.lists(
         # A callback that schedules more work when it fires — including
         # at its *own* timestamp, mid-tie.
         st.tuples(st.just("chain"), ANY_TIMES),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(st.just("run_until"), GRID_TIMES),
         st.tuples(st.just("run_until_capped"), GRID_TIMES,
                   st.integers(min_value=0, max_value=5)),
@@ -53,20 +52,11 @@ OPS = st.lists(
 )
 
 
-class _Handle:
-    def __init__(self, time: float):
-        self.time = time
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class _OracleClock:
     """The contract, stated the slow way: sort, fire the first, repeat."""
 
     def __init__(self) -> None:
-        self.queue: list[tuple] = []  # (time, seq, fn, args, handle)
+        self.queue: list[tuple] = []  # (time, seq, fn, args)
         self.seq = 0
         self.now = 0.0
         self.events_processed = 0
@@ -75,32 +65,29 @@ class _OracleClock:
         if time < self.now - 1e-12:
             raise ValueError("past")
         time = max(time, self.now)
-        handle = _Handle(time)
-        self.queue.append((time, self.seq, fn, args, handle))
+        self.queue.append((time, self.seq, fn, args))
         self.seq += 1
-        return handle
 
     def schedule_in(self, delay, fn, *args):
         if delay < 0:
             raise ValueError("negative delay")
-        return self.schedule(self.now + delay, fn, *args)
+        self.schedule(self.now + delay, fn, *args)
 
-    def _live(self) -> list[tuple]:
-        live = [e for e in self.queue if not e[4].cancelled]
-        return sorted(live, key=lambda e: (e[0], e[1]))
+    def _sorted(self) -> list[tuple]:
+        return sorted(self.queue, key=lambda e: (e[0], e[1]))
 
     def peek_time(self):
-        live = self._live()
-        return live[0][0] if live else None
+        queue = self._sorted()
+        return queue[0][0] if queue else None
 
     def pending(self) -> int:
-        return len(self._live())
+        return len(self.queue)
 
     def _fire_next(self, horizon: float) -> bool:
-        live = self._live()
-        if not live or live[0][0] > horizon:
+        queue = self._sorted()
+        if not queue or queue[0][0] > horizon:
             return False
-        entry = live[0]
+        entry = queue[0]
         self.queue.remove(entry)
         self.now = entry[0]
         entry[2](*entry[3])
@@ -129,7 +116,6 @@ class _Driver:
     def __init__(self, clock):
         self.clock = clock
         self.log: list[tuple[str, float]] = []
-        self.events: list = []
         self.label = 0
 
     def _record(self, label: str) -> None:
@@ -139,10 +125,8 @@ class _Driver:
         # Fires mid-tie: schedules a same-time event (must run in this
         # same pass, after the rest of the tie) and a later one.
         self.log.append((label, self.clock.now))
-        self.events.append(
-            self.clock.schedule(t, self._record, label + "/same"))
-        self.events.append(
-            self.clock.schedule(t + 0.5, self._record, label + "/later"))
+        self.clock.schedule(t, self._record, label + "/same")
+        self.clock.schedule(t + 0.5, self._record, label + "/later")
 
     def apply(self, op: tuple):
         kind = op[0]
@@ -151,17 +135,14 @@ class _Driver:
         label = f"e{self.label}"
         if kind == "schedule":
             t = max(op[1], clock.now)
-            self.events.append(clock.schedule(t, self._record, label))
+            clock.schedule(t, self._record, label)
         elif kind == "schedule_in":
-            self.events.append(clock.schedule_in(op[1], self._record, label))
+            clock.schedule_in(op[1], self._record, label)
         elif kind == "schedule_now":
-            self.events.append(clock.schedule(clock.now, self._record, label))
+            clock.schedule(clock.now, self._record, label)
         elif kind == "chain":
             t = max(op[1], clock.now)
-            self.events.append(clock.schedule(t, self._chain, label, t))
-        elif kind == "cancel":
-            if self.events:
-                self.events[op[1] % len(self.events)].cancel()
+            clock.schedule(t, self._chain, label, t)
         elif kind == "run_until":
             return clock.run_until(clock.now + op[1])
         elif kind == "run_until_capped":
@@ -204,20 +185,6 @@ def _both():
     return _Driver(SimClock()), _Driver(_OracleClock())
 
 
-def test_cancelled_events_never_fire_and_leave_the_count():
-    for drv in _both():
-        clock = drv.clock
-        keep = clock.schedule(1.0, drv._record, "keep")
-        drop = clock.schedule(1.0, drv._record, "drop")
-        drop.cancel()
-        drop.cancel()  # idempotent
-        assert clock.pending() == 1
-        assert clock.run_until(2.0) == 1
-        assert drv.log == [("keep", 1.0)]
-        keep.cancel()  # after firing: no effect on the queue
-        assert clock.pending() == 0 and clock.events_processed == 1
-
-
 def test_cap_hit_mid_tie_resumes_in_schedule_order():
     for drv in _both():
         clock = drv.clock
@@ -243,30 +210,12 @@ def test_schedule_at_now_clamps_float_noise_and_rejects_the_past():
         with pytest.raises(ValueError):
             clock.schedule(0.5, drv._record, "past")
         # Within the float-noise tolerance: clamped to now, not rejected.
-        ev = clock.schedule(1.0 - 1e-13, drv._record, "clamped")
-        assert ev.time == 1.0
+        clock.schedule(1.0 - 1e-13, drv._record, "clamped")
         assert clock.peek_time() == 1.0
         assert clock.run_until(1.0) == 1
         assert drv.log[-1] == ("clamped", 1.0)
         with pytest.raises(ValueError):
             clock.schedule_in(-0.1, drv._record, "negative")
-
-
-def test_peek_time_after_cancel_skips_to_the_next_live_event():
-    for drv in _both():
-        clock = drv.clock
-        assert clock.peek_time() is None
-        head = clock.schedule(1.0, drv._record, "head")
-        tie = clock.schedule(1.0, drv._record, "tie")
-        clock.schedule(3.0, drv._record, "tail")
-        head.cancel()
-        assert clock.peek_time() == 1.0  # the tie is still live
-        tie.cancel()
-        assert clock.peek_time() == 3.0
-        assert clock.pending() == 1
-        assert clock.run() == 1
-        assert clock.peek_time() is None
-        assert drv.log == [("tail", 3.0)]
 
 
 @pytest.mark.parametrize("cap", [0, -3])
