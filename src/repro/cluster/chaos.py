@@ -245,10 +245,3 @@ class LinkFaultInjector:
             elif f.kind == "delay":
                 delay += f.delay_s
         return delay
-
-    def blackout_active(self, src: int, dst: int, t: float) -> bool:
-        """Whether a blackout window covers ``src -> dst`` at time ``t``."""
-        return any(
-            f.kind == "blackout" and f.start <= t < f.end and f.covers(src, dst)
-            for f in self._faults
-        )

@@ -16,7 +16,6 @@ imported only by :meth:`PeerGraph.k_regular`, whose seeded
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from types import SimpleNamespace
 
 __all__ = ["PeerGraph"]
@@ -63,25 +62,9 @@ class PeerGraph:
         graph = SimpleNamespace(nodes=range(n_workers), edges=list(edges))
         return cls(graph, n_workers)
 
-    @cached_property
-    def graph(self):
-        """The overlay as an ``nx.Graph`` (built on first access)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n_workers))
-        graph.add_edges_from(
-            (u, v) for u, nbrs in self._neighbors.items() for v in nbrs if u < v
-        )
-        return graph
-
     def neighbors(self, worker: int) -> frozenset[int]:
         """The workers adjacent to ``worker`` in the overlay."""
         return self._neighbors[worker]
-
-    def degree(self, worker: int) -> int:
-        """Number of overlay neighbours of ``worker``."""
-        return len(self._neighbors[worker])
 
     def diameter(self) -> int:
         """Longest shortest path in the overlay (mixing-speed proxy)."""

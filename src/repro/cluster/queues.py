@@ -8,13 +8,9 @@ A gradient waits in the data queue until the worker applies it and pops
 it; the control queue parks opaque ``ControlMessage`` traffic (typed
 control messages have their own handlers) until ``pop_control``.
 
-Queues may be bounded (``capacity`` messages per queue, mirroring a
-Redis ``LTRIM`` retention policy or a broker's max queue length): a
-push into a full queue is rejected and counted in ``dropped_control`` /
-``dropped_data``, so both the sim and the live backend surface
-backpressure instead of buffering without limit. The engine exports the
-depths and drop counts through the ``queue_depth{worker,kind}`` gauge
-and ``queue_dropped_total{worker,kind}`` counter.
+Both queues are unbounded: a message is parked until its handler pops
+it. The engine exports the depths through the
+``queue_depth{worker,kind}`` gauge.
 """
 
 from __future__ import annotations
@@ -28,41 +24,20 @@ __all__ = ["MessageQueues"]
 class MessageQueues:
     """Control + data FIFO queues for one worker.
 
-    ``capacity`` bounds each queue individually (``None`` = unbounded,
-    the historical behaviour). ``push_*`` return ``False`` when the
-    message was rejected by a full queue; ``pop_*`` take the oldest
-    message and free its slot.
+    ``push_*`` append a message; ``pop_*`` take the oldest one.
     """
 
-    def __init__(self, owner: int, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-        self.owner = owner
-        self.capacity = capacity
+    def __init__(self):
         self.control: deque[Any] = deque()
         self.data: deque[Any] = deque()
-        self.delivered_control = 0
-        self.delivered_data = 0
-        self.dropped_control = 0
-        self.dropped_data = 0
 
-    def push_control(self, msg: Any) -> bool:
-        """Deliver a control message; False if the queue was full."""
-        if self.capacity is not None and len(self.control) >= self.capacity:
-            self.dropped_control += 1
-            return False
+    def push_control(self, msg: Any) -> None:
+        """Deliver a control message."""
         self.control.append(msg)
-        self.delivered_control += 1
-        return True
 
-    def push_data(self, msg: Any) -> bool:
-        """Deliver a data message; False if the queue was full."""
-        if self.capacity is not None and len(self.data) >= self.capacity:
-            self.dropped_data += 1
-            return False
+    def push_data(self, msg: Any) -> None:
+        """Deliver a data message."""
         self.data.append(msg)
-        self.delivered_data += 1
-        return True
 
     def pop_control(self) -> Any | None:
         """Dequeue the oldest control message (None if empty)."""
@@ -81,6 +56,3 @@ class MessageQueues:
     def data_depth(self) -> int:
         """Pending messages in the data queue."""
         return len(self.data)
-
-    def __len__(self) -> int:
-        return len(self.control) + len(self.data)

@@ -11,8 +11,9 @@
   wiring (Fig. 10), the host surface it talks to, and the event-driven
   trainer (the simulator's host).
 * :mod:`api` — the generic framework surface (``build_model``,
-  ``enqueue``, ``generate_partial_gradients``, ``send_data``,
-  ``synch_training``) that the comparison systems plug into.
+  ``enqueue``, whose per-destination send is the paper's ``send_data``,
+  ``generate_partial_gradients``, ``synch_training``) that the
+  comparison systems plug into.
 """
 
 from repro.core.config import TrainConfig, GbsConfig, LbsConfig, MaxNConfig, DktConfig

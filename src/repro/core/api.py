@@ -10,7 +10,8 @@ system-to-system variation (Table 1):
 
 :class:`ExchangeStrategy` is that plugin interface. The framework calls
 ``enqueue`` after every local gradient computation, which internally
-invokes ``generate_partial_gradients`` and then ``send_data`` (the
+invokes ``generate_partial_gradients`` and then the paper's
+``send_data`` step, one message per destination, inline (the
 index/value split and per-variable keying happen in the message layer).
 
 :class:`WorkerContext` is the narrow view of the worker a strategy is

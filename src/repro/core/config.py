@@ -168,18 +168,11 @@ class TrainConfig:
     dkt: DktConfig = field(default_factory=DktConfig)
     weighted_update: bool = True
 
-    # Message queues: per-queue capacity (None = unbounded). Bounded
-    # queues reject (and count) overflow, surfacing backpressure in the
-    # queue_depth / queue_dropped_total metrics.
-    queue_capacity: int | None = None
-
     # Measurement
     eval_period_iters: int = 20  # paper §5.1.3
     eval_subset: int = 400
 
     def __post_init__(self) -> None:
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.initial_lbs < 1:

@@ -190,10 +190,6 @@ class RunResult:
         """Per-worker simulated seconds blocked on the sync gate."""
         return self._per_worker("sync_wait_seconds_total")
 
-    def wait_fraction(self, worker: int) -> float:
-        """Share of the horizon worker ``worker`` spent sync-blocked."""
-        return self.wait_time[worker] / max(self.horizon, 1e-9)
-
     # -- paper metrics -------------------------------------------------
     def worker_accuracy_at(self, t: float) -> list[float]:
         """Per-worker best accuracy achieved by time ``t``."""

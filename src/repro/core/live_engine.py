@@ -54,6 +54,8 @@ _STDERR_TAIL_BYTES = 2048
 # How many of each worker's newest lifecycle events the status snapshot
 # retains (all of them stay in the merged registry).
 _EVENTS_TAIL = 16
+# Wall-clock deadline for each handshake phase (ports, ready, results).
+_HANDSHAKE_TIMEOUT_S = 60.0
 
 
 class _Child:
@@ -91,7 +93,6 @@ class LiveEngine:
         metrics: MetricsRegistry | None = None,
         profile: bool = False,
         host: str = "127.0.0.1",
-        handshake_timeout_s: float = 60.0,
         checkpoint: CheckpointConfig | None = None,
         ship_interval_s: float = 1.0,
         stats_interval_s: float | None = None,
@@ -107,9 +108,6 @@ class LiveEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profile = profile
         self.host = host
-        if handshake_timeout_s <= 0:
-            raise ValueError("handshake_timeout_s must be positive")
-        self.handshake_timeout_s = float(handshake_timeout_s)
         self.checkpoint = checkpoint
         if ship_interval_s <= 0:
             raise ValueError("ship_interval_s must be positive")
@@ -266,13 +264,13 @@ class LiveEngine:
         """Collect one ``expected``-tagged message from every child
         (``who`` names them in errors: the first spawn or a respawn)."""
         out: dict[int, tuple] = {}
-        deadline = time.monotonic() + self.handshake_timeout_s
+        deadline = time.monotonic() + _HANDSHAKE_TIMEOUT_S
         pending = set(children)
         while pending:
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"{who}(s) {sorted(pending)} did not report "
-                    f"{expected!r} within {self.handshake_timeout_s:.0f}s"
+                    f"{expected!r} within {_HANDSHAKE_TIMEOUT_S:.0f}s"
                 )
             for w in sorted(pending):
                 c = children[w]

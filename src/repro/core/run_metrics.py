@@ -99,7 +99,9 @@ class RunMetrics:
             "pending messages in a worker's queue, per kind",
             ("worker", "kind"),
         )
-        self.c_queue_dropped = m.counter(
+        # Unbounded queues drop nothing; the family stays registered
+        # (always empty) so every metrics dump keeps its layout.
+        m.counter(
             "queue_dropped_total",
             "messages rejected by a bounded worker queue, per kind",
             ("worker", "kind"),

@@ -38,14 +38,6 @@ class SyncPolicy:
         """May a worker in ``state`` start its next iteration?"""
         raise NotImplementedError
 
-    def stragglers(self, state: SyncState) -> list[int]:
-        """Peers currently more than one iteration behind this worker."""
-        return [
-            j
-            for j, it in state.received_from.items()
-            if state.iteration - 1 - it > 1
-        ]
-
 
 class AsyncPolicy(SyncPolicy):
     """Never blocks."""

@@ -76,7 +76,7 @@ class Worker:
         self.rng = rng
 
         self.n_workers = engine.n_workers
-        self.queues = MessageQueues(worker_id, capacity=config.queue_capacity)
+        self.queues = MessageQueues()
         self.dkt = DktState(config.dkt, worker_id, self.n_workers)
         self.lbs_controller = LbsController(config.lbs)
 
@@ -382,25 +382,14 @@ class Worker:
             dense=pg.payload if pg.kind == "dense" else None,
         )
 
-    def send_data(self, dst: int, pg: PartialGradients) -> None:
-        """The DLion ``send_data`` API: wrap a payload and ship it."""
-        msg = self._wrap_gradients(pg)
-        self.stats_grad_msgs_sent += 1
-        self.engine.send_gradients(self.worker_id, dst, msg, chosen_n=pg.chosen_n)
-
     # ------------------------------------------------------------------
     # Model update module
     # ------------------------------------------------------------------
     def on_gradient_message(self, msg: GradientMessage) -> None:
         """Model update module: apply a peer's (partial) gradients (Eq. 7)."""
         rm = self.engine.run_metrics
-        accepted = self.queues.push_data(msg)
+        self.queues.push_data(msg)
         rm.g_queue_depth.set(self.queues.data_depth, self.worker_id, "data")
-        if not accepted:
-            # Bounded queue overflow: the update is lost (backpressure),
-            # exactly like a capped broker queue dropping the newest entry.
-            rm.c_queue_dropped.inc(1, self.worker_id, "data")
-            return
         self.stats_grad_msgs_received += 1
         db = dynamic_batching_weight(
             msg.lbs, self.lbs, enabled=self.config.weighted_update
@@ -436,14 +425,12 @@ class Worker:
 
         Typed control traffic (loss shares, DKT requests, RCP shares)
         has dedicated handlers; anything else lands here for application
-        extensions to ``pop_control``. Bounded queues reject (and count)
-        overflow.
+        extensions to ``pop_control``.
         """
-        rm = self.engine.run_metrics
-        accepted = self.queues.push_control(msg)
-        rm.g_queue_depth.set(self.queues.control_depth, self.worker_id, "control")
-        if not accepted:
-            rm.c_queue_dropped.inc(1, self.worker_id, "control")
+        self.queues.push_control(msg)
+        self.engine.run_metrics.g_queue_depth.set(
+            self.queues.control_depth, self.worker_id, "control"
+        )
 
     # ------------------------------------------------------------------
     # Model synchronization module

@@ -16,7 +16,6 @@ import pathlib
 from collections import defaultdict
 
 from repro.experiments.reporting import format_table
-from repro.obs.metrics import percentile_from_sample
 
 __all__ = [
     "load_trace",
@@ -205,9 +204,8 @@ def render_metrics_report(dump: dict) -> str:
     """Latency/size distribution tables from a ``--metrics-out`` dump.
 
     One table per histogram family, one row per label series with the
-    count, mean, and p50/p95/p99 estimated from the cumulative buckets
-    (re-derived via :func:`percentile_from_sample` when a dump predates
-    the exported percentile keys).
+    count, mean, and the p50/p95/p99 each sample carries (``-`` where
+    a key is missing).
     """
     sections = []
     for name, fam in sorted(dump.items()):
@@ -220,11 +218,6 @@ def render_metrics_report(dump: dict) -> str:
                 continue
             mean = rec.get("sum", 0.0) / count
 
-            def pick(key, q, rec=rec):
-                if key in rec:
-                    return rec[key]
-                return percentile_from_sample(rec, q)
-
             def fmt(v):
                 return "-" if v is None else f"{v:.6g}"
 
@@ -233,9 +226,9 @@ def render_metrics_report(dump: dict) -> str:
                     _series_label(rec.get("labels", {})),
                     count,
                     f"{mean:.6g}",
-                    fmt(pick("p50", 0.50)),
-                    fmt(pick("p95", 0.95)),
-                    fmt(pick("p99", 0.99)),
+                    fmt(rec.get("p50")),
+                    fmt(rec.get("p95")),
+                    fmt(rec.get("p99")),
                     fmt(rec.get("max")),
                 ]
             )

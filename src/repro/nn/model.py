@@ -173,27 +173,3 @@ class Model:
             total_loss += loss * xb.shape[0]
             correct += int((logits.argmax(axis=1) == yb).sum())
         return total_loss / n, correct / n
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def save_weights(self, path: str) -> None:
-        """Write all weight variables to an ``.npz`` checkpoint."""
-        np.savez(path, **self.variables())
-
-    def load_weights(self, path: str) -> None:
-        """Load a checkpoint written by :meth:`save_weights`.
-
-        The checkpoint must cover exactly this model's variables.
-        """
-        with np.load(path) as data:
-            self.set_weights({name: data[name] for name in data.files})
-
-    def summary(self) -> str:
-        """A human-readable listing of every variable and its shape."""
-        lines = [f"Model: {len(self.layers)} layers, {self.num_params()} params "
-                 f"({self.nbytes() / 1e6:.2f} MB)"]
-        for name in self.variable_names:
-            v = self.get_variable(name)
-            lines.append(f"  {name:40s} {str(v.shape):18s} {v.size}")
-        return "\n".join(lines)

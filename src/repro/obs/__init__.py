@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Series,
     percentile_from_buckets,
-    percentile_from_sample,
 )
 from repro.obs.profile import Profiler, activate, render
 from repro.obs.trace import (
@@ -64,7 +63,6 @@ __all__ = [
     "Histogram",
     "Series",
     "percentile_from_buckets",
-    "percentile_from_sample",
     "Profiler",
     "activate",
     "render",

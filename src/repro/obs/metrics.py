@@ -31,7 +31,6 @@ __all__ = [
     "Series",
     "DEFAULT_BUCKETS",
     "percentile_from_buckets",
-    "percentile_from_sample",
 ]
 
 # Latency-flavoured default buckets (seconds); +inf is implicit.
@@ -90,25 +89,6 @@ def percentile_from_buckets(
     if maximum is not None:
         value = min(value, maximum)
     return value
-
-
-def percentile_from_sample(sample: dict, q: float) -> float | None:
-    """Quantile from one exported histogram sample (``samples()`` form).
-
-    Accepts the ``{"buckets": [{"le": ..., "count": ...}, ...]}`` record
-    that :meth:`Histogram.samples` / ``to_dict`` emit (the ``+inf``
-    entry may be the string ``"+inf"``). Lets ``report`` summarise
-    metric dumps written by older runs that predate inline percentiles.
-    """
-    buckets = sample["buckets"]
-    edges = [b["le"] for b in buckets if b["le"] != "+inf"]
-    cumulative = [b["count"] for b in buckets]
-    if len(cumulative) == len(edges):  # dump without an explicit +inf row
-        cumulative.append(sample["count"])
-    return percentile_from_buckets(
-        edges, cumulative, q,
-        minimum=sample.get("min"), maximum=sample.get("max"),
-    )
 
 
 class _Family:

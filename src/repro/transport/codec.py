@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -128,14 +129,7 @@ _WEIGHT_PREFIX = struct.Struct("<III")  # sender, iteration, n_vars
 _NAME_LEN = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
-_LOSS_SHARE = struct.Struct("<IId")  # sender, iteration, avg_loss
-_DKT_REQUEST = struct.Struct("<II")  # sender, iteration
-_RCP_SHARE = struct.Struct("<Id")  # sender, rcp
 _CONTROL_PREFIX = struct.Struct("<IHI")  # sender, kind_len, payload_len
-_HELLO = struct.Struct("<IB")  # sender, channel
-_HEARTBEAT = struct.Struct("<IQdd")  # sender, samples_drawn, sim time, wall
-_HEARTBEAT_ACK = struct.Struct("<Id")  # sender, echoed wall timestamp
-_BYE = struct.Struct("<I")  # sender
 
 _CONTROL_BODY_BYTES = CONTROL_MESSAGE_BYTES - FRAME_HEADER_BYTES
 _ZERO_PAD = bytes(_CONTROL_BODY_BYTES)
@@ -182,6 +176,30 @@ class Bye:
     """Graceful-shutdown notice: silence from me is not a failure."""
 
     sender: int
+
+
+# The fixed-size frames: one struct per class, packing the dataclass
+# fields in declaration order, zero-padded to CONTROL_MESSAGE_BYTES.
+_FIXED = {
+    LossShareMessage: (T_LOSS_SHARE, struct.Struct("<IId")),
+    DktRequestMessage: (T_DKT_REQUEST, struct.Struct("<II")),
+    RcpShareMessage: (T_RCP_SHARE, struct.Struct("<Id")),
+    Hello: (T_HELLO, struct.Struct("<IB")),
+    Heartbeat: (T_HEARTBEAT, struct.Struct("<IQdd")),
+    HeartbeatAck: (T_HEARTBEAT_ACK, struct.Struct("<Id")),
+    Bye: (T_BYE, struct.Struct("<I")),
+}
+
+
+def _field_values(cls):
+    """A getter for ``cls``'s field values as a tuple, in declaration order."""
+    names = [f.name for f in fields(cls)]
+    if len(names) == 1:
+        return lambda msg: (getattr(msg, names[0]),)
+    return attrgetter(*names)
+
+
+_FIELD_VALUES = {cls: _field_values(cls) for cls in _FIXED}
 
 
 class FrameBuffer:
@@ -325,17 +343,10 @@ def encode_into(msg, fbuf: FrameBuffer) -> memoryview:
         )
         _put_dense(buf, FRAME_HEADER_BYTES + _WEIGHT_PREFIX.size, plan)
         return _finish(fbuf, body_len)
-    if isinstance(msg, LossShareMessage):
-        return _control_frame(
-            fbuf, T_LOSS_SHARE, _LOSS_SHARE,
-            (msg.sender, msg.iteration, msg.avg_loss),
-        )
-    if isinstance(msg, DktRequestMessage):
-        return _control_frame(
-            fbuf, T_DKT_REQUEST, _DKT_REQUEST, (msg.sender, msg.iteration)
-        )
-    if isinstance(msg, RcpShareMessage):
-        return _control_frame(fbuf, T_RCP_SHARE, _RCP_SHARE, (msg.sender, msg.rcp))
+    fixed = _FIXED.get(type(msg))
+    if fixed is not None:
+        msg_type, st = fixed
+        return _control_frame(fbuf, msg_type, st, _FIELD_VALUES[type(msg)](msg))
     if isinstance(msg, ControlMessage):
         kind = msg.kind.encode("utf-8")
         payload = json.dumps(msg.payload, sort_keys=True).encode("utf-8")
@@ -353,19 +364,6 @@ def encode_into(msg, fbuf: FrameBuffer) -> memoryview:
         buf[off:off + len(payload)] = payload
         _pad(buf, off + len(payload), FRAME_HEADER_BYTES + body_len)
         return _finish(fbuf, body_len)
-    if isinstance(msg, Hello):
-        return _control_frame(fbuf, T_HELLO, _HELLO, (msg.sender, msg.channel))
-    if isinstance(msg, Heartbeat):
-        return _control_frame(
-            fbuf, T_HEARTBEAT, _HEARTBEAT,
-            (msg.sender, msg.samples_drawn, msg.time, msg.wall),
-        )
-    if isinstance(msg, HeartbeatAck):
-        return _control_frame(
-            fbuf, T_HEARTBEAT_ACK, _HEARTBEAT_ACK, (msg.sender, msg.echo_wall)
-        )
-    if isinstance(msg, Bye):
-        return _control_frame(fbuf, T_BYE, _BYE, (msg.sender,))
     raise CodecError(f"cannot encode {type(msg).__name__}")
 
 
@@ -505,14 +503,11 @@ def _decode_control(body: bytes):
 _DECODERS = {
     T_GRADIENT: _decode_gradient,
     T_WEIGHTS: _decode_weights,
-    T_LOSS_SHARE: lambda b: LossShareMessage(*_LOSS_SHARE.unpack_from(b)),
-    T_DKT_REQUEST: lambda b: DktRequestMessage(*_DKT_REQUEST.unpack_from(b)),
-    T_RCP_SHARE: lambda b: RcpShareMessage(*_RCP_SHARE.unpack_from(b)),
     T_CONTROL: _decode_control,
-    T_HELLO: lambda b: Hello(*_HELLO.unpack_from(b)),
-    T_HEARTBEAT: lambda b: Heartbeat(*_HEARTBEAT.unpack_from(b)),
-    T_HEARTBEAT_ACK: lambda b: HeartbeatAck(*_HEARTBEAT_ACK.unpack_from(b)),
-    T_BYE: lambda b: Bye(*_BYE.unpack_from(b)),
+    **{
+        msg_type: lambda b, cls=cls, st=st: cls(*st.unpack_from(b))
+        for cls, (msg_type, st) in _FIXED.items()
+    },
 }
 
 

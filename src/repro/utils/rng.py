@@ -65,31 +65,3 @@ class RngPool:
             gen = spawn_rng(self._seed, key)
             self._cache[key] = gen
         return gen
-
-    def fresh(self, key: str) -> np.random.Generator:
-        """Return a *new* generator for ``key``, resetting any cached one."""
-        gen = spawn_rng(self._seed, key)
-        self._cache[key] = gen
-        return gen
-
-    def child(self, prefix: str) -> "RngPool":
-        """A pool whose keys are namespaced under ``prefix``."""
-        return _PrefixedRngPool(self, prefix)
-
-
-class _PrefixedRngPool(RngPool):
-    """View over a parent pool with a key prefix (shares the cache)."""
-
-    def __init__(self, parent: RngPool, prefix: str):
-        self._parent = parent
-        self._prefix = prefix.rstrip("/")
-        self._seed = parent.seed
-
-    def get(self, key: str) -> np.random.Generator:  # type: ignore[override]
-        return self._parent.get(f"{self._prefix}/{key}")
-
-    def fresh(self, key: str) -> np.random.Generator:  # type: ignore[override]
-        return self._parent.fresh(f"{self._prefix}/{key}")
-
-    def child(self, prefix: str) -> "RngPool":  # type: ignore[override]
-        return _PrefixedRngPool(self._parent, f"{self._prefix}/{prefix}")

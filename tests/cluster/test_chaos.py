@@ -156,8 +156,6 @@ class TestInjector:
         assert inj.on_send(0, 1, 4.999) is None
         assert inj.on_send(0, 1, 5.0) == 0.0
         assert inj.on_send(1, 0, 3.0) == 0.0  # directed: reverse unaffected
-        assert inj.blackout_active(0, 1, 3.0)
-        assert not inj.blackout_active(1, 0, 3.0)
 
     def test_bidirectional_covers_both_directions(self):
         plan = ChaosPlan(link_faults=(

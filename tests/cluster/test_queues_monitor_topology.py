@@ -12,7 +12,7 @@ from repro.cluster.traces import PiecewiseTrace
 
 class TestMessageQueues:
     def test_fifo_order(self):
-        q = MessageQueues(owner=0)
+        q = MessageQueues()
         q.push_data("a")
         q.push_data("b")
         assert q.pop_data() == "a"
@@ -20,111 +20,26 @@ class TestMessageQueues:
         assert q.pop_data() is None
 
     def test_control_and_data_separate(self):
-        q = MessageQueues(owner=0)
+        q = MessageQueues()
         q.push_control("ctl")
         q.push_data("dat")
         assert q.pop_control() == "ctl"
         assert q.pop_data() == "dat"
 
-    def test_delivery_counters(self):
-        q = MessageQueues(owner=0)
-        q.push_control("a")
-        q.push_data("b")
-        q.push_data("c")
-        assert q.delivered_control == 1
-        assert q.delivered_data == 2
-
     def test_unbounded_by_default(self):
-        q = MessageQueues(owner=0)
-        assert all(q.push_data(i) for i in range(10_000))
-        assert q.dropped_data == 0
-
-    def test_bounded_capacity_drops_newest(self):
-        q = MessageQueues(owner=0, capacity=2)
-        assert q.push_data("a")
-        assert q.push_data("b")
-        assert not q.push_data("c")  # full: rejected, not queued
-        assert q.dropped_data == 1
-        assert q.pop_data() == "a"
-        assert q.pop_data() == "b"
-        # Popping frees capacity again.
-        assert q.push_data("d")
-
-    def test_bounds_apply_per_queue(self):
-        q = MessageQueues(owner=0, capacity=1)
-        assert q.push_control("ctl")
-        assert q.push_data("dat")  # control fullness must not leak over
-        assert not q.push_control("ctl2")
-        assert q.dropped_control == 1
-        assert q.dropped_data == 0
+        q = MessageQueues()
+        for i in range(10_000):
+            q.push_data(i)
+        assert q.data_depth == 10_000
 
     def test_depth_properties(self):
-        q = MessageQueues(owner=0)
+        q = MessageQueues()
         q.push_control("a")
         q.push_data("b")
         q.push_data("c")
         assert (q.control_depth, q.data_depth) == (1, 2)
         q.pop_data()
         assert q.data_depth == 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            MessageQueues(owner=0, capacity=0)
-
-
-class TestBoundedQueuesInEngine:
-    @staticmethod
-    def _build_engine(metrics):
-        from repro.core.engine import TrainingEngine
-        from repro.experiments.environments import get_environment
-        from repro.experiments.runner import (
-            build_config,
-            build_topology,
-            workload_for,
-        )
-
-        env = get_environment("Homo A")
-        workload = workload_for(env)
-        return TrainingEngine(
-            build_config("dlion", workload, queue_capacity=1),
-            build_topology(env, workload, n_workers=3),
-            seed=0,
-            metrics=metrics,
-        )
-
-    def test_capacity_one_run_completes_without_drops(self):
-        """Even a pathologically tight bound is safe in the simulator.
-
-        Sim handlers push, apply, and pop within a single synchronous
-        call, so queue depth never exceeds one and capacity=1 never
-        overflows — the run must complete normally with zero drops.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        result = self._build_engine(metrics).run(10.0)
-        assert min(result.iterations) > 0
-        dropped = metrics.get("queue_dropped_total")
-        assert sum(v for _, v in dropped.items()) == 0
-
-    def test_overflow_drops_and_ignores_message(self):
-        """When the bounded queue *is* full, the handler must count the
-        drop and discard the update without applying it."""
-        from repro.cluster.messages import GradientMessage
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        engine = self._build_engine(metrics)
-        w = engine.workers[0]
-        assert w.queues.push_data("stuck")  # fills the capacity-1 queue
-        msg = GradientMessage(
-            sender=1, iteration=1, lbs=32,
-            dense={"w": np.zeros(4, dtype=np.float32)},
-        )
-        w.on_gradient_message(msg)
-        assert metrics.get("queue_dropped_total").value(0, "data") == 1.0
-        assert w.stats_grad_msgs_received == 0  # never applied
-        assert w.queues.pop_data() == "stuck"  # original entry untouched
 
 
 class TestNetworkResourceMonitor:

@@ -88,8 +88,3 @@ class TestFactoryAndStragglers:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_sync_policy("eventual")
-
-    def test_straggler_identification(self):
-        p = BoundedPolicy(5)
-        st = state(10, {1: 9, 2: 3, 3: 0})
-        assert sorted(p.stragglers(st)) == [2, 3]

@@ -38,8 +38,8 @@ class TestUtilization:
     def test_lockstep_fast_workers_wait(self):
         res = run("baseline")
         # fast workers (0, 1) idle while the 2-core straggler computes
-        assert res.wait_fraction(0) > 0.3
-        assert res.wait_fraction(2) < res.wait_fraction(0)
+        assert res.wait_time[0] / res.horizon > 0.3
+        assert res.wait_time[2] < res.wait_time[0]
 
     def test_async_never_waits(self):
         res = run("ako")
@@ -58,4 +58,4 @@ class TestUtilization:
     def test_bounded_waits_less_than_lockstep(self):
         lockstep = run("baseline")
         bounded = run("hop")  # staleness 5, backup 1 skips the straggler
-        assert bounded.wait_fraction(0) < lockstep.wait_fraction(0)
+        assert bounded.wait_time[0] < lockstep.wait_time[0]

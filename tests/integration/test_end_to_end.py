@@ -146,19 +146,3 @@ class TestPaperShapeClaims:
             "dlion", hetero_topology(), horizon=100.0, gbs=GbsConfig(enabled=False)
         )
         assert with_gbs.epochs > without.epochs
-
-
-class TestCheckpointing:
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        from repro.nn.models import mlp
-
-        model = mlp(rng, in_dim=20, hidden=(8,), num_classes=3)
-        path = str(tmp_path / "ckpt.npz")
-        model.save_weights(path)
-        snap = model.copy_weights()
-        # scramble, then restore
-        for v in model.variables().values():
-            v[...] = 0.0
-        model.load_weights(path)
-        for name, arr in snap.items():
-            np.testing.assert_array_equal(model.get_variable(name), arr)

@@ -7,8 +7,8 @@ Stress 1k preset if broken:
   the input gradient nobody reads, and changes no gradient bit;
 * ``loss_and_grads`` hands the gradient arrays off — no layer keeps
   last step's gradients alive;
-* the ``apply_grads`` scratch is one process-wide pool, not one
-  model-sized buffer per replica;
+* ``apply_grads`` keeps no scratch between calls — no model-sized
+  buffer per replica, and no pool shared across replicas either;
 * backward takes the forward caches — no layer keeps the last
   minibatch's inputs, masks or im2col blocks alive, and a second
   backward without a new forward raises.
@@ -302,8 +302,8 @@ class TestBackwardTakesTheForwardCaches:
 
 
 class TestSharedApplyScratch:
-    """One process-wide scratch: interleaved applies on many models end
-    where isolated ``w -= (lr * coeff) * g`` updates end."""
+    """No scratch survives an apply: interleaved applies on many models
+    end where isolated ``w -= (lr * coeff) * g`` updates end."""
 
     def test_interleaved_models_match_isolated_updates(self):
         def mlp(seed, **kwargs):
@@ -352,8 +352,8 @@ class TestReplicaFootprint:
 
     def test_a_replica_between_steps_is_its_weights(self):
         rng = np.random.default_rng(0)
-        # one warm replica fills the process-wide scratch and NumPy's
-        # lazily built internals before the measured window opens
+        # one warm replica builds NumPy's lazily built internals
+        # before the measured window opens
         self._step(self._build(0), *self._batch(rng))
         gc.collect()
 

@@ -2,7 +2,7 @@
 
 Every child process of every workload pays the import; networkx alone
 was ~0.18 s and ~14 MB of it before ``PeerGraph`` kept its own
-adjacency. Only ``PeerGraph.k_regular`` (and ``.graph``) may load it.
+adjacency. Only ``PeerGraph.k_regular`` may load it.
 Importing the whole package may load nothing outside the standard
 library and the declared dependencies.
 """

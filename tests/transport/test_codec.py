@@ -27,6 +27,7 @@ from repro.transport.codec import (
     CodecError,
     FRAME_HEADER_BYTES,
     Heartbeat,
+    HeartbeatAck,
     Hello,
     MAGIC,
     VERSION,
@@ -152,6 +153,7 @@ class TestRoundTrip:
             RcpShareMessage(sender=sender, rcp=rcp),
             Hello(sender, 1),
             Heartbeat(sender, samples, t),
+            HeartbeatAck(sender, t),
             Bye(sender),
         ):
             assert decode_message(encode_message(msg)) == msg
@@ -206,6 +208,43 @@ class TestSizeParity:
         msg = WeightMessage(sender=0, iteration=1, weights=payload)
         actual = len(encode_message(msg))
         assert abs(actual - msg.wire_bytes()) <= size_slack(len(payload))
+
+
+class TestGoldenFixedFrames:
+    """The exact wire bytes of each fixed-size frame type.
+
+    Round trips cannot see a field-order change that encode and decode
+    make together; these frames can. Each is the header plus the
+    packed fields (little-endian), zero-padded to
+    ``CONTROL_MESSAGE_BYTES``.
+    """
+
+    GOLDEN = [
+        (LossShareMessage(sender=3, iteration=17, avg_loss=0.8125),
+         "444c0112000000380300000011000000000000000000ea3f"),
+        (DktRequestMessage(sender=2, iteration=41),
+         "444c0113000000380200000029000000"),
+        (RcpShareMessage(sender=5, rcp=12.5),
+         "444c011400000038050000000000000000002940"),
+        (Hello(sender=7, channel=2),
+         "444c0101000000380700000002"),
+        (Heartbeat(sender=1, samples_drawn=123456789, time=3.25, wall=1000.5),
+         "444c0102000000380100000015cd5b07000000000000000000000a40"
+         "0000000000448f40"),
+        (HeartbeatAck(sender=4, echo_wall=99.75),
+         "444c010400000038040000000000000000f05840"),
+        (Bye(sender=6),
+         "444c01030000003806000000"),
+    ]
+
+    @pytest.mark.parametrize(
+        "msg,head", GOLDEN, ids=[type(m).__name__ for m, _ in GOLDEN]
+    )
+    def test_wire_bytes(self, msg, head):
+        head = bytes.fromhex(head)
+        frame = encode_message(msg)
+        assert frame == head + bytes(CONTROL_MESSAGE_BYTES - len(head))
+        assert decode_message(frame) == msg
 
 
 class TestValidation:

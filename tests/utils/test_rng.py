@@ -33,25 +33,6 @@ class TestRngPool:
         pool = RngPool(3)
         assert pool.get("a") is pool.get("a")
 
-    def test_fresh_resets(self):
-        pool = RngPool(3)
-        g1 = pool.get("a")
-        g1.random(4)
-        g2 = pool.fresh("a")
-        assert g2 is not g1
-        np.testing.assert_array_equal(g2.random(4), spawn_rng(3, "a").random(4))
-
-    def test_child_namespacing(self):
-        pool = RngPool(3)
-        child = pool.child("worker/0")
-        direct = pool.get("worker/0/data")
-        assert child.get("data") is direct
-
-    def test_nested_children(self):
-        pool = RngPool(3)
-        deep = pool.child("a").child("b")
-        assert deep.get("c") is pool.get("a/b/c")
-
     def test_rejects_non_int_seed(self):
         with pytest.raises(TypeError):
             RngPool("seed")  # type: ignore[arg-type]
